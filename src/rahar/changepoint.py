@@ -14,9 +14,19 @@ the split that maximizes Q across all current segments, tests it by
 permuting observations within segments, and commits it while the
 permutation p-value stays at or below the significance level.
 
+One prefix-sum kernel scores every split of a block of orderings at
+once: the identity ordering for the split scan, a block of permutations
+for the test.  It adds distance rows in the same sequence a column-wise
+cumulative sum would, so every statistic is bit-identical to the
+one-permutation-at-a-time formula.  Inside :func:`e_divisive` a test stops
+after the first block at which (1 + exceedances) / (R + 1) already
+exceeds the significance level; such a rejected p-value never leaves the
+function, while a committed split always spends all R permutations and
+reports the exact p-value that :func:`permutation_test` returns.
+
 All randomness flows through per-permutation streams seeded from
 (master_seed, iteration, permutation index), so results are identical
-regardless of evaluation order or parallelism.
+regardless of evaluation order, block size or early stopping.
 """
 
 from __future__ import annotations
@@ -24,9 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import SegmentTooSmall
+
+# Elements of one (block, L) float64 kernel buffer: about 256 KiB, so the
+# running sums stay cache resident while distance rows stream past.
+BLOCK_ELEMENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -49,11 +62,11 @@ class PermutationConfig:
 
     def __post_init__(self):
         if self.n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
+            raise ValueError(f"n_permutations must be >= 1, got {self.n_permutations}")
         if not 0.0 < self.significance < 1.0:
-            raise ValueError("significance must be in (0, 1)")
+            raise ValueError(f"significance must be in (0, 1), got {self.significance}")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -98,27 +111,75 @@ def energy_divergence(X, Y, alpha_exp: float = 1.0) -> tuple[float, float]:
         X, Y = Y, X
     n, m = X.shape[0], Y.shape[0]
     cross = np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2) ** alpha_exp
-    within_x = pdist(X) ** alpha_exp
-    within_y = pdist(Y) ** alpha_exp
+    within_x = _alpha_distance_matrix(X, alpha_exp)[np.triu_indices(n, 1)]
+    within_y = _alpha_distance_matrix(Y, alpha_exp)[np.triu_indices(m, 1)]
     e_hat = 2.0 * cross.mean() - within_x.mean() - within_y.mean()
     q_hat = (m * n / (m + n)) * e_hat
     return float(e_hat), float(q_hat)
 
 
 def _alpha_distance_matrix(obs: np.ndarray, alpha_exp: float) -> np.ndarray:
-    if obs.shape[0] < 2:
-        return np.zeros((obs.shape[0], obs.shape[0]))
-    return squareform(pdist(obs) ** alpha_exp)
+    """|obs_i - obs_j|^alpha for every pair, with an exactly zero diagonal.
+
+    Squared differences are added in axis order before the square root,
+    the order a pairwise Euclidean distance loop uses, so the entries are
+    the same bit for bit."""
+    sq = np.zeros((obs.shape[0], obs.shape[0]))
+    for k in range(obs.shape[1]):
+        diff = np.subtract.outer(obs[:, k], obs[:, k])
+        sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq) ** alpha_exp
 
 
-def _qcurve_max(
-    left_within: np.ndarray, row_cum: np.ndarray, length: int, min_segment: int
-) -> tuple[int, float]:
-    """Best (t, Q) from prefix sums; ties go to the smallest split index."""
+def _pair_increments(dist: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """new_pair[s, b] = sum over i < s of dist[orders[b, i], orders[b, s]].
+
+    ``dist`` must be C-contiguous (a strided view would be copied by every
+    row gather) and the orderings at least two long.  A running (block, L)
+    sum takes one gathered distance row per ordering and step, so each
+    entry is summed in increasing i exactly as a column-wise cumulative
+    sum of the row-gathered matrix would.
+    """
+    block, length = orders.shape
+    rows = np.ascontiguousarray(orders.T)
+    # flat index of acc[b, orders[b, s]], laid out step by step
+    cells = rows + np.arange(0, block * length, length)
+    acc = np.empty((block, length))
+    buf = np.empty_like(acc)
+    new_pair = np.empty((length, block))
+    # bound methods keep the per-step overhead low; indices are always in
+    # range, and "clip" spares take() the buffered copy of its "raise" mode
+    take_row, take_cell = dist.take, acc.reshape(-1).take
+    new_pair[0] = 0.0
+    take_row(rows[0], 0, acc, "clip")
+    take_cell(cells[1], None, new_pair[1], "clip")
+    for row, cell, out in zip(rows[1:-1], cells[2:], new_pair[2:]):
+        take_row(row, 0, buf, "clip")
+        np.add(acc, buf, out=acc)
+        take_cell(cell, None, out, "clip")
+    return new_pair
+
+
+def _best_splits(
+    dist: np.ndarray, row_totals: np.ndarray, orders: np.ndarray, min_segment: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (t, Q) of each ordering of the segment; ties go to the smallest t.
+
+    Under ordering ``orders[b]`` the left side of split t holds the
+    observations ``orders[b, :t]``.  Row sums are order-invariant, so only
+    the pair-prefix increments need the kernel; the doubly permuted
+    distance matrix is never materialized.
+    """
+    length = orders.shape[1]
+    left_within = np.zeros((length + 1, orders.shape[0]))
+    np.cumsum(_pair_increments(dist, orders), axis=0, out=left_within[1:])
+    row_cum = np.zeros_like(left_within)
+    np.cumsum(row_totals[orders.T], axis=0, out=row_cum[1:])
+
     total_within = left_within[length]
     t = np.arange(min_segment, length - min_segment + 1)
-    n_left = t.astype(float)
-    n_right = (length - t).astype(float)
+    n_left = t.astype(float)[:, None]
+    n_right = (length - t).astype(float)[:, None]
     lw = left_within[t]
     cross = row_cum[t] - 2.0 * lw
     rw = total_within - lw - cross
@@ -128,8 +189,8 @@ def _qcurve_max(
         - rw / (n_right * (n_right - 1.0) / 2.0)
     )
     q_hat = (n_left * n_right / (n_left + n_right)) * e_hat
-    k = int(np.argmax(q_hat))  # first maximum = smallest split index
-    return int(t[k]), float(q_hat[k])
+    k = np.argmax(q_hat, axis=0)  # first maximum = smallest split index
+    return t[k], q_hat[k, np.arange(q_hat.shape[1])]
 
 
 def _split_scan(dist: np.ndarray, min_segment: int) -> tuple[int, float]:
@@ -139,44 +200,10 @@ def _split_scan(dist: np.ndarray, min_segment: int) -> tuple[int, float]:
     at least ``min_segment`` observations on each side, in O(L^2) via
     prefix sums.
     """
-    length = dist.shape[0]
-    # new_pair[t] = sum of distances from observation t to all earlier ones
-    col_cum = np.cumsum(dist, axis=0)
-    new_pair = np.empty(length)
-    new_pair[0] = 0.0
-    new_pair[1:] = col_cum.diagonal(offset=1)
-    # left_within[t] = sum over pairs among the first t observations
-    left_within = np.empty(length + 1)
-    left_within[0] = 0.0
-    np.cumsum(new_pair, out=left_within[1:])
-    row_cum = np.empty(length + 1)
-    row_cum[0] = 0.0
-    np.cumsum(dist.sum(axis=1), out=row_cum[1:])
-    return _qcurve_max(left_within, row_cum, length, min_segment)
-
-
-def _permuted_stat(
-    dist: np.ndarray, row_totals: np.ndarray, order: np.ndarray, min_segment: int
-) -> float:
-    """Best-split Q of the within-segment permutation `order`, without
-    materializing the doubly permuted distance matrix.
-
-    Row sums are permutation-invariant, and the pair-prefix increments of
-    the permuted matrix are prefix column sums of the row-gathered matrix
-    read at (t-1, order[t]).
-    """
-    length = dist.shape[0]
-    prefix = np.cumsum(dist[order], axis=0)
-    new_pair = np.empty(length)
-    new_pair[0] = 0.0
-    new_pair[1:] = prefix[np.arange(length - 1), order[1:]]
-    left_within = np.empty(length + 1)
-    left_within[0] = 0.0
-    np.cumsum(new_pair, out=left_within[1:])
-    row_cum = np.empty(length + 1)
-    row_cum[0] = 0.0
-    np.cumsum(row_totals[order], out=row_cum[1:])
-    return _qcurve_max(left_within, row_cum, length, min_segment)[1]
+    dist = np.ascontiguousarray(dist)
+    identity = np.arange(dist.shape[0])[None, :]
+    t, q = _best_splits(dist, dist.sum(axis=1), identity, min_segment)
+    return int(t[0]), float(q[0])
 
 
 def best_split(span, params: EnergyParams | None = None) -> tuple[int, float]:
@@ -229,23 +256,38 @@ def _permutation_pvalue(
     params: EnergyParams,
     perm_cfg: PermutationConfig,
     iteration_id: int,
+    stop_above: float | None = None,
 ) -> float:
+    """p-value over R permutations, scored a block at a time.
+
+    With ``stop_above`` set, returns as soon as the p-value is sure to
+    exceed it; the value returned then is a lower bound, only good for
+    that comparison.
+    """
     admissible = [
         np.ascontiguousarray(d) for d in matrices if d.shape[0] >= 2 * params.min_segment
     ]
     row_totals = [d.sum(axis=1) for d in admissible]
+    n_perm = perm_cfg.n_permutations
+    block = max(1, BLOCK_ELEMENTS // max((d.shape[0] for d in admissible), default=1))
     exceed = 0
-    for r in range(perm_cfg.n_permutations):
-        rng = _permutation_rng(perm_cfg.master_seed, iteration_id, r)
-        stat = -np.inf
-        for dist, totals in zip(admissible, row_totals):
-            order = rng.permutation(dist.shape[0])
-            q = _permuted_stat(dist, totals, order, params.min_segment)
-            if q > stat:
-                stat = q
-        if stat >= observed_stat:
-            exceed += 1
-    return (1 + exceed) / (perm_cfg.n_permutations + 1)
+    for first in range(0, n_perm, block):
+        rngs = [
+            _permutation_rng(perm_cfg.master_seed, iteration_id, r)
+            for r in range(first, min(first + block, n_perm))
+        ]
+        # each stream draws its segments' orders in segment order
+        orders = [np.empty((len(rngs), d.shape[0]), dtype=np.intp) for d in admissible]
+        for b, rng in enumerate(rngs):
+            for o in orders:
+                o[b] = rng.permutation(o.shape[1])
+        stat = np.full(len(rngs), -np.inf)
+        for dist, totals, o in zip(admissible, row_totals, orders):
+            np.maximum(stat, _best_splits(dist, totals, o, params.min_segment)[1], out=stat)
+        exceed += int(np.count_nonzero(stat >= observed_stat))
+        if stop_above is not None and (1 + exceed) / (n_perm + 1) > stop_above:
+            break
+    return (1 + exceed) / (n_perm + 1)
 
 
 def e_divisive(
@@ -291,7 +333,9 @@ def e_divisive(
             break
 
         matrices = [full_dist[a:b, a:b] for a, b in segments]
-        p_value = _permutation_pvalue(matrices, best_q, params, perm_cfg, iteration_id)
+        p_value = _permutation_pvalue(
+            matrices, best_q, params, perm_cfg, iteration_id, stop_above=perm_cfg.significance
+        )
         if p_value > perm_cfg.significance:
             break
 

@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages (validate, sleep, segment,
 changepoints, modes, features), plus train/eval for modeling, run for
 the whole batch pipeline, and synth for synthetic recordings.  Logs go
 to standard error; data goes to files only.  Exit codes: 2 parse
-failure, 3 validation failure, 4 empty dataset, 5 model failure.
+failure or bad command line, 3 validation failure, 4 empty dataset,
+5 model failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .changepoint import EnergyParams, PermutationConfig
 from .errors import (
     EmptyDataset,
     InvalidProfile,
@@ -51,6 +53,29 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, without the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _checked(cast, check):
+    """argparse type: ``cast`` the text, then let ``check`` (a constructor of
+    the config class that owns the bound) reject the value with its message."""
+
+    def parse(text: str):
+        value = cast(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--age", type=int, default=None, help="subject age in years")
     parser.add_argument("--scale-file", default=None, help="custom cut-point scale CSV")
@@ -62,10 +87,20 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--signal", choices=["triaxial", "vm3"], default="triaxial",
         help="observation signal for change-point detection",
     )
-    parser.add_argument("--alpha-exp", type=float, default=1.0)
-    parser.add_argument("--min-segment", type=int, default=30)
-    parser.add_argument("--permutations", type=int, default=99)
-    parser.add_argument("--significance", type=float, default=0.01)
+    parser.add_argument(
+        "--alpha-exp", type=_checked(float, lambda v: EnergyParams(alpha_exp=v)), default=1.0
+    )
+    parser.add_argument(
+        "--min-segment", type=_checked(int, lambda v: EnergyParams(min_segment=v)), default=30
+    )
+    parser.add_argument(
+        "--permutations", type=_checked(int, lambda v: PermutationConfig(n_permutations=v)),
+        default=99,
+    )
+    parser.add_argument(
+        "--significance", type=_checked(float, lambda v: PermutationConfig(significance=v)),
+        default=0.01,
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--efficiency-threshold", type=float, default=0.85)
     parser.add_argument("--folds", type=int, default=5)
@@ -315,7 +350,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rahar",
         description="Actigraphy sleep analytics: sleep detection, activity modes, sleep-quality models.",
     )

@@ -7,6 +7,8 @@ checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -46,6 +48,59 @@ def exhaustive_best_split(span, min_segment: int, alpha: float) -> tuple[int, fl
         if q > best_q:
             best_q, best_t = q, t
     return best_t, best_q
+
+
+def euclidean_distance_loop(obs) -> np.ndarray:
+    """Pairwise Euclidean distances, each summed over axes in order."""
+    obs = np.asarray(obs, dtype=float)
+    n = obs.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            total = 0.0
+            for a, b in zip(obs[i], obs[j]):
+                diff = float(a) - float(b)
+                total += diff * diff
+            out[i, j] = math.sqrt(total)
+    return out
+
+
+def single_order_best_split(dist, order, min_segment: int):
+    """Best split (t, Q) of one ordering of a segment, and its pair-prefix
+    increments, by the one-ordering-at-a-time formula: a column cumulative
+    sum of the row-gathered distance matrix, read at (s-1, order[s]).
+
+    Returns (t, q, new_pair) where new_pair[s] = sum over i < s of
+    dist[order[i], order[s]]; ties go to the smallest split index.
+    """
+    dist = np.asarray(dist, dtype=float)
+    order = np.asarray(order)
+    length = dist.shape[0]
+    prefix = np.cumsum(dist[order], axis=0)
+    new_pair = np.empty(length)
+    new_pair[0] = 0.0
+    new_pair[1:] = prefix[np.arange(length - 1), order[1:]]
+    left_within = np.empty(length + 1)
+    left_within[0] = 0.0
+    np.cumsum(new_pair, out=left_within[1:])
+    row_cum = np.empty(length + 1)
+    row_cum[0] = 0.0
+    np.cumsum(dist.sum(axis=1)[order], out=row_cum[1:])
+    total_within = left_within[length]
+    t = np.arange(min_segment, length - min_segment + 1)
+    n_left = t.astype(float)
+    n_right = (length - t).astype(float)
+    lw = left_within[t]
+    cross = row_cum[t] - 2.0 * lw
+    rw = total_within - lw - cross
+    e_hat = (
+        2.0 * cross / (n_left * n_right)
+        - lw / (n_left * (n_left - 1.0) / 2.0)
+        - rw / (n_right * (n_right - 1.0) / 2.0)
+    )
+    q_hat = (n_left * n_right / (n_left + n_right)) * e_hat
+    k = int(np.argmax(q_hat))
+    return int(t[k]), float(q_hat[k]), new_pair
 
 
 def window_sleep_periods(mask, onset_run: int, awakening_gap: int):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rahar import changepoint
 from rahar.changepoint import (
     EnergyParams,
     PermutationConfig,
@@ -13,7 +14,12 @@ from rahar.changepoint import (
 )
 from rahar.errors import SegmentTooSmall
 
-from oracles import energy_triple_sum, exhaustive_best_split
+from oracles import (
+    energy_triple_sum,
+    euclidean_distance_loop,
+    exhaustive_best_split,
+    single_order_best_split,
+)
 
 
 def two_regime_span(rng, low=0.0, high=100.0, n1=60, n2=60, scale=1.0, d=3):
@@ -184,3 +190,152 @@ class TestEDivisive:
         for a, b in zip(base, shifted):
             assert a.statistic == pytest.approx(b.statistic, rel=1e-9)
             assert a.p_value == b.p_value
+
+
+def count_span(rng, length, extra=0, d=3):
+    """Poisson counts with a few rate shifts, like a triaxial awake span."""
+    cuts = np.sort(rng.choice(np.arange(1, length + extra), size=3, replace=False))
+    parts = np.split(np.arange(length + extra), cuts)
+    counts = [rng.poisson(rng.uniform(1, 40), (len(p), d)) for p in parts]
+    return np.concatenate(counts).astype(float)
+
+
+def three_regime_span():
+    """Seeded 3-regime triaxial count span, L = 240, true changes at 80 and 150."""
+    rng = np.random.default_rng(2016)
+    return np.concatenate(
+        [
+            rng.poisson((4.0, 2.0, 3.0), (80, 3)),
+            rng.poisson((30.0, 18.0, 24.0), (70, 3)),
+            rng.poisson((12.0, 9.0, 10.0), (90, 3)),
+        ]
+    ).astype(float)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_distance_matrix_matches_loop(self, d):
+        rng = np.random.default_rng(d)
+        for obs in (rng.poisson(12.0, (25, d)).astype(float), rng.normal(0.0, 3.0, (25, d))):
+            assert np.array_equal(
+                changepoint._alpha_distance_matrix(obs, 1.0), euclidean_distance_loop(obs)
+            )
+
+    @pytest.mark.parametrize("length", [60, 61, 200, 400])
+    def test_matches_single_order_reference(self, length):
+        rng = np.random.default_rng(length)
+        full = changepoint._alpha_distance_matrix(count_span(rng, length, extra=23), 1.0)
+        view = full[11 : 11 + length, 11 : 11 + length]  # a strided slice, as e_divisive passes
+        assert not view.flags.c_contiguous
+        dist = np.ascontiguousarray(view)
+        orders = np.stack([rng.permutation(length) for _ in range(37)])
+        new_pair = changepoint._pair_increments(dist, orders)
+        t, q = changepoint._best_splits(dist, dist.sum(axis=1), orders, 30)
+        for b, order in enumerate(orders):
+            t_ref, q_ref, new_pair_ref = single_order_best_split(view, order, 30)
+            assert np.array_equal(new_pair[:, b], new_pair_ref)
+            assert (t[b], q[b]) == (t_ref, q_ref)
+
+    @pytest.mark.parametrize("length", [60, 61, 200, 400])
+    def test_split_scan_of_slice_equals_contiguous_copy(self, length):
+        rng = np.random.default_rng(length + 1)
+        full = changepoint._alpha_distance_matrix(count_span(rng, length, extra=40), 1.0)
+        view = full[17 : 17 + length, 17 : 17 + length]
+        scan = changepoint._split_scan(view, 30)
+        assert scan == changepoint._split_scan(view.copy(), 30)
+        t_ref, q_ref, _ = single_order_best_split(view, np.arange(length), 30)
+        assert scan == (t_ref, q_ref)
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 99])
+    def test_pvalue_equals_reference_for_any_block_size(self, monkeypatch, block):
+        rng = np.random.default_rng(5)
+        full = changepoint._alpha_distance_matrix(count_span(rng, 330), 1.0)
+        bounds = [(0, 40), (40, 190), (190, 330)]  # first segment too short to permute
+        matrices = [full[a:b, a:b] for a, b in bounds]
+        params = EnergyParams(min_segment=30)
+        cfg = PermutationConfig(n_permutations=99, master_seed=4)
+        stats = []
+        for r in range(cfg.n_permutations):
+            perm_rng = changepoint._permutation_rng(cfg.master_seed, 2, r)
+            stats.append(
+                max(
+                    single_order_best_split(m, perm_rng.permutation(m.shape[0]), 30)[1]
+                    for m in matrices[1:]
+                )
+            )
+        observed = float(np.quantile(stats, 0.8))
+        expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
+        # the largest segment sets the block: BLOCK_ELEMENTS // 150 orderings
+        monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 150 * block)
+        assert changepoint._permutation_pvalue(matrices, observed, params, cfg, 2) == expected
+
+
+def replayed_tests(span, params, cps):
+    """(segments, observed Q, split index) of each test e_divisive ran,
+    rebuilt from its committed points: the committed splits in the order
+    they were found, then the rejected split that ended the loop (if any
+    segment was left splittable)."""
+    remaining = {cp.index for cp in cps}
+    bounds = [0, len(span)]
+    tests = []
+    while True:
+        candidates = []
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a >= 2 * params.min_segment:
+                t, q = best_split(span[a:b], params)
+                candidates.append((q, a + t))
+        if not candidates:
+            return tests
+        q, t = max(candidates, key=lambda c: c[0])  # max keeps the first of equal Qs
+        tests.append(([span[a:b] for a, b in zip(bounds, bounds[1:])], q, t))
+        if t not in remaining:
+            return tests
+        remaining.remove(t)
+        bounds = sorted([*bounds, t])
+
+
+class TestEarlyStop:
+    def test_golden_three_regimes(self):
+        # values of the one-permutation-at-a-time formula; every kernel
+        # must reproduce them bit for bit
+        cps = e_divisive(
+            three_regime_span(), EnergyParams(min_segment=30), PermutationConfig(master_seed=7)
+        )
+        assert [(cp.index, repr(cp.statistic), repr(cp.p_value)) for cp in cps] == [
+            (80, "1434.4242605082864", "0.01"),
+            (150, "1328.8882982928942", "0.01"),
+        ]
+
+    @pytest.mark.parametrize("significance", [0.01, 0.05, 0.2])
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_early_stop_never_changes_result(self, monkeypatch, significance, block):
+        span = three_regime_span()
+        params = EnergyParams(min_segment=30)
+        cfg = PermutationConfig(significance=significance, master_seed=7)
+        unpatched = e_divisive(span, params, cfg)
+        if block is not None:
+            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 240 * block)
+        streams = []
+        draw = changepoint._permutation_rng
+        monkeypatch.setattr(
+            changepoint, "_permutation_rng", lambda *key: streams.append(key) or draw(*key)
+        )
+        cps = e_divisive(span, params, cfg)
+        spent_by_e_divisive = len(streams)
+        assert cps == unpatched
+
+        tests = replayed_tests(span, params, cps)
+        assert len(tests) == len(cps) + 1
+        committed = {cp.index: cp for cp in cps}
+        for iteration, (segments, q, t) in enumerate(tests[:-1]):
+            assert committed[t].statistic == q
+            assert permutation_test(segments, q, params, cfg, iteration) == committed[t].p_value
+        segments, q, _ = tests[-1]
+        assert permutation_test(segments, q, params, cfg, len(cps)) > significance
+        # committed tests spend every permutation; a small block lets the
+        # rejected one stop early
+        full_budget = len(tests) * cfg.n_permutations
+        if block is None:
+            assert spent_by_e_divisive == full_budget
+        else:
+            assert len(cps) * cfg.n_permutations <= spent_by_e_divisive < full_budget

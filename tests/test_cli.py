@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rahar
 from rahar.cli import main
 from rahar.synth import ActivityBlock, DayProfile, save_profile
 
@@ -218,3 +222,54 @@ class TestRun:
         truth = json.loads(truth_path.read_text())
         assert truth["periods"][0]["onset_index"] == 0
         assert truth["mode_schedule"][1]["mode"] == "sedentary"
+
+
+BAD_CHANGEPOINT_FLAGS = [
+    ("--permutations", "0"),
+    ("--min-segment", "1"),
+    ("--significance", "0"),
+    ("--significance", "1.5"),
+    ("--significance", "nan"),
+    ("--alpha-exp", "0"),
+    ("--alpha-exp", "2"),
+]
+
+
+def run_cli_subprocess(*args: str, prelude: str = "") -> subprocess.CompletedProcess:
+    """``python -c`` with the package under test importable, after ``prelude``."""
+    src = str(Path(rahar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = f"{prelude}\nimport sys\nfrom rahar.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("flag,value", BAD_CHANGEPOINT_FLAGS)
+    def test_rejected_before_any_output(self, study_dir, tmp_path, capsys, flag, value):
+        report = tmp_path / "report"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--in", str(study_dir), "--report", str(report), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
+    def test_exit_code_and_single_line_from_the_command(self, study_dir, tmp_path):
+        report = tmp_path / "report"
+        proc = run_cli_subprocess("run", "--in", str(study_dir), "--report", str(report),
+                                  "--permutations", "0")
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "rahar run: error: argument --permutations: n_permutations must be >= 1, got 0"
+        ]
+        assert not report.exists()
+
+
+def test_cli_imports_without_scipy():
+    proc = run_cli_subprocess("--version", prelude="import sys\nsys.modules['scipy'] = None")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rahar ")
