@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,19 +29,19 @@ from .errors import (
 )
 from .features import read_dataset_csv
 from .ingest import fill_gaps, find_gaps, parse_epoch_csv, serialize_epoch_csv, validate_series
-from .modes import mode_report_rows
 from .models import evaluate
 from .pipeline import (
     PipelineConfig,
     analyze_recording,
+    analyze_sleep,
     load_series,
     pooled_dataset,
     run_pipeline,
     train_and_report,
+    write_dataset,
+    write_report,
 )
-from .reports import write_csv, write_json
-from .segments import segment_manifest_rows
-from .sleep import sleep_report
+from .reports import write_json
 from .synth import generate, load_profile
 
 EXIT_PARSE = 2
@@ -76,80 +77,67 @@ def _checked(cast, check):
     return parse
 
 
+# every PipelineConfig field but ``candidate`` has one flag, whose dest is the field name
+_CONFIG_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig) if f.name != "candidate"]
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--age", type=int, default=None, help="subject age in years")
-    parser.add_argument("--scale-file", default=None, help="custom cut-point scale CSV")
     parser.add_argument(
-        "--cut-axis", choices=["axis1", "vm3"], default="axis1",
+        "--age", dest="age_years", type=int, metavar="AGE", help="subject age in years"
+    )
+    parser.add_argument("--scale-file", help="custom cut-point scale CSV")
+    parser.add_argument(
+        "--cut-axis", choices=["axis1", "vm3"],
         help="counts signal for cut points (default: vertical axis)",
     )
     parser.add_argument(
-        "--signal", choices=["triaxial", "vm3"], default="triaxial",
+        "--signal", dest="cp_signal", choices=["triaxial", "vm3"],
         help="observation signal for change-point detection",
     )
+    parser.add_argument("--alpha-exp", type=_checked(float, lambda v: EnergyParams(alpha_exp=v)))
+    parser.add_argument("--min-segment", type=_checked(int, lambda v: EnergyParams(min_segment=v)))
     parser.add_argument(
-        "--alpha-exp", type=_checked(float, lambda v: EnergyParams(alpha_exp=v)), default=1.0
+        "--permutations", dest="n_permutations", metavar="PERMUTATIONS",
+        type=_checked(int, lambda v: PermutationConfig(n_permutations=v)),
     )
     parser.add_argument(
-        "--min-segment", type=_checked(int, lambda v: EnergyParams(min_segment=v)), default=30
+        "--significance", type=_checked(float, lambda v: PermutationConfig(significance=v))
     )
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
-        "--permutations", type=_checked(int, lambda v: PermutationConfig(n_permutations=v)),
-        default=99,
+        "--efficiency-threshold",
+        type=_checked(float, lambda v: PipelineConfig(efficiency_threshold=v)),
     )
+    parser.add_argument("--folds", type=_checked(int, lambda v: PipelineConfig(folds=v)))
+    parser.add_argument("--model", choices=["logreg", "adaboost", "rf"])
     parser.add_argument(
-        "--significance", type=_checked(float, lambda v: PermutationConfig(significance=v)),
-        default=0.01,
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--efficiency-threshold", type=float, default=0.85)
-    parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--model", choices=["logreg", "adaboost", "rf"], default=None)
-    parser.add_argument(
-        "--fill-gaps", choices=["sedentary-zero"], default=None,
+        "--fill-gaps", choices=["sedentary-zero"],
         help="impute recording gaps with zero-count epochs (opt-in)",
     )
     parser.add_argument(
-        "--features", choices=["modes", "raw"], default="modes", dest="features_mode",
+        "--features", choices=["modes", "raw"], dest="features_mode",
         help="fraction source: smoothed mode intervals or raw epoch labels",
     )
-    parser.add_argument("--min-awake-min", type=float, default=0.0)
-    parser.add_argument("--min-sleep-min", type=int, default=0)
+    parser.add_argument("--min-awake-min", type=float)
+    parser.add_argument("--min-sleep-min", type=int)
     parser.add_argument("--include-first-segment", action="store_true")
-    parser.add_argument("--aggregate", type=int, default=1, metavar="FACTOR")
     parser.add_argument(
-        "--mode-tie-break", choices=["lower", "higher"], default="lower",
+        "--aggregate", type=_checked(int, lambda v: PipelineConfig(aggregate=v)), metavar="FACTOR"
+    )
+    parser.add_argument(
+        "--mode-tie-break", choices=["lower", "higher"],
         help="mode histogram ties go to this intensity",
     )
     parser.add_argument(
         "--awake-feature", action="store_true", dest="include_awake_feature",
         help="append awake minutes as a fifth model feature",
     )
+    defaults = PipelineConfig()
+    parser.set_defaults(**{name: getattr(defaults, name) for name in _CONFIG_FIELDS})
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        age_years=args.age,
-        scale_file=args.scale_file,
-        cut_axis=args.cut_axis,
-        cp_signal=args.signal,
-        alpha_exp=args.alpha_exp,
-        min_segment=args.min_segment,
-        n_permutations=args.permutations,
-        significance=args.significance,
-        seed=args.seed,
-        efficiency_threshold=args.efficiency_threshold,
-        folds=args.folds,
-        model=args.model,
-        fill_gaps=args.fill_gaps,
-        features_mode=args.features_mode,
-        min_awake_min=args.min_awake_min,
-        min_sleep_min=args.min_sleep_min,
-        include_first_segment=args.include_first_segment,
-        aggregate=args.aggregate,
-        mode_tie_break=args.mode_tie_break,
-        include_awake_feature=args.include_awake_feature,
-    )
+    return PipelineConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS})
 
 
 def _collect_inputs(path: str) -> list[Path]:
@@ -162,13 +150,6 @@ def _collect_inputs(path: str) -> list[Path]:
     if not p.exists():
         raise ParseError(f"input {p} does not exist")
     return [p]
-
-
-def _analyze_single(args: argparse.Namespace):
-    config = _config_from_args(args)
-    path = _collect_inputs(args.input)[0]
-    series = load_series(path, config)
-    return path, series, analyze_recording(path.stem, series, config), config
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -188,86 +169,30 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sleep(args: argparse.Namespace) -> int:
-    path, series, analysis, _ = _analyze_sleep_only(args)
-    out = Path(args.out or f"{path.stem}.sleep.json")
-    write_json(out, sleep_report(series, analysis["periods"], analysis["metrics"]))
-    _log(f"wrote {out} ({len(analysis['periods'])} sleep period(s))")
-    return 0
+def _report_command(suffix: str, noun: str, stage):
+    """Handler that runs ``stage`` on one recording and writes its ``suffix`` report."""
 
+    def handler(args: argparse.Namespace) -> int:
+        config = _config_from_args(args)
+        path = _collect_inputs(args.input)[0]
+        analysis = stage(path.stem, load_series(path, config), config)
+        out = Path(args.out or f"{path.stem}.{suffix}")
+        count = write_report(suffix, analysis, out)
+        _log(f"wrote {out} ({count} {noun})")
+        return 0
 
-def _analyze_sleep_only(args: argparse.Namespace):
-    # sleep/segment reports do not need change points; skip them for speed
-    from .cutpoints import classify_series
-    from .sleep import candidate_mask, compute_metrics, detect_sleep_periods
-
-    config = _config_from_args(args)
-    path = _collect_inputs(args.input)[0]
-    series = load_series(path, config)
-    intensity = classify_series(series, config.load_scale(), config.age_years, signal=config.cut_axis)
-    mask = candidate_mask(series, config.candidate)
-    rules = config.sleep_rules()
-    periods = detect_sleep_periods(mask, rules)
-    metrics = [compute_metrics(mask, intensity, p, rules, series.epoch_minutes) for p in periods]
-    return path, series, {
-        "intensity": intensity,
-        "mask": mask,
-        "periods": periods,
-        "metrics": metrics,
-    }, config
-
-
-def cmd_segment(args: argparse.Namespace) -> int:
-    from .segments import segment_sleep_wake
-
-    path, series, analysis, _ = _analyze_sleep_only(args)
-    segments = segment_sleep_wake(series, analysis["periods"], analysis["metrics"])
-    out = Path(args.out or f"{path.stem}.segments.csv")
-    write_csv(
-        out,
-        ["segment_id", "awake_start", "awake_end", "onset", "awakening", "efficiency", "flags"],
-        segment_manifest_rows(segments, id_prefix=f"{path.stem}:"),
-    )
-    _log(f"wrote {out} ({len(segments)} segment(s))")
-    return 0
-
-
-def cmd_changepoints(args: argparse.Namespace) -> int:
-    path, _, analysis, _ = _analyze_single(args)
-    out = Path(args.out or f"{path.stem}.changepoints.csv")
-    rows = []
-    for k, cps in enumerate(analysis.change_points):
-        for cp in cps:
-            rows.append([f"{path.stem}:{k:03d}", cp.index, repr(cp.statistic), repr(cp.p_value)])
-    write_csv(out, ["segment_id", "cp_index", "statistic", "p_value"], rows)
-    _log(f"wrote {out} ({len(rows)} change point(s))")
-    return 0
-
-
-def cmd_modes(args: argparse.Namespace) -> int:
-    path, _, analysis, _ = _analyze_single(args)
-    out = Path(args.out or f"{path.stem}.modes.csv")
-    rows = []
-    for k, modes in enumerate(analysis.modes):
-        rows.extend(mode_report_rows(f"{path.stem}:{k:03d}", modes))
-    write_csv(out, ["segment_id", "start", "end", "mode"], rows)
-    _log(f"wrote {out} ({len(rows)} mode interval(s))")
-    return 0
+    return handler
 
 
 def cmd_features(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    inputs = _collect_inputs(args.input)
-    analyses = []
-    for path in inputs:
-        series = load_series(path, config)
-        analyses.append(analyze_recording(path.stem, series, config))
+    analyses = [
+        analyze_recording(path.stem, load_series(path, config), config)
+        for path in _collect_inputs(args.input)
+    ]
     dataset = pooled_dataset(analyses, config)
     out = Path(args.out or "dataset.csv")
-    from .features import write_dataset_csv
-
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        write_dataset_csv(dataset, fh)
+    write_dataset(dataset, out)
     _log(f"wrote {out} ({len(dataset)} row(s))")
     return 0
 
@@ -367,13 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", cmd_validate, "check an epoch CSV for grid gaps and ordering")
     p.add_argument("--in", dest="input", required=True)
 
-    for name, handler, help_text in [
-        ("sleep", cmd_sleep, "detect sleep periods and write the JSON sleep report"),
-        ("segment", cmd_segment, "write the sleep-wake segment manifest"),
-        ("changepoints", cmd_changepoints, "write per-segment change points"),
-        ("modes", cmd_modes, "write labeled activity-mode intervals"),
+    # sleep and segment reports need no change points, so they run the sleep stage only
+    for name, suffix, noun, stage, help_text in [
+        ("sleep", "sleep.json", "sleep period(s)", analyze_sleep,
+         "detect sleep periods and write the JSON sleep report"),
+        ("segment", "segments.csv", "segment(s)", analyze_sleep,
+         "write the sleep-wake segment manifest"),
+        ("changepoints", "changepoints.csv", "change point(s)", analyze_recording,
+         "write per-segment change points"),
+        ("modes", "modes.csv", "mode interval(s)", analyze_recording,
+         "write labeled activity-mode intervals"),
     ]:
-        p = add(name, handler, help_text)
+        p = add(name, _report_command(suffix, noun, stage), help_text)
         p.add_argument("--in", dest="input", required=True)
         p.add_argument("--out", default=None)
 

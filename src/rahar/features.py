@@ -74,9 +74,9 @@ class TargetLabel:
 
 @dataclass(frozen=True)
 class DatasetFilters:
+    """Optional exclusions; truncated sleeps and empty awake spans are always skipped."""
+
     exclude_first_segment: bool = True
-    exclude_truncated: bool = True
-    exclude_empty_awake: bool = True  # disabling raises instead: 0/0 fractions
     min_awake_min: float = 0.0  # 0 disables the nap filter
 
 
@@ -147,34 +147,30 @@ def label_target(metrics: SleepMetrics, threshold: float = EFFICIENCY_THRESHOLD)
 
 def build_dataset(
     segments: list[SleepWakeSegment],
-    modes_per_segment: list[list[ActivityMode]],
+    features: list[FeatureVector | None],
     filters: DatasetFilters | None = None,
     threshold: float = EFFICIENCY_THRESHOLD,
-    epoch_minutes: float = 1.0,
     segment_ids: list[str] | None = None,
     include_awake_feature: bool = False,
 ) -> Dataset:
     """Assemble the model matrix, applying the exclusion filters in segment order.
 
-    The default input is the four mode fractions; ``include_awake_feature``
-    appends awake minutes as a fifth column for models that want exposure
-    time as well.
+    ``features`` holds one vector per segment (from :func:`extract_features`
+    or :func:`raw_fractions`), ``None`` where the awake span is empty.  The
+    default input is the four fractions; ``include_awake_feature`` appends
+    awake minutes as a fifth column for models that want exposure time as
+    well.
     """
     filters = filters or DatasetFilters()
-    if len(segments) != len(modes_per_segment):
-        raise ValueError("segments and modes_per_segment must align")
+    if len(segments) != len(features):
+        raise ValueError("segments and features must align")
     ids = segment_ids or [f"seg{k:04d}" for k in range(len(segments))]
     rows, labels, kept_ids, effs, awake = [], [], [], [], []
-    for seg, modes, seg_id in zip(segments, modes_per_segment, ids):
+    for seg, fv, seg_id in zip(segments, features, ids):
         if filters.exclude_first_segment and seg.first_segment:
             continue
-        if filters.exclude_truncated and seg.sleep.truncated:
+        if seg.sleep.truncated or fv is None:
             continue
-        if seg.empty_awake:
-            if filters.exclude_empty_awake:
-                continue
-            raise EmptyAwakeSpan(f"segment {seg_id} has an empty awake span")
-        fv = extract_features(seg, modes, epoch_minutes)
         if filters.min_awake_min > 0 and fv.awake_minutes < filters.min_awake_min:
             continue
         target = label_target(seg.metrics, threshold)

@@ -120,9 +120,12 @@ def _parse_timestamp(token: str, line_number: int) -> datetime:
     if token.endswith("Z"):
         token = token[:-1] + "+00:00"
     try:
-        return datetime.fromisoformat(token)
+        value = datetime.fromisoformat(token)
     except ValueError:
         raise MalformedRow(line_number, f"bad timestamp {token!r}")
+    if value.utcoffset() is None:
+        raise MalformedRow(line_number, f"timestamp {token!r} has no UTC offset")
+    return value
 
 
 def _parse_count(token: str, name: str, line_number: int) -> int:

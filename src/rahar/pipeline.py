@@ -12,6 +12,7 @@ timings.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -25,7 +26,9 @@ from .cutpoints import CutPointScale, builtin_troiano_scale, classify_series, lo
 from .features import (
     Dataset,
     DatasetFilters,
+    FeatureVector,
     build_dataset,
+    extract_features,
     raw_fractions,
     write_dataset_csv,
 )
@@ -68,6 +71,16 @@ class PipelineConfig:
     include_awake_feature: bool = False
     candidate: CandidateConfig = field(default_factory=CandidateConfig)
 
+    def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if not 0 < self.efficiency_threshold <= 1:
+            raise ValueError(
+                f"efficiency_threshold must be in (0, 1], got {self.efficiency_threshold}"
+            )
+        if self.aggregate < 1:
+            raise ValueError(f"aggregate must be >= 1, got {self.aggregate}")
+
     def sleep_rules(self) -> SleepRules:
         return SleepRules(min_sleep_min=self.min_sleep_min)
 
@@ -86,35 +99,12 @@ class PipelineConfig:
         return builtin_troiano_scale()
 
     def manifest_parameters(self) -> dict:
-        return {
-            "age_years": self.age_years,
-            "scale_file": self.scale_file or "builtin:troiano-2008",
-            "cut_axis": self.cut_axis,
-            "cp_signal": self.cp_signal,
-            "alpha_exp": self.alpha_exp,
-            "min_segment": self.min_segment,
-            "n_permutations": self.n_permutations,
-            "significance": self.significance,
-            "seed": self.seed,
-            "efficiency_threshold": self.efficiency_threshold,
-            "folds": self.folds,
-            "model": self.model,
-            "fill_gaps": self.fill_gaps,
-            "features_mode": self.features_mode,
-            "min_awake_min": self.min_awake_min,
-            "min_sleep_min": self.min_sleep_min,
-            "include_first_segment": self.include_first_segment,
-            "aggregate": self.aggregate,
-            "mode_tie_break": self.mode_tie_break,
-            "include_awake_feature": self.include_awake_feature,
-            "candidate": {
-                "require_zero_triaxial": self.candidate.require_zero_triaxial,
-                "require_zero_steps": self.candidate.require_zero_steps,
-                "inclinometer_accept": sorted(
-                    s.token for s in self.candidate.inclinometer_accept
-                ),
-            },
-        }
+        params = dataclasses.asdict(self)
+        params["scale_file"] = self.scale_file or "builtin:troiano-2008"
+        params["candidate"]["inclinometer_accept"] = sorted(
+            s.token for s in self.candidate.inclinometer_accept
+        )
+        return params
 
 
 def derive_seed(*parts) -> int:
@@ -135,8 +125,8 @@ class RecordingAnalysis:
     periods: list
     metrics: list
     segments: list[SleepWakeSegment]
-    change_points: list[ChangePointSet]
-    modes: list[list[ActivityMode]]
+    change_points: list[ChangePointSet] = field(default_factory=list)  # filled by the mode stage
+    modes: list[list[ActivityMode]] = field(default_factory=list)
 
 
 def load_series(path: str | Path, config: PipelineConfig) -> EpochSeries:
@@ -161,28 +151,38 @@ def cp_observations(series: EpochSeries, start: int, stop: int, cp_signal: str) 
     raise ValueError(f"unknown cp_signal {cp_signal!r}")
 
 
-def analyze_recording(
-    name: str, series: EpochSeries, config: PipelineConfig
-) -> RecordingAnalysis:
-    """Run all per-recording stages on an already-validated series."""
+def analyze_sleep(name: str, series: EpochSeries, config: PipelineConfig) -> RecordingAnalysis:
+    """Sleep stage: cut points, candidate mask, sleep periods, metrics, segments."""
     scale = config.load_scale()
     rules = config.sleep_rules()
-    energy = config.energy_params()
-
     intensity = classify_series(series, scale, config.age_years, signal=config.cut_axis)
     mask = candidate_mask(series, config.candidate)
     periods = detect_sleep_periods(mask, rules)
     metrics = [
         compute_metrics(mask, intensity, p, rules, series.epoch_minutes) for p in periods
     ]
-    segments = segment_sleep_wake(series, periods, metrics)
+    return RecordingAnalysis(
+        name=name,
+        series=series,
+        intensity=intensity,
+        mask=mask,
+        periods=periods,
+        metrics=metrics,
+        segments=segment_sleep_wake(series, periods, metrics),
+    )
 
-    change_points: list[ChangePointSet] = []
-    modes: list[list[ActivityMode]] = []
-    for k, seg in enumerate(segments):
+
+def analyze_recording(
+    name: str, series: EpochSeries, config: PipelineConfig
+) -> RecordingAnalysis:
+    """Run all per-recording stages on an already-validated series: the sleep
+    stage, then change points and modes for each awake span."""
+    analysis = analyze_sleep(name, series, config)
+    energy = config.energy_params()
+    for k, seg in enumerate(analysis.segments):
         if seg.empty_awake:
-            change_points.append([])
-            modes.append([])
+            analysis.change_points.append([])
+            analysis.modes.append([])
             continue
         span = cp_observations(
             series, seg.awake_start_index, seg.awake_end_index, config.cp_signal
@@ -193,69 +193,84 @@ def analyze_recording(
             master_seed=derive_seed(config.seed, name, k),
         )
         cps = e_divisive(span, energy, perm_cfg)
-        change_points.append(cps)
-        span_labels = intensity[seg.awake_start_index : seg.awake_end_index]
-        modes.append(label_intervals(span_labels, cps, tie_break=config.mode_tie_break))
-    return RecordingAnalysis(
-        name=name,
-        series=series,
-        intensity=intensity,
-        mask=mask,
-        periods=periods,
-        metrics=metrics,
-        segments=segments,
-        change_points=change_points,
-        modes=modes,
-    )
+        analysis.change_points.append(cps)
+        span_labels = analysis.intensity[seg.awake_start_index : seg.awake_end_index]
+        analysis.modes.append(label_intervals(span_labels, cps, tie_break=config.mode_tie_break))
+    return analysis
+
+
+def _segment_id(name: str, k: int) -> str:
+    return f"{name}:{k:03d}"
+
+
+def _changepoint_rows(a: RecordingAnalysis) -> list[list]:
+    return [
+        [_segment_id(a.name, k), cp.index, repr(cp.statistic), repr(cp.p_value)]
+        for k, cps in enumerate(a.change_points)
+        for cp in cps
+    ]
+
+
+def _mode_rows(a: RecordingAnalysis) -> list[list]:
+    return [
+        row
+        for k, modes in enumerate(a.modes)
+        for row in mode_report_rows(_segment_id(a.name, k), modes)
+    ]
+
+
+# per-recording report file suffix -> (CSV header, or None for JSON; row builder)
+RECORDING_REPORTS = {
+    "sleep.json": (None, lambda a: sleep_report(a.series, a.periods, a.metrics)),
+    "segments.csv": (
+        ["segment_id", "awake_start", "awake_end", "onset", "awakening", "efficiency", "flags"],
+        lambda a: segment_manifest_rows(a.segments, id_prefix=f"{a.name}:"),
+    ),
+    "changepoints.csv": (["segment_id", "cp_index", "statistic", "p_value"], _changepoint_rows),
+    "modes.csv": (["segment_id", "start", "end", "mode"], _mode_rows),
+}
+
+
+def write_report(suffix: str, analysis: RecordingAnalysis, path: str | Path) -> int:
+    """Write the ``suffix`` report of one recording; returns its row count."""
+    header, build_rows = RECORDING_REPORTS[suffix]
+    rows = build_rows(analysis)
+    if header is None:
+        write_json(path, rows)
+    else:
+        write_csv(path, header, rows)
+    return len(rows)
+
+
+def write_dataset(dataset: Dataset, path: str | Path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_dataset_csv(dataset, fh)
 
 
 def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) -> Dataset:
     segments: list[SleepWakeSegment] = []
-    modes: list[list[ActivityMode]] = []
+    features: list[FeatureVector | None] = []
     ids: list[str] = []
-    epoch_minutes = 1.0
     for a in analyses:
-        epoch_minutes = a.series.epoch_minutes
         for k, seg in enumerate(a.segments):
-            segments.append(seg)
-            if config.features_mode == "raw":
-                # one synthetic whole-span mode per segment, so fraction
-                # extraction sees the raw per-epoch histogram
+            if seg.empty_awake:
+                fv = None
+            elif config.features_mode == "raw":
                 span_labels = a.intensity[seg.awake_start_index : seg.awake_end_index]
-                if seg.empty_awake:
-                    modes.append([])
-                else:
-                    fv = raw_fractions(seg, span_labels, epoch_minutes)
-                    modes.append(_fractions_as_modes(fv, seg.awake_epochs))
+                fv = raw_fractions(seg, span_labels, a.series.epoch_minutes)
             else:
-                modes.append(a.modes[k])
-            ids.append(f"{a.name}:{k:03d}")
+                fv = extract_features(seg, a.modes[k], a.series.epoch_minutes)
+            segments.append(seg)
+            features.append(fv)
+            ids.append(_segment_id(a.name, k))
     return build_dataset(
         segments,
-        modes,
+        features,
         filters=config.dataset_filters(),
         threshold=config.efficiency_threshold,
-        epoch_minutes=epoch_minutes,
         segment_ids=ids,
         include_awake_feature=config.include_awake_feature,
     )
-
-
-def _fractions_as_modes(fv, span_len: int) -> list[ActivityMode]:
-    # raw-label fractions repackaged as pseudo-intervals of matching lengths
-    from .cutpoints import IntensityLevel
-
-    lengths = np.rint(fv.as_array() * span_len).astype(int)
-    lengths[0] += span_len - lengths.sum()  # rounding slack goes to sedentary
-    out = []
-    cursor = 0
-    for level, ln in zip(IntensityLevel, lengths):
-        if ln > 0:
-            hist = [0, 0, 0, 0]
-            hist[int(level)] = int(ln)
-            out.append(ActivityMode(cursor, cursor + int(ln), level, tuple(hist)))
-            cursor += int(ln)
-    return out
 
 
 @dataclass
@@ -269,53 +284,25 @@ class RunResult:
 def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> RunResult:
     """Full batch run over one or more epoch CSVs; writes reports + manifest."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     outputs: list[Path] = []
-    analyses: list[RecordingAnalysis] = []
 
     t0 = time.perf_counter()
-    series_by_name: list[tuple[str, EpochSeries]] = []
-    for path in sorted(inputs):
-        series_by_name.append((Path(path).stem, load_series(path, config)))
+    series_by_name = [(Path(path).stem, load_series(path, config)) for path in sorted(inputs)]
     timings["ingest"] = time.perf_counter() - t0
+    # created only once every input has loaded, so a bad input leaves nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    for name, series in series_by_name:
-        analyses.append(analyze_recording(name, series, config))
+    analyses = [analyze_recording(name, series, config) for name, series in series_by_name]
     timings["analyze"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for a in analyses:
-        sleep_path = out_dir / f"{a.name}.sleep.json"
-        write_json(sleep_path, sleep_report(a.series, a.periods, a.metrics))
-        outputs.append(sleep_path)
-
-        seg_path = out_dir / f"{a.name}.segments.csv"
-        rows = segment_manifest_rows(a.segments, id_prefix=f"{a.name}:")
-        write_csv(
-            seg_path,
-            ["segment_id", "awake_start", "awake_end", "onset", "awakening", "efficiency", "flags"],
-            rows,
-        )
-        outputs.append(seg_path)
-
-        cp_path = out_dir / f"{a.name}.changepoints.csv"
-        cp_rows = []
-        for k, cps in enumerate(a.change_points):
-            for cp in cps:
-                cp_rows.append(
-                    [f"{a.name}:{k:03d}", cp.index, repr(cp.statistic), repr(cp.p_value)]
-                )
-        write_csv(cp_path, ["segment_id", "cp_index", "statistic", "p_value"], cp_rows)
-        outputs.append(cp_path)
-
-        mode_path = out_dir / f"{a.name}.modes.csv"
-        mode_rows = []
-        for k, modes in enumerate(a.modes):
-            mode_rows.extend(mode_report_rows(f"{a.name}:{k:03d}", modes))
-        write_csv(mode_path, ["segment_id", "start", "end", "mode"], mode_rows)
-        outputs.append(mode_path)
+        for suffix in RECORDING_REPORTS:
+            path = out_dir / f"{a.name}.{suffix}"
+            write_report(suffix, a, path)
+            outputs.append(path)
     timings["reports"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -323,8 +310,7 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> R
     # CLI); the per-recording reports written above stay on disk
     dataset = pooled_dataset(analyses, config)
     dataset_path = out_dir / "dataset.csv"
-    with open(dataset_path, "w", newline="", encoding="utf-8") as fh:
-        write_dataset_csv(dataset, fh)
+    write_dataset(dataset, dataset_path)
     outputs.append(dataset_path)
     timings["features"] = time.perf_counter() - t0
 

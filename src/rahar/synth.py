@@ -96,6 +96,8 @@ def validate_profile(profile: DayProfile, rules: SleepRules | None = None) -> No
         raise InvalidProfile("noise must be in [0, 1)")
     if profile.seed < 0:
         raise InvalidProfile("seed must be non-negative")
+    if profile.start.utcoffset() is None:
+        raise InvalidProfile("start must carry a UTC offset; epoch CSVs require one")
     awake_since_sleep = None  # None until the first sleep block is seen
     for i, block in enumerate(profile.schedule):
         if block.mode != SLEEP and block.mode not in AWAKE_MODES:

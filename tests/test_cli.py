@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import rahar
-from rahar.cli import main
+from rahar.cli import _add_common_options, _config_from_args, build_parser, main
+from rahar.pipeline import PipelineConfig
 from rahar.synth import ActivityBlock, DayProfile, save_profile
 
 
@@ -232,6 +235,10 @@ BAD_CHANGEPOINT_FLAGS = [
     ("--significance", "nan"),
     ("--alpha-exp", "0"),
     ("--alpha-exp", "2"),
+    ("--folds", "1"),
+    ("--efficiency-threshold", "7"),
+    ("--efficiency-threshold", "0"),
+    ("--aggregate", "0"),
 ]
 
 
@@ -258,6 +265,16 @@ class TestBadFlags:
         assert "Traceback" not in err
         assert not report.exists()
 
+    def test_train_rejects_one_fold_before_any_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "models"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--in", str(tmp_path / "ds.csv"), "--model", "logreg",
+                  "--folds", "1", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--folds" in err
+        assert not out_dir.exists()
+
     def test_exit_code_and_single_line_from_the_command(self, study_dir, tmp_path):
         report = tmp_path / "report"
         proc = run_cli_subprocess("run", "--in", str(study_dir), "--report", str(report),
@@ -273,3 +290,98 @@ def test_cli_imports_without_scipy():
     proc = run_cli_subprocess("--version", prelude="import sys\nsys.modules['scipy'] = None")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rahar ")
+
+
+class TestNaiveTimestamps:
+    @pytest.fixture
+    def mixed_file(self, study_dir, tmp_path):
+        """A recording whose 11th row lost its UTC offset."""
+        lines = sorted(study_dir.glob("*.csv"))[0].read_text().splitlines()
+        stamp, rest = lines[11].split(",", 1)
+        lines[11] = f"{stamp[:19]},{rest}"
+        path = tmp_path / "mixed.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_validate_exits_2_with_one_line(self, mixed_file, capsys):
+        assert main(["validate", "--in", str(mixed_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 12" in err and "UTC offset" in err
+        assert "Traceback" not in err
+
+    def test_run_exits_2_and_leaves_no_report(self, mixed_file, tmp_path, capsys):
+        report = tmp_path / "report"
+        assert main(["run", "--in", str(mixed_file), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not report.exists()
+
+
+# one non-default value per flag that sets a PipelineConfig field
+NON_DEFAULT_FLAGS = [
+    (["--age", "30"], "age_years", 30),
+    (["--scale-file", "scale.csv"], "scale_file", "scale.csv"),
+    (["--cut-axis", "vm3"], "cut_axis", "vm3"),
+    (["--signal", "vm3"], "cp_signal", "vm3"),
+    (["--alpha-exp", "0.5"], "alpha_exp", 0.5),
+    (["--min-segment", "40"], "min_segment", 40),
+    (["--permutations", "49"], "n_permutations", 49),
+    (["--significance", "0.05"], "significance", 0.05),
+    (["--seed", "9"], "seed", 9),
+    (["--efficiency-threshold", "0.8"], "efficiency_threshold", 0.8),
+    (["--folds", "3"], "folds", 3),
+    (["--model", "rf"], "model", "rf"),
+    (["--fill-gaps", "sedentary-zero"], "fill_gaps", "sedentary-zero"),
+    (["--features", "raw"], "features_mode", "raw"),
+    (["--min-awake-min", "15"], "min_awake_min", 15.0),
+    (["--min-sleep-min", "20"], "min_sleep_min", 20),
+    (["--include-first-segment"], "include_first_segment", True),
+    (["--aggregate", "2"], "aggregate", 2),
+    (["--mode-tie-break", "higher"], "mode_tie_break", "higher"),
+    (["--awake-feature"], "include_awake_feature", True),
+]
+
+
+class TestParameterSource:
+    RUN = ["run", "--in", "rec.csv", "--report", "report"]
+
+    def test_no_flags_give_the_default_config(self):
+        assert _config_from_args(build_parser().parse_args(self.RUN)) == PipelineConfig()
+
+    def test_every_field_is_set_by_exactly_one_flag(self):
+        parser = build_parser()
+        defaults = dataclasses.asdict(PipelineConfig())
+        flags_by_field: dict[str, list[str]] = {}
+        for argv, name, value in NON_DEFAULT_FLAGS:
+            config = _config_from_args(parser.parse_args(self.RUN + argv))
+            changed = {k for k, v in dataclasses.asdict(config).items() if v != defaults[k]}
+            assert changed == {name}, argv
+            assert getattr(config, name) == value
+            flags_by_field.setdefault(name, []).append(argv[0])
+        fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"candidate"}
+        assert set(flags_by_field) == fields
+        assert all(len(flags) == 1 for flags in flags_by_field.values())
+        # and the common options hold no flag outside that list
+        common = argparse.ArgumentParser(add_help=False)
+        _add_common_options(common)
+        options = {a.option_strings[0] for a in common._actions}
+        assert options == {argv[0] for argv, _, _ in NON_DEFAULT_FLAGS}
+
+
+class TestSubcommandsEqualRun:
+    def test_reports_and_dataset_byte_identical(self, study_dir, tmp_path):
+        report = tmp_path / "report"
+        assert main(["run", "--in", str(study_dir), "--report", str(report), "--seed", "7"]) == 0
+        single = tmp_path / "single"
+        single.mkdir()
+        for recording in sorted(study_dir.glob("*.csv")):
+            for command, suffix in [("sleep", "sleep.json"), ("segment", "segments.csv"),
+                                    ("changepoints", "changepoints.csv"), ("modes", "modes.csv")]:
+                out = single / f"{recording.stem}.{suffix}"
+                assert main([command, "--in", str(recording), "--out", str(out),
+                             "--seed", "7"]) == 0
+                assert out.read_bytes() == (report / out.name).read_bytes(), out.name
+        dataset = single / "dataset.csv"
+        assert main(["features", "--in", str(study_dir), "--out", str(dataset),
+                     "--seed", "7"]) == 0
+        assert dataset.read_bytes() == (report / "dataset.csv").read_bytes()

@@ -54,6 +54,10 @@ def mode(a: int, b: int, level: IntensityLevel) -> ActivityMode:
     return ActivityMode(a, b, level, tuple(hist))
 
 
+def fractions(segments, modes_per_segment):
+    return [extract_features(seg, modes) for seg, modes in zip(segments, modes_per_segment)]
+
+
 class TestExtractFeatures:
     def test_single_sedentary_interval(self):
         seg = segment_with(100)
@@ -141,44 +145,46 @@ class TestBuildDataset:
             metrics=truncated.metrics,
         )
         modes = [[mode(0, 60, SED)]] * 4
-        ds = build_dataset([*good, truncated], modes)
+        ds = build_dataset([*good, truncated], fractions([*good, truncated], modes))
         assert len(ds) == 3
 
     def test_first_segment_excluded_by_default(self):
         segs = [segment_with(60, 0.9, first=True), segment_with(60, 0.8)]
         modes = [[mode(0, 60, SED)]] * 2
-        ds = build_dataset(segs, modes)
+        ds = build_dataset(segs, fractions(segs, modes))
         assert len(ds) == 1
         assert ds.y.tolist() == [0]  # the non-first one, poor
 
     def test_first_segment_kept_when_asked(self):
         segs = [segment_with(60, 0.9, first=True), segment_with(60, 0.8)]
         modes = [[mode(0, 60, SED)]] * 2
-        ds = build_dataset(segs, modes, DatasetFilters(exclude_first_segment=False))
+        ds = build_dataset(
+            segs, fractions(segs, modes), DatasetFilters(exclude_first_segment=False)
+        )
         assert len(ds) == 2
 
     def test_all_filtered_raises(self):
         segs = [segment_with(60, 0.9, first=True)]
         with pytest.raises(EmptyDataset):
-            build_dataset(segs, [[mode(0, 60, SED)]])
+            build_dataset(segs, fractions(segs, [[mode(0, 60, SED)]]))
 
     def test_min_awake_filter(self):
         segs = [segment_with(30, 0.9), segment_with(200, 0.9)]
         modes = [[mode(0, 30, SED)], [mode(0, 200, SED)]]
-        ds = build_dataset(segs, modes, DatasetFilters(min_awake_min=60))
+        ds = build_dataset(segs, fractions(segs, modes), DatasetFilters(min_awake_min=60))
         assert len(ds) == 1 and ds.awake_minutes.tolist() == [200.0]
 
     def test_row_order_and_ids(self):
         segs = [segment_with(60, 0.9), segment_with(60, 0.5)]
         modes = [[mode(0, 60, SED)], [mode(0, 60, VIG)]]
-        ds = build_dataset(segs, modes, segment_ids=["a", "b"])
+        ds = build_dataset(segs, fractions(segs, modes), segment_ids=["a", "b"])
         assert ds.segment_ids == ["a", "b"]
         assert ds.X[0][0] == 1.0 and ds.X[1][3] == 1.0
 
     def test_awake_feature_appends_fifth_column(self):
         segs = [segment_with(60, 0.9), segment_with(90, 0.5)]
         modes = [[mode(0, 60, SED)], [mode(0, 90, VIG)]]
-        ds = build_dataset(segs, modes, include_awake_feature=True)
+        ds = build_dataset(segs, fractions(segs, modes), include_awake_feature=True)
         assert ds.X.shape == (2, 5)
         assert ds.X[:, 4].tolist() == [60.0, 90.0]
         # the exchange file format is unchanged: awake stays its own column
@@ -196,7 +202,7 @@ class TestBuildDataset:
             cut = int(rng.integers(1, n))
             segs.append(segment_with(n, float(rng.random())))
             modes.append([mode(0, cut, SED), mode(cut, n, MOD)])
-        ds = build_dataset(segs, modes)
+        ds = build_dataset(segs, fractions(segs, modes))
         buf = io.StringIO()
         write_dataset_csv(ds, buf)
         buf.seek(0)

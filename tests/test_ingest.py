@@ -78,6 +78,24 @@ class TestParse:
         series = parse_epoch_csv(csv_text(["2014-09-01T22:00:00Z,0,0,0,0,off"]))
         assert series[0].timestamp.utcoffset() == timedelta(0)
 
+    def test_naive_timestamp_rejected(self):
+        with pytest.raises(MalformedRow) as info:
+            parse_epoch_csv(csv_text(["2014-09-01T22:00:00,0,0,0,0,off"]))
+        assert info.value.line_number == 2
+        assert "UTC offset" in str(info.value)
+
+    def test_mixed_naive_and_offset_rejected_at_first_naive_row(self):
+        text = csv_text(
+            [
+                "2014-09-01T22:00:00+03:00,0,0,0,0,off",
+                "2014-09-01T22:01:00+03:00,0,0,0,0,off",
+                "2014-09-01T22:02:00,0,0,0,0,off",
+            ]
+        )
+        with pytest.raises(MalformedRow) as info:
+            parse_epoch_csv(text)
+        assert info.value.line_number == 4
+
     def test_round_trip_identity(self):
         series = make_series(
             [

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rahar.ingest import aggregate_epochs
 from rahar.pipeline import (
     PipelineConfig,
     analyze_recording,
@@ -10,6 +13,7 @@ from rahar.pipeline import (
     derive_seed,
     pooled_dataset,
 )
+from rahar.sleep import CandidateConfig
 from rahar.synth import ActivityBlock, DayProfile, generate
 
 
@@ -84,6 +88,70 @@ class TestPooledDataset:
         analysis, _, config = two_day_analysis
         ds = pooled_dataset([analysis], config)
         assert all(sid.startswith("twoday:") for sid in ds.segment_ids)
+
+
+    @pytest.mark.parametrize("features_mode", ["modes", "raw"])
+    def test_awake_minutes_use_each_recordings_epoch_length(self, two_day_analysis, features_mode):
+        analysis, _, _ = two_day_analysis
+        coarse_series, _ = aggregate_epochs(analysis.series, 2)
+        config = PipelineConfig(seed=3, features_mode=features_mode, include_first_segment=True)
+        coarse = analyze_recording("coarse", coarse_series, config)
+        assert coarse.series.epoch_minutes == 2.0 and analysis.series.epoch_minutes == 1.0
+        by_name = {a.name: a for a in (analysis, coarse)}
+        ds = pooled_dataset([analysis, coarse], config)
+        assert {sid.split(":")[0] for sid in ds.segment_ids} == {"twoday", "coarse"}
+        for sid, awake_minutes in zip(ds.segment_ids, ds.awake_minutes):
+            name, k = sid.split(":")
+            a = by_name[name]
+            assert awake_minutes == a.segments[int(k)].awake_epochs * a.series.epoch_minutes
+
+
+class TestManifestParameters:
+    # PipelineConfig().manifest_parameters() before it was derived from the dataclass
+    DEFAULT = {
+        "age_years": None,
+        "aggregate": 1,
+        "alpha_exp": 1.0,
+        "candidate": {
+            "inclinometer_accept": ["off", "sitting", "standing"],
+            "require_zero_steps": True,
+            "require_zero_triaxial": True,
+        },
+        "cp_signal": "triaxial",
+        "cut_axis": "axis1",
+        "efficiency_threshold": 0.85,
+        "features_mode": "modes",
+        "fill_gaps": None,
+        "folds": 5,
+        "include_awake_feature": False,
+        "include_first_segment": False,
+        "min_awake_min": 0.0,
+        "min_segment": 30,
+        "min_sleep_min": 0,
+        "mode_tie_break": "lower",
+        "model": None,
+        "n_permutations": 99,
+        "scale_file": "builtin:troiano-2008",
+        "seed": 0,
+        "significance": 0.01,
+    }
+
+    def test_default_manifest_unchanged(self):
+        assert PipelineConfig().manifest_parameters() == self.DEFAULT
+
+    def test_every_field_reaches_the_manifest(self):
+        params = PipelineConfig(scale_file="scale.csv").manifest_parameters()
+        assert set(params) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert set(params["candidate"]) == {f.name for f in dataclasses.fields(CandidateConfig)}
+        assert params["scale_file"] == "scale.csv"
+
+    @pytest.mark.parametrize(
+        "field,value", [("folds", 1), ("efficiency_threshold", 0.0),
+                        ("efficiency_threshold", 1.5), ("aggregate", 0)]
+    )
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
 
 
 class TestHelpers:

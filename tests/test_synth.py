@@ -159,6 +159,15 @@ class TestProfileValidation:
         with pytest.raises(InvalidProfile):
             generate(day_profile(noise=1.5))
 
+    def test_start_without_utc_offset_rejected(self):
+        profile = profile_from_dict(
+            {"start": "2014-09-01T00:00:00",
+             "schedule": [{"mode": "sleep", "duration_min": 100},
+                          {"mode": "sedentary", "duration_min": 60}]}
+        )
+        with pytest.raises(InvalidProfile, match="UTC offset"):
+            generate(profile)
+
 
 class TestProfileJson:
     def test_round_trip(self, tmp_path):
