@@ -30,7 +30,6 @@ from .cutpoints import (
     CutPointScale,
     IntensityLevel,
     builtin_troiano_scale,
-    classify_epoch,
     classify_series,
     load_scale_file,
     make_scale,

@@ -24,8 +24,10 @@ from enum import IntEnum
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InvalidScale
-from .ingest import Epoch, EpochSeries
+from .ingest import EpochSeries, vm3
 
 SCALE_HEADER = ["age_min", "age_max", "sedentary_max", "light_max", "moderate_max"]
 
@@ -58,11 +60,12 @@ class AgeBand:
     age_max: int
     bounds: tuple[float, float, float, float]
 
+    def levels(self, counts_per_min: np.ndarray) -> np.ndarray:
+        """uint8 level per value: the number of bounds at or below it."""
+        return np.searchsorted(self.bounds, counts_per_min, side="right").astype(np.uint8)
+
     def level_for(self, counts_per_min: float) -> IntensityLevel:
-        for k, upper in enumerate(self.bounds):
-            if counts_per_min < upper:
-                return IntensityLevel(k)
-        raise InvalidScale("age band does not cover +inf")  # unreachable on valid bands
+        return IntensityLevel(int(self.levels(np.array([counts_per_min]))[0]))
 
 
 @dataclass(frozen=True)
@@ -145,26 +148,12 @@ def builtin_troiano_scale() -> CutPointScale:
     return make_scale("troiano-2008", rows)
 
 
-def _signal_counts(epoch: Epoch, signal: str) -> float:
+def _signal_counts(series: EpochSeries, signal: str) -> np.ndarray:
     if signal == "axis1":
-        return float(epoch.axis1)
+        return series.counts[:, 0].astype(float)
     if signal == "vm3":
-        return math.sqrt(epoch.axis1**2 + epoch.axis2**2 + epoch.axis3**2)
+        return vm3(series.counts)
     raise ValueError(f"unknown signal {signal!r}, expected 'axis1' or 'vm3'")
-
-
-def classify_epoch(
-    epoch: Epoch,
-    scale: CutPointScale,
-    age_years: int,
-    epoch_minutes: float = 1.0,
-    signal: str = "axis1",
-) -> IntensityLevel:
-    """Intensity level of one epoch from its counts-per-minute."""
-    if epoch_minutes <= 0:
-        raise ValueError(f"epoch_minutes must be positive, got {epoch_minutes}")
-    cpm = _signal_counts(epoch, signal) / epoch_minutes
-    return scale.band_for_age(age_years).level_for(cpm)
 
 
 def classify_series(
@@ -172,8 +161,8 @@ def classify_series(
     scale: CutPointScale | None = None,
     age_years: int | None = None,
     signal: str = "axis1",
-) -> list[IntensityLevel]:
-    """Elementwise intensity labels for a validated series.
+) -> np.ndarray:
+    """Elementwise intensity levels (uint8 :class:`IntensityLevel` codes) for a series.
 
     Age defaults to the series' subject metadata; the scale defaults to the
     bundled Troiano table.
@@ -181,7 +170,4 @@ def classify_series(
     scale = scale or builtin_troiano_scale()
     age = age_years if age_years is not None else series.subject.age_years
     band = scale.band_for_age(age)  # resolve once; also fails fast on bad age
-    minutes = series.epoch_minutes
-    return [
-        band.level_for(_signal_counts(e, signal) / minutes) for e in series.epochs
-    ]
+    return band.levels(_signal_counts(series, signal) / series.epoch_minutes)

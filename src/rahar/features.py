@@ -134,7 +134,7 @@ def raw_fractions(
         raise EmptyAwakeSpan("cannot extract fractions from a zero-length awake span")
     if len(intensity_span) != span_len:
         raise ValueError("intensity labels must align with the awake span")
-    hist = np.bincount([int(v) for v in intensity_span], minlength=4).astype(float)
+    hist = np.bincount(np.asarray(intensity_span, dtype=np.intp), minlength=4).astype(float)
     frac = _fractions_from_lengths(hist)
     return FeatureVector(*frac, awake_minutes=span_len * epoch_minutes)
 

@@ -6,6 +6,10 @@ and the post-processed inclinometer state.  This module parses those
 files, validates that the series is a clean uniform grid, and re-aggregates
 to coarser epochs when a different granularity is wanted.
 
+A series is held as numpy columns (about 49 bytes per epoch), not as one
+object per epoch; the grid checks, gap filling and aggregation are vector
+operations on those columns.
+
 Raw high-frequency waveforms are out of scope; the count computation is a
 proprietary device-side step and ingestion starts at epoch counts.
 """
@@ -14,10 +18,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from array import array
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from typing import Iterable, TextIO
+from typing import TextIO
+
+import numpy as np
 
 from .errors import (
     DuplicateTimestamp,
@@ -33,6 +41,32 @@ from .errors import (
 
 CSV_HEADER = ["timestamp", "axis1", "axis2", "axis3", "steps", "inclinometer"]
 
+# Largest accepted count or step value per field.  Three squares of it sum
+# below 2**63, so the vm3 magnitude of a parsed row is exact in int64, and
+# int64 sums of it cannot overflow before a series holds billions of rows.
+MAX_COUNT = 10**9
+# largest count whose three squares still sum inside int64
+_VM3_INT64_MAX = math.isqrt((2**63 - 1) // 3)
+
+
+def vm3(counts: np.ndarray) -> np.ndarray:
+    """Triaxial vector magnitude of each row of (N, 3+) int64 ``counts``.
+
+    The exact integer sum of squares rounded once, as
+    ``math.sqrt(a1**2 + a2**2 + a3**2)`` does.  Aggregated sums can exceed
+    ``MAX_COUNT``; where their squares would overflow int64 the sum is taken
+    in Python integers.
+    """
+    xyz = counts[:, :3]
+    if len(xyz) and xyz.max() > _VM3_INT64_MAX:
+        return np.sqrt([float(v) for v in (xyz.astype(object) ** 2).sum(axis=1)])
+    return np.sqrt((xyz * xyz).sum(axis=1).astype(float))
+
+_US = timedelta(microseconds=1)
+_MINUTE_US = 60_000_000
+_UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_LOCAL_EPOCH = datetime(1970, 1, 1)
+
 
 class Inclinometer(IntEnum):
     """Device posture output.  Enum order doubles as the aggregation tie-break."""
@@ -42,21 +76,18 @@ class Inclinometer(IntEnum):
     SITTING = 2
     LYING = 3
 
-    @classmethod
-    def from_token(cls, token: str) -> "Inclinometer":
-        try:
-            return cls[token.upper()]
-        except KeyError:
-            raise KeyError(token)
-
     @property
     def token(self) -> str:
         return self.name.lower()
 
 
+# upper-case names as the parser matches them, plus the canonical tokens
+_INCLINOMETER_CODES = {key: int(s) for s in Inclinometer for key in (s.name, s.token)}
+
+
 @dataclass(frozen=True)
 class Epoch:
-    """One epoch of actigraphy: timestamp, triaxial counts, steps, posture."""
+    """One epoch as a row object; ``series[i]`` builds it on demand."""
 
     timestamp: datetime
     axis1: int
@@ -80,30 +111,67 @@ class SubjectMeta:
             raise ValueError(f"age_years must be positive, got {self.age_years}")
 
 
-@dataclass(frozen=True)
-class EpochSeries:
-    """An ordered epoch sequence with a constant stride.
+def _aware(utc_us: int, offset_us: int) -> datetime:
+    """The instant ``utc_us`` written in its own UTC offset."""
+    local = _LOCAL_EPOCH + timedelta(microseconds=int(utc_us) + int(offset_us))
+    return local.replace(tzinfo=timezone(timedelta(microseconds=int(offset_us))))
 
-    Construction does not validate the stride; run :func:`validate_series`
-    before feeding a series to downstream stages.
+
+def split_instant(ts: datetime) -> tuple[int, int]:
+    """An aware datetime as (UTC microseconds since 1970, UTC offset in microseconds)."""
+    return (ts - _UTC_EPOCH) // _US, ts.utcoffset() // _US
+
+
+@dataclass(frozen=True, eq=False)
+class EpochSeries:
+    """An ordered epoch sequence with a constant stride, held as columns.
+
+    ``utc_us`` is each epoch's instant in UTC microseconds since 1970,
+    ``offset_us`` the UTC offset its timestamp was written in (DST can
+    change it from row to row), ``counts`` the (N, 4) int64 axis1, axis2,
+    axis3 and steps, and ``inclinometer`` the uint8 :class:`Inclinometer`
+    codes.  Construction does not validate the stride; run
+    :func:`validate_series` before feeding a series to downstream stages.
     """
 
-    epochs: tuple[Epoch, ...]
+    utc_us: np.ndarray
+    offset_us: np.ndarray
+    counts: np.ndarray
+    inclinometer: np.ndarray
     epoch_length: timedelta = timedelta(seconds=60)
     subject: SubjectMeta = field(default_factory=SubjectMeta)
 
+    def __post_init__(self):
+        columns = {"utc_us": np.int64, "offset_us": np.int64, "inclinometer": np.uint8}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64).reshape(-1, 4))
+
+    def __eq__(self, other) -> bool:
+        """Equal columns (offsets included), epoch length and subject."""
+        if not isinstance(other, EpochSeries):
+            return NotImplemented
+        columns = ("utc_us", "offset_us", "counts", "inclinometer")
+        return (self.epoch_length, self.subject) == (other.epoch_length, other.subject) and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
+        )
+
     def __len__(self) -> int:
-        return len(self.epochs)
+        return len(self.utc_us)
 
     def __getitem__(self, i: int) -> Epoch:
-        return self.epochs[i]
+        axis1, axis2, axis3, steps = self.counts[i].tolist()
+        return Epoch(
+            self.timestamp(i), axis1, axis2, axis3, steps, Inclinometer(int(self.inclinometer[i]))
+        )
 
     @property
     def epoch_minutes(self) -> float:
         return self.epoch_length.total_seconds() / 60.0
 
-    def timestamps(self) -> list[datetime]:
-        return [e.timestamp for e in self.epochs]
+    def timestamp(self, i: int) -> datetime:
+        """Epoch ``i``'s timestamp, rebuilt in the UTC offset it was written in."""
+        return _aware(self.utc_us[i], self.offset_us[i])
 
 
 @dataclass(frozen=True)
@@ -123,7 +191,7 @@ def _parse_timestamp(token: str, line_number: int) -> datetime:
         value = datetime.fromisoformat(token)
     except ValueError:
         raise MalformedRow(line_number, f"bad timestamp {token!r}")
-    if value.utcoffset() is None:
+    if value.tzinfo is None:
         raise MalformedRow(line_number, f"timestamp {token!r} has no UTC offset")
     return value
 
@@ -135,6 +203,8 @@ def _parse_count(token: str, name: str, line_number: int) -> int:
         raise MalformedRow(line_number, f"{name} {token!r} is not an integer")
     if value < 0:
         raise NegativeCount(line_number, name, value)
+    if value > MAX_COUNT:
+        raise MalformedRow(line_number, f"{name} {value} exceeds the ceiling of {MAX_COUNT}")
     return value
 
 
@@ -147,7 +217,8 @@ def parse_epoch_csv(
 
     The header must be exactly ``timestamp,axis1,axis2,axis3,steps,inclinometer``;
     timestamps are ISO-8601 with an explicit UTC offset, inclinometer tokens
-    are lowercase ``off|standing|sitting|lying``.
+    are lowercase ``off|standing|sitting|lying``, and counts are integers in
+    ``[0, MAX_COUNT]``.
     """
     if isinstance(source, bytes):
         text = io.StringIO(source.decode("utf-8"))
@@ -166,61 +237,89 @@ def parse_epoch_csv(
     if [h.strip() for h in header] != CSV_HEADER:
         raise ParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
 
-    epochs: list[Epoch] = []
+    utc_us, offset_us, counts = array("q"), array("q"), array("q")
+    states = bytearray()
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 6:
             raise MalformedRow(line_number, f"expected 6 fields, got {len(row)}")
-        ts = _parse_timestamp(row[0].strip(), line_number)
-        axis1 = _parse_count(row[1].strip(), "axis1", line_number)
-        axis2 = _parse_count(row[2].strip(), "axis2", line_number)
-        axis3 = _parse_count(row[3].strip(), "axis3", line_number)
-        steps = _parse_count(row[4].strip(), "steps", line_number)
+        instant, offset = split_instant(_parse_timestamp(row[0].strip(), line_number))
+        utc_us.append(instant)
+        offset_us.append(offset)
+        counts.append(_parse_count(row[1].strip(), "axis1", line_number))
+        counts.append(_parse_count(row[2].strip(), "axis2", line_number))
+        counts.append(_parse_count(row[3].strip(), "axis3", line_number))
+        counts.append(_parse_count(row[4].strip(), "steps", line_number))
         token = row[5].strip()
-        try:
-            incl = Inclinometer.from_token(token)
-        except KeyError:
+        code = _INCLINOMETER_CODES.get(token.upper())
+        if code is None:
             raise UnknownInclinometer(line_number, token)
-        epochs.append(Epoch(ts, axis1, axis2, axis3, steps, incl))
-
-    return EpochSeries(tuple(epochs), epoch_length, meta or SubjectMeta())
+        states.append(code)
+    return EpochSeries(
+        np.frombuffer(utc_us, np.int64),
+        np.frombuffer(offset_us, np.int64),
+        np.frombuffer(counts, np.int64),
+        np.frombuffer(states, np.uint8),
+        epoch_length,
+        meta or SubjectMeta(),
+    )
 
 
 def serialize_epoch_csv(series: EpochSeries, stream: TextIO) -> None:
     """Write a series back to the canonical CSV format (parse round-trips)."""
+    # each timestamp as datetime.isoformat writes it in its own offset: the
+    # wall-clock time, then the offset's suffix, built once per distinct offset
+    wall = (series.utc_us + series.offset_us).astype("datetime64[us]").astype(object)
+    suffix = {
+        off: _aware(-off, off).isoformat()[len("1970-01-01T00:00:00") :]
+        for off in np.unique(series.offset_us).tolist()
+    }
+    tokens = [state.token for state in Inclinometer]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for e in series.epochs:
-        writer.writerow(
-            [e.timestamp.isoformat(), e.axis1, e.axis2, e.axis3, e.steps, e.inclinometer.token]
+    writer.writerows(
+        [ts.isoformat() + suffix[off], *counts, tokens[state]]
+        for ts, off, counts, state in zip(
+            wall, series.offset_us.tolist(), series.counts.tolist(), series.inclinometer.tolist()
         )
+    )
+
+
+def _gap_rows(series: EpochSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Rows followed by a gap, and how many epochs each gap misses.
+
+    Raises on the first row that is a duplicate, goes backwards or lies
+    off the epoch grid, because a gap report is meaningless there.
+    """
+    stride = series.epoch_length // _US
+    delta = np.diff(series.utc_us)
+    jump = np.flatnonzero(delta != stride)
+    bad = (delta[jump] <= 0) | (delta[jump] % stride != 0)
+    if bad.any():
+        i = int(jump[np.argmax(bad)]) + 1
+        cur = series.timestamp(i).isoformat()
+        if delta[i - 1] == 0:
+            raise DuplicateTimestamp(f"duplicate timestamp {cur} at row {i}")
+        if delta[i - 1] < 0:
+            raise NonMonotone(f"timestamp {cur} at row {i} goes backwards")
+        raise MisalignedTimestamp(f"timestamp {cur} at row {i} is off the epoch grid")
+    return jump, delta[jump] // stride - 1
 
 
 def find_gaps(series: EpochSeries) -> list[Gap]:
     """Locate missing-epoch runs without raising.
 
-    Raises :class:`NonMonotone` / :class:`DuplicateTimestamp` immediately,
-    because a gap report is meaningless on an unordered series.
+    Raises :class:`NonMonotone` / :class:`DuplicateTimestamp` /
+    :class:`MisalignedTimestamp` at the first such row instead, because a
+    gap report is meaningless on an unordered series.  Each gap's start
+    is written in the offset of the epoch before it.
     """
-    gaps: list[Gap] = []
-    stride = series.epoch_length
-    for i in range(1, len(series)):
-        prev, cur = series.epochs[i - 1].timestamp, series.epochs[i].timestamp
-        delta = cur - prev
-        if delta == stride:
-            continue
-        if delta <= timedelta(0):
-            if cur == prev:
-                raise DuplicateTimestamp(f"duplicate timestamp {cur.isoformat()} at row {i}")
-            raise NonMonotone(f"timestamp {cur.isoformat()} at row {i} goes backwards")
-        missing, remainder = divmod(delta, stride)
-        if remainder != timedelta(0):
-            raise MisalignedTimestamp(
-                f"timestamp {cur.isoformat()} at row {i} is off the epoch grid"
-            )
-        gaps.append(Gap(start=prev + stride, length=int(missing) - 1, after_index=i - 1))
-    return gaps
+    after, missing = _gap_rows(series)
+    return [
+        Gap(series.timestamp(i) + series.epoch_length, n, i)
+        for i, n in zip(after.tolist(), missing.tolist())
+    ]
 
 
 def validate_series(series: EpochSeries) -> EpochSeries:
@@ -229,15 +328,16 @@ def validate_series(series: EpochSeries) -> EpochSeries:
     Raises :class:`GapDetected` with the full gap report, or
     :class:`DuplicateTimestamp` / :class:`NonMonotone` /
     :class:`MisalignedTimestamp` on ordering problems.  Whole-minute
-    alignment is enforced whenever the epoch length is a whole number of
-    minutes.
+    alignment of the local (written) time is enforced whenever the epoch
+    length is a whole number of minutes.
     """
     if series.epoch_length.total_seconds() % 60 == 0:
-        for i, e in enumerate(series.epochs):
-            if e.timestamp.second != 0 or e.timestamp.microsecond != 0:
-                raise MisalignedTimestamp(
-                    f"timestamp {e.timestamp.isoformat()} at row {i} is not minute-aligned"
-                )
+        off_minute = (series.utc_us + series.offset_us) % _MINUTE_US != 0
+        if off_minute.any():
+            i = int(np.argmax(off_minute))
+            raise MisalignedTimestamp(
+                f"timestamp {series.timestamp(i).isoformat()} at row {i} is not minute-aligned"
+            )
     gaps = find_gaps(series)
     if gaps:
         raise GapDetected(gaps)
@@ -250,33 +350,29 @@ def fill_gaps(series: EpochSeries) -> tuple[EpochSeries, int]:
     This is the opt-in ``sedentary-zero`` imputation policy.  The inserted
     epochs satisfy the default candidate-sleep predicate, so imputed spans
     can be scored as sleep; gaps are hard errors unless the caller asks for
-    this.  Returns the filled series and the number of inserted epochs.
+    this.  An inserted epoch keeps the UTC offset of the epoch before it.
+    Returns the filled series and the number of inserted epochs.
     """
-    gaps = find_gaps(series)
-    if not gaps:
+    after, missing = _gap_rows(series)
+    if not len(after):
         return series, 0
-    stride = series.epoch_length
-    out: list[Epoch] = []
-    by_start = {g.after_index: g for g in gaps}
-    for i, e in enumerate(series.epochs):
-        out.append(e)
-        g = by_start.get(i)
-        if g is not None:
-            for k in range(g.length):
-                out.append(
-                    Epoch(g.start + k * stride, 0, 0, 0, 0, Inclinometer.OFF)
-                )
-    filled = replace(series, epochs=tuple(out))
-    return filled, sum(g.length for g in gaps)
-
-
-def _majority_inclinometer(states: Iterable[Inclinometer]) -> Inclinometer:
-    tally = [0, 0, 0, 0]
-    for s in states:
-        tally[int(s)] += 1
-    best = max(tally)
-    # ties break toward the lower enum value: off < standing < sitting < lying
-    return Inclinometer(tally.index(best))
+    run = np.ones(len(series), dtype=np.int64)  # each row plus the epochs inserted after it
+    run[after] += missing
+    source = np.repeat(np.arange(len(series)), run)
+    step = np.arange(len(source)) - np.repeat(np.cumsum(run) - run, run)
+    inserted = step > 0
+    counts = series.counts[source]
+    counts[inserted] = 0
+    states = series.inclinometer[source]
+    states[inserted] = Inclinometer.OFF
+    filled = replace(
+        series,
+        utc_us=series.utc_us[source] + step * (series.epoch_length // _US),
+        offset_us=series.offset_us[source],
+        counts=counts,
+        inclinometer=states,
+    )
+    return filled, int(missing.sum())
 
 
 def aggregate_epochs(series: EpochSeries, factor: int) -> tuple[EpochSeries, int]:
@@ -293,19 +389,15 @@ def aggregate_epochs(series: EpochSeries, factor: int) -> tuple[EpochSeries, int
     if factor == 1:
         return series, 0
     n_blocks = len(series) // factor
-    dropped = len(series) - n_blocks * factor
-    blocks: list[Epoch] = []
-    for b in range(n_blocks):
-        members = series.epochs[b * factor : (b + 1) * factor]
-        blocks.append(
-            Epoch(
-                timestamp=members[0].timestamp,
-                axis1=sum(m.axis1 for m in members),
-                axis2=sum(m.axis2 for m in members),
-                axis3=sum(m.axis3 for m in members),
-                steps=sum(m.steps for m in members),
-                inclinometer=_majority_inclinometer(m.inclinometer for m in members),
-            )
-        )
-    out = EpochSeries(tuple(blocks), series.epoch_length * factor, series.subject)
-    return out, dropped
+    kept = n_blocks * factor
+    states = series.inclinometer[:kept].reshape(n_blocks, factor)
+    tally = np.stack([(states == s).sum(axis=1) for s in Inclinometer], axis=1)
+    out = EpochSeries(
+        np.ascontiguousarray(series.utc_us[:kept:factor]),
+        np.ascontiguousarray(series.offset_us[:kept:factor]),
+        series.counts[:kept].reshape(n_blocks, factor, 4).sum(axis=1),
+        tally.argmax(axis=1),  # the first maximum: ties go to the lower state
+        series.epoch_length * factor,
+        series.subject,
+    )
+    return out, len(series) - kept

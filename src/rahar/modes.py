@@ -46,7 +46,7 @@ def label_intervals(
     """
     if tie_break not in ("lower", "higher"):
         raise ValueError(f"tie_break must be 'lower' or 'higher', got {tie_break!r}")
-    levels = np.asarray([int(v) for v in intensity], dtype=np.int64)
+    levels = np.asarray(intensity, dtype=np.int64)
     n = len(levels)
     if n == 0:
         return []

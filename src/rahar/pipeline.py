@@ -36,7 +36,7 @@ from .ingest import EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, v
 from .modes import ActivityMode, label_intervals, mode_report_rows
 from .models import cross_validate, make_config
 from .reports import sha256_file, write_csv, write_json, write_roc_outputs
-from .segments import SleepWakeSegment, segment_manifest_rows, segment_sleep_wake
+from .segments import SleepWakeSegment, segment_id, segment_manifest_rows, segment_sleep_wake
 from .sleep import (
     CandidateConfig,
     SleepRules,
@@ -120,7 +120,7 @@ class RecordingAnalysis:
 
     name: str
     series: EpochSeries
-    intensity: list
+    intensity: np.ndarray  # uint8 IntensityLevel codes
     mask: np.ndarray
     periods: list
     metrics: list
@@ -141,9 +141,7 @@ def load_series(path: str | Path, config: PipelineConfig) -> EpochSeries:
 
 
 def cp_observations(series: EpochSeries, start: int, stop: int, cp_signal: str) -> np.ndarray:
-    counts = np.array(
-        [[e.axis1, e.axis2, e.axis3] for e in series.epochs[start:stop]], dtype=float
-    )
+    counts = series.counts[start:stop, :3].astype(float, order="C")
     if cp_signal == "triaxial":
         return counts
     if cp_signal == "vm3":
@@ -199,13 +197,9 @@ def analyze_recording(
     return analysis
 
 
-def _segment_id(name: str, k: int) -> str:
-    return f"{name}:{k:03d}"
-
-
 def _changepoint_rows(a: RecordingAnalysis) -> list[list]:
     return [
-        [_segment_id(a.name, k), cp.index, repr(cp.statistic), repr(cp.p_value)]
+        [segment_id(a.name, k), cp.index, repr(cp.statistic), repr(cp.p_value)]
         for k, cps in enumerate(a.change_points)
         for cp in cps
     ]
@@ -215,7 +209,7 @@ def _mode_rows(a: RecordingAnalysis) -> list[list]:
     return [
         row
         for k, modes in enumerate(a.modes)
-        for row in mode_report_rows(_segment_id(a.name, k), modes)
+        for row in mode_report_rows(segment_id(a.name, k), modes)
     ]
 
 
@@ -224,7 +218,7 @@ RECORDING_REPORTS = {
     "sleep.json": (None, lambda a: sleep_report(a.series, a.periods, a.metrics)),
     "segments.csv": (
         ["segment_id", "awake_start", "awake_end", "onset", "awakening", "efficiency", "flags"],
-        lambda a: segment_manifest_rows(a.segments, id_prefix=f"{a.name}:"),
+        lambda a: segment_manifest_rows(a.segments, a.name),
     ),
     "changepoints.csv": (["segment_id", "cp_index", "statistic", "p_value"], _changepoint_rows),
     "modes.csv": (["segment_id", "start", "end", "mode"], _mode_rows),
@@ -262,7 +256,7 @@ def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) ->
                 fv = extract_features(seg, a.modes[k], a.series.epoch_minutes)
             segments.append(seg)
             features.append(fv)
-            ids.append(_segment_id(a.name, k))
+            ids.append(segment_id(a.name, k))
     return build_dataset(
         segments,
         features,
@@ -277,8 +271,6 @@ def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) ->
 class RunResult:
     output_files: list[Path]
     manifest_path: Path
-    dataset: Dataset | None
-    exit_code: int = 0
 
 
 def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> RunResult:
@@ -330,9 +322,7 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> R
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
     write_json(manifest_path, manifest)
-    return RunResult(
-        output_files=outputs, manifest_path=manifest_path, dataset=dataset, exit_code=0
-    )
+    return RunResult(output_files=outputs, manifest_path=manifest_path)
 
 
 def train_and_report(dataset: Dataset, out_dir: Path, config: PipelineConfig) -> list[Path]:

@@ -70,7 +70,12 @@ def segment_sleep_wake(
     return segments
 
 
-def segment_manifest_rows(segments: list[SleepWakeSegment], id_prefix: str = "seg") -> list[list]:
+def segment_id(recording: str, k: int) -> str:
+    """Id of a recording's k-th segment in every report and the dataset: ``name:kkk``."""
+    return f"{recording}:{k:03d}"
+
+
+def segment_manifest_rows(segments: list[SleepWakeSegment], recording: str) -> list[list]:
     """Rows for the segment manifest CSV: id, bounds, efficiency, flags."""
     rows = []
     for k, seg in enumerate(segments):
@@ -83,7 +88,7 @@ def segment_manifest_rows(segments: list[SleepWakeSegment], id_prefix: str = "se
             flags.append("truncated")
         rows.append(
             [
-                f"{id_prefix}{k:03d}",
+                segment_id(recording, k),
                 seg.awake_start_index,
                 seg.awake_end_index,
                 seg.sleep.onset_index,

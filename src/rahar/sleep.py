@@ -101,15 +101,13 @@ class SleepMetrics:
 def candidate_mask(series: EpochSeries, cfg: CandidateConfig | None = None) -> np.ndarray:
     """Boolean mask: True where the epoch satisfies every enabled criterion."""
     cfg = cfg or CandidateConfig()
-    n = len(series)
-    mask = np.ones(n, dtype=bool)
-    for i, e in enumerate(series.epochs):
-        if cfg.require_zero_triaxial and (e.axis1 or e.axis2 or e.axis3):
-            mask[i] = False
-        elif cfg.require_zero_steps and e.steps:
-            mask[i] = False
-        elif e.inclinometer not in cfg.inclinometer_accept:
-            mask[i] = False
+    accepted = np.zeros(len(Inclinometer), dtype=bool)
+    accepted[[int(s) for s in cfg.inclinometer_accept]] = True
+    mask = accepted[series.inclinometer]
+    if cfg.require_zero_triaxial:
+        mask &= ~series.counts[:, :3].any(axis=1)
+    if cfg.require_zero_steps:
+        mask &= series.counts[:, 3] == 0
     return mask
 
 
@@ -203,7 +201,8 @@ def compute_latency(
     """
     onset = period.onset_index
     start = onset
-    while start > 0 and intensity[start - 1] == IntensityLevel.SEDENTARY:
+    sedentary = int(IntensityLevel.SEDENTARY)  # a numpy label compares slowly with an IntEnum
+    while start > 0 and intensity[start - 1] == sedentary:
         start -= 1
     return onset - start, start
 
@@ -250,13 +249,16 @@ def sleep_report(
     periods: list[SleepPeriod],
     metrics: list[SleepMetrics],
 ) -> list[dict]:
-    """JSON-ready rows, one per detected period, timestamps in ISO-8601."""
+    """JSON-ready rows, one per detected period, timestamps in ISO-8601.
+
+    Each timestamp keeps the UTC offset its row was written in.
+    """
     rows = []
     for p, m in zip(periods, metrics):
         rows.append(
             {
-                "onset": series.epochs[p.onset_index].timestamp.isoformat(),
-                "awakening": series.epochs[p.awakening_index].timestamp.isoformat(),
+                "onset": series.timestamp(p.onset_index).isoformat(),
+                "awakening": series.timestamp(p.awakening_index).isoformat(),
                 "onset_index": p.onset_index,
                 "awakening_index": p.awakening_index,
                 "duration_min": m.duration_min,

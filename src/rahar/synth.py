@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidProfile
-from .ingest import Epoch, EpochSeries, Inclinometer, SubjectMeta
+from .ingest import MAX_COUNT, EpochSeries, Inclinometer, SubjectMeta, split_instant
 from .sleep import SleepPeriod, SleepRules
 
 SLEEP = "sleep"
@@ -136,7 +136,8 @@ def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[Epoc
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([profile.seed])))
     stride = timedelta(minutes=1)
 
-    epochs: list[Epoch] = []
+    blocks: list[np.ndarray] = []  # (duration, 4) axis1, axis2, axis3, steps per block
+    states: list[np.ndarray] = []
     periods: list[SleepPeriod] = []
     change_points: list[int] = []
     mode_schedule: list[tuple[int, int, str]] = []
@@ -178,21 +179,23 @@ def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[Epoc
             steps = rng.poisson(block.resolved_steps(), size=block.duration_min).astype(np.int64)
             if i > 0 and profile.schedule[i - 1].mode in AWAKE_MODES:
                 change_points.append(start)
-        for k in range(block.duration_min):
-            epochs.append(
-                Epoch(
-                    timestamp=profile.start + (cursor + k) * stride,
-                    axis1=int(axis[k, 0]),
-                    axis2=int(axis[k, 1]),
-                    axis3=int(axis[k, 2]),
-                    steps=int(steps[k]),
-                    inclinometer=incl,
-                )
-            )
+        blocks.append(np.column_stack([axis, steps]))
+        states.append(np.full(block.duration_min, incl, dtype=np.uint8))
         cursor = end
 
     assert cursor == total
-    series = EpochSeries(tuple(epochs), stride, profile.subject)
+    counts = np.concatenate(blocks)
+    if counts.max() > MAX_COUNT:
+        raise InvalidProfile(f"a drawn count exceeds the ceiling of {MAX_COUNT}; lower the means")
+    start_us, offset_us = split_instant(profile.start)
+    series = EpochSeries(
+        start_us + np.arange(total, dtype=np.int64) * (stride // timedelta(microseconds=1)),
+        np.full(total, offset_us, dtype=np.int64),
+        counts,
+        np.concatenate(states),
+        stride,
+        profile.subject,
+    )
     return series, GroundTruth(periods, change_points, mode_schedule)
 
 

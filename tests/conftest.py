@@ -10,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 from rahar.ingest import Epoch, EpochSeries, Inclinometer, SubjectMeta
 
+from oracles import series_of
+
 T0 = datetime(2014, 9, 1, 22, 0, tzinfo=timezone(timedelta(hours=3)))
 
 
@@ -33,7 +35,7 @@ def make_series(rows, subject: SubjectMeta | None = None, start: datetime = T0) 
             epochs.append(make_epoch(minute, start=start, **row))
         else:
             epochs.append(make_epoch(minute, axis1=int(row), start=start))
-    return EpochSeries(tuple(epochs), timedelta(seconds=60), subject or SubjectMeta())
+    return series_of(epochs, timedelta(seconds=60), subject or SubjectMeta())
 
 
 @pytest.fixture

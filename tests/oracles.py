@@ -7,9 +7,38 @@ checks.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from dataclasses import dataclass, field, replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from rahar.cutpoints import IntensityLevel
+from rahar.errors import (
+    DuplicateTimestamp,
+    GapDetected,
+    MalformedRow,
+    MisalignedTimestamp,
+    NegativeCount,
+    NonMonotone,
+    ParseError,
+    UnknownInclinometer,
+    ZeroFactor,
+)
+from rahar.ingest import (
+    CSV_HEADER,
+    MAX_COUNT,
+    Epoch,
+    EpochSeries,
+    Gap,
+    Inclinometer,
+    SubjectMeta,
+)
+
+_UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
 
 
 def energy_triple_sum(X, Y, alpha: float) -> tuple[float, float]:
@@ -212,3 +241,231 @@ def pair_count_auc(scores, y) -> float:
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+# --- object-per-epoch reference for the columnar ingest, cut points and mask --
+#
+# The series representation rahar used before its columns: a tuple of
+# frozen Epoch rows, each with its own datetime.  The functions below are
+# that version's parse/validate/fill/aggregate/classify/mask, kept as the
+# reference the columnar code is compared with.
+
+
+@dataclass(frozen=True)
+class ObjectSeries:
+    epochs: tuple
+    epoch_length: timedelta = timedelta(seconds=60)
+    subject: SubjectMeta = field(default_factory=SubjectMeta)
+
+    def __len__(self) -> int:
+        return len(self.epochs)
+
+    def __getitem__(self, i: int) -> Epoch:
+        return self.epochs[i]
+
+    @property
+    def epoch_minutes(self) -> float:
+        return self.epoch_length.total_seconds() / 60.0
+
+
+def epochs_of(series: EpochSeries) -> tuple:
+    """Every epoch of a columnar series as an Epoch row."""
+    return tuple(series[i] for i in range(len(series)))
+
+
+def series_of(
+    epochs, epoch_length: timedelta = timedelta(seconds=60), subject: SubjectMeta | None = None
+) -> EpochSeries:
+    """A columnar series holding the given Epoch rows, offsets included."""
+    return EpochSeries(
+        [(e.timestamp - _UTC_EPOCH) // _US for e in epochs],
+        [e.timestamp.utcoffset() // _US for e in epochs],
+        [[e.axis1, e.axis2, e.axis3, e.steps] for e in epochs],
+        [int(e.inclinometer) for e in epochs],
+        epoch_length,
+        subject or SubjectMeta(),
+    )
+
+
+def ref_parse_timestamp(token: str, line_number: int) -> datetime:
+    if token.endswith("Z"):
+        token = token[:-1] + "+00:00"
+    try:
+        value = datetime.fromisoformat(token)
+    except ValueError:
+        raise MalformedRow(line_number, f"bad timestamp {token!r}")
+    if value.utcoffset() is None:
+        raise MalformedRow(line_number, f"timestamp {token!r} has no UTC offset")
+    return value
+
+
+def ref_parse_count(token: str, name: str, line_number: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise MalformedRow(line_number, f"{name} {token!r} is not an integer")
+    if value < 0:
+        raise NegativeCount(line_number, name, value)
+    if value > MAX_COUNT:
+        raise MalformedRow(line_number, f"{name} {value} exceeds the ceiling of {MAX_COUNT}")
+    return value
+
+
+def ref_parse(text: str, epoch_length: timedelta = timedelta(seconds=60)) -> ObjectSeries:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input: missing header")
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise ParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+    epochs = []
+    for line_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise MalformedRow(line_number, f"expected 6 fields, got {len(row)}")
+        ts = ref_parse_timestamp(row[0].strip(), line_number)
+        axis1 = ref_parse_count(row[1].strip(), "axis1", line_number)
+        axis2 = ref_parse_count(row[2].strip(), "axis2", line_number)
+        axis3 = ref_parse_count(row[3].strip(), "axis3", line_number)
+        steps = ref_parse_count(row[4].strip(), "steps", line_number)
+        token = row[5].strip()
+        try:
+            incl = Inclinometer[token.upper()]
+        except KeyError:
+            raise UnknownInclinometer(line_number, token)
+        epochs.append(Epoch(ts, axis1, axis2, axis3, steps, incl))
+    return ObjectSeries(tuple(epochs), epoch_length)
+
+
+def ref_serialize(series: ObjectSeries) -> str:
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for e in series.epochs:
+        writer.writerow(
+            [e.timestamp.isoformat(), e.axis1, e.axis2, e.axis3, e.steps, e.inclinometer.token]
+        )
+    return stream.getvalue()
+
+
+def ref_find_gaps(series: ObjectSeries) -> list[Gap]:
+    gaps = []
+    stride = series.epoch_length
+    for i in range(1, len(series)):
+        prev, cur = series.epochs[i - 1].timestamp, series.epochs[i].timestamp
+        delta = cur - prev
+        if delta == stride:
+            continue
+        if delta <= timedelta(0):
+            if cur == prev:
+                raise DuplicateTimestamp(f"duplicate timestamp {cur.isoformat()} at row {i}")
+            raise NonMonotone(f"timestamp {cur.isoformat()} at row {i} goes backwards")
+        missing, remainder = divmod(delta, stride)
+        if remainder != timedelta(0):
+            raise MisalignedTimestamp(
+                f"timestamp {cur.isoformat()} at row {i} is off the epoch grid"
+            )
+        gaps.append(Gap(start=prev + stride, length=int(missing) - 1, after_index=i - 1))
+    return gaps
+
+
+def ref_validate(series: ObjectSeries) -> ObjectSeries:
+    if series.epoch_length.total_seconds() % 60 == 0:
+        for i, e in enumerate(series.epochs):
+            if e.timestamp.second != 0 or e.timestamp.microsecond != 0:
+                raise MisalignedTimestamp(
+                    f"timestamp {e.timestamp.isoformat()} at row {i} is not minute-aligned"
+                )
+    gaps = ref_find_gaps(series)
+    if gaps:
+        raise GapDetected(gaps)
+    return series
+
+
+def ref_fill_gaps(series: ObjectSeries) -> tuple[ObjectSeries, int]:
+    gaps = ref_find_gaps(series)
+    if not gaps:
+        return series, 0
+    out = []
+    by_start = {g.after_index: g for g in gaps}
+    for i, e in enumerate(series.epochs):
+        out.append(e)
+        g = by_start.get(i)
+        if g is not None:
+            for k in range(g.length):
+                out.append(
+                    Epoch(g.start + k * series.epoch_length, 0, 0, 0, 0, Inclinometer.OFF)
+                )
+    return replace(series, epochs=tuple(out)), sum(g.length for g in gaps)
+
+
+def ref_aggregate(series: ObjectSeries, factor: int) -> tuple[ObjectSeries, int]:
+    if factor < 1:
+        raise ZeroFactor(f"aggregation factor must be >= 1, got {factor}")
+    if factor == 1:
+        return series, 0
+    n_blocks = len(series) // factor
+    blocks = []
+    for b in range(n_blocks):
+        members = series.epochs[b * factor : (b + 1) * factor]
+        tally = [0, 0, 0, 0]
+        for m in members:
+            tally[int(m.inclinometer)] += 1
+        blocks.append(
+            Epoch(
+                timestamp=members[0].timestamp,
+                axis1=sum(m.axis1 for m in members),
+                axis2=sum(m.axis2 for m in members),
+                axis3=sum(m.axis3 for m in members),
+                steps=sum(m.steps for m in members),
+                # ties break toward the lower enum value
+                inclinometer=Inclinometer(tally.index(max(tally))),
+            )
+        )
+    out = ObjectSeries(tuple(blocks), series.epoch_length * factor, series.subject)
+    return out, len(series) - n_blocks * factor
+
+
+def level_for(band, counts_per_min: float) -> IntensityLevel:
+    """First level whose exclusive upper bound lies above the value."""
+    for k, upper in enumerate(band.bounds):
+        if counts_per_min < upper:
+            return IntensityLevel(k)
+    raise AssertionError("age band does not cover +inf")
+
+
+def signal_counts(epoch: Epoch, signal: str) -> float:
+    if signal == "axis1":
+        return float(epoch.axis1)
+    if signal == "vm3":
+        return math.sqrt(epoch.axis1**2 + epoch.axis2**2 + epoch.axis3**2)
+    raise ValueError(f"unknown signal {signal!r}, expected 'axis1' or 'vm3'")
+
+
+def ref_classify_epoch(
+    epoch: Epoch, scale, age_years: int, epoch_minutes: float = 1.0, signal: str = "axis1"
+) -> IntensityLevel:
+    """Intensity level of one epoch from its counts-per-minute."""
+    if epoch_minutes <= 0:
+        raise ValueError(f"epoch_minutes must be positive, got {epoch_minutes}")
+    cpm = signal_counts(epoch, signal) / epoch_minutes
+    return level_for(scale.band_for_age(age_years), cpm)
+
+
+def ref_classify(series, scale, age_years: int, signal: str = "axis1") -> list[IntensityLevel]:
+    band = scale.band_for_age(age_years)
+    return [level_for(band, signal_counts(e, signal) / series.epoch_minutes) for e in series.epochs]
+
+
+def ref_candidate_mask(series, cfg) -> np.ndarray:
+    mask = np.ones(len(series), dtype=bool)
+    for i, e in enumerate(series.epochs):
+        if cfg.require_zero_triaxial and (e.axis1 or e.axis2 or e.axis3):
+            mask[i] = False
+        elif cfg.require_zero_steps and e.steps:
+            mask[i] = False
+        elif e.inclinometer not in cfg.inclinometer_accept:
+            mask[i] = False
+    return mask

@@ -317,6 +317,32 @@ class TestNaiveTimestamps:
         assert not report.exists()
 
 
+class TestCountCeiling:
+    @pytest.fixture
+    def huge_file(self, tmp_path):
+        """Two rows, the second with an axis1 count no int64 column can hold."""
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+            "2014-09-01T22:00:00+03:00,0,0,0,0,off\n"
+            "2014-09-01T22:01:00+03:00,99999999999999999999999,0,0,0,off\n"
+        )
+        return path
+
+    def test_validate_exits_2_with_one_line(self, huge_file, capsys):
+        assert main(["validate", "--in", str(huge_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 3" in err and "ceiling" in err
+        assert "Traceback" not in err
+
+    def test_run_exits_2_and_leaves_no_report(self, huge_file, tmp_path, capsys):
+        report = tmp_path / "report"
+        assert main(["run", "--in", str(huge_file), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not report.exists()
+
+
 # one non-default value per flag that sets a PipelineConfig field
 NON_DEFAULT_FLAGS = [
     (["--age", "30"], "age_years", 30),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 from datetime import timedelta
 
 import pytest
@@ -17,7 +18,9 @@ from rahar.errors import (
     UnknownInclinometer,
     ZeroFactor,
 )
+from rahar.cutpoints import builtin_troiano_scale, classify_series, make_scale
 from rahar.ingest import (
+    MAX_COUNT,
     Inclinometer,
     aggregate_epochs,
     fill_gaps,
@@ -28,8 +31,10 @@ from rahar.ingest import (
 )
 
 from conftest import make_series
+from oracles import epochs_of, series_of
 
 HEADER = "timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+CSV_HEADER_FIELDS = HEADER.strip().split(",")
 
 
 def csv_text(rows: list[str]) -> str:
@@ -107,7 +112,33 @@ class TestParse:
         buf = io.StringIO()
         serialize_epoch_csv(series, buf)
         again = parse_epoch_csv(buf.getvalue())
-        assert again.epochs == series.epochs
+        assert epochs_of(again) == epochs_of(series)
+
+
+class TestCountCeiling:
+    def test_ceiling_accepted_and_vm3_exact(self):
+        row = f"2014-09-01T22:00:00+03:00,{MAX_COUNT},{MAX_COUNT - 1},{MAX_COUNT},{MAX_COUNT},off"
+        series = parse_epoch_csv(csv_text([row]))
+        assert series[0].counts == (MAX_COUNT, MAX_COUNT - 1, MAX_COUNT)
+        assert series[0].steps == MAX_COUNT
+        # a custom band whose light/moderate edge sits just above the exact magnitude
+        vm3 = math.sqrt(MAX_COUNT**2 + (MAX_COUNT - 1) ** 2 + MAX_COUNT**2)
+        scale = make_scale("edge", [(0, 130, 1, math.floor(vm3) - 1, math.floor(vm3) + 1)])
+        assert classify_series(series, scale, signal="vm3").tolist() == [2]
+        assert classify_series(series, builtin_troiano_scale(), signal="vm3").tolist() == [3]
+
+    @pytest.mark.parametrize("field", [1, 2, 3, 4])
+    @pytest.mark.parametrize("value", [MAX_COUNT + 1, 99999999999999999999999])
+    def test_above_ceiling_is_malformed_row(self, field, value):
+        fields = ["2014-09-01T22:00:00+03:00", "0", "0", "0", "0", "off"]
+        fields[field] = str(value)
+        text = csv_text(["2014-09-01T21:59:00+03:00,0,0,0,0,off", ",".join(fields)])
+        with pytest.raises(MalformedRow) as info:
+            parse_epoch_csv(text)
+        assert info.value.line_number == 3
+        assert str(info.value) == (
+            f"line 3: {CSV_HEADER_FIELDS[field]} {value} exceeds the ceiling of {MAX_COUNT}"
+        )
 
 
 class TestValidate:
@@ -117,41 +148,37 @@ class TestValidate:
 
     def test_missing_minute_reports_gap(self):
         series = make_series([0] * 100)
-        broken = type(series)(
-            series.epochs[:50] + series.epochs[51:], series.epoch_length, series.subject
-        )
+        epochs = epochs_of(series)
+        broken = series_of(epochs[:50] + epochs[51:], series.epoch_length, series.subject)
         with pytest.raises(GapDetected) as info:
             validate_series(broken)
         (gap,) = info.value.gaps
-        assert gap.start == series.epochs[50].timestamp
+        assert gap.start == epochs[50].timestamp
         assert gap.length == 1
 
     def test_duplicate_timestamp(self):
         series = make_series([0] * 10)
-        broken = type(series)(
-            series.epochs + (series.epochs[-1],), series.epoch_length, series.subject
-        )
+        epochs = epochs_of(series)
+        broken = series_of(epochs + (epochs[-1],), series.epoch_length, series.subject)
         with pytest.raises(DuplicateTimestamp):
             validate_series(broken)
 
     def test_non_monotone(self):
         series = make_series([0] * 10)
-        broken = type(series)(
-            (series.epochs[5],) + series.epochs, series.epoch_length, series.subject
-        )
+        epochs = epochs_of(series)
+        broken = series_of((epochs[5],) + epochs, series.epoch_length, series.subject)
         with pytest.raises(NonMonotone):
             validate_series(broken)
 
     def test_fill_gaps_restores_grid(self):
         series = make_series([3] * 100)
-        broken = type(series)(
-            series.epochs[:50] + series.epochs[60:], series.epoch_length, series.subject
-        )
+        epochs = epochs_of(series)
+        broken = series_of(epochs[:50] + epochs[60:], series.epoch_length, series.subject)
         filled, inserted = fill_gaps(broken)
         assert inserted == 10
         assert validate_series(filled) is filled
-        assert filled.epochs[55].counts == (0, 0, 0)
-        assert filled.epochs[55].inclinometer is Inclinometer.OFF
+        assert filled[55].counts == (0, 0, 0)
+        assert filled[55].inclinometer is Inclinometer.OFF
         assert not find_gaps(filled)
 
 
@@ -200,6 +227,6 @@ class TestAggregate:
         series = make_series(counts)
         out, dropped = aggregate_epochs(series, factor)
         kept = len(counts) - dropped
-        assert sum(e.axis1 for e in out.epochs) == sum(counts[:kept])
+        assert sum(e.axis1 for e in epochs_of(out)) == sum(counts[:kept])
         if len(out):
             assert validate_series(out) is out

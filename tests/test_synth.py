@@ -18,6 +18,8 @@ from rahar.synth import (
     save_profile,
 )
 
+from oracles import epochs_of
+
 
 def day_profile(noise=0.0, seed=0):
     return DayProfile(
@@ -42,18 +44,18 @@ class TestGenerate:
     def test_determinism(self):
         s1, t1 = generate(day_profile(noise=0.05, seed=9))
         s2, t2 = generate(day_profile(noise=0.05, seed=9))
-        assert s1.epochs == s2.epochs
+        assert epochs_of(s1) == epochs_of(s2)
         assert t1.periods == t2.periods
 
     def test_different_seeds_differ(self):
         s1, _ = generate(day_profile(seed=1))
         s2, _ = generate(day_profile(seed=2))
-        assert s1.epochs != s2.epochs
+        assert epochs_of(s1) != epochs_of(s2)
 
     def test_sleep_blocks_emit_stillness(self):
         series, truth = generate(day_profile())
         p = truth.periods[0]
-        for e in series.epochs[p.onset_index : p.awakening_index + 1]:
+        for e in epochs_of(series)[p.onset_index : p.awakening_index + 1]:
             assert e.counts == (0, 0, 0) and e.steps == 0
             assert e.inclinometer is Inclinometer.OFF
 
@@ -84,7 +86,7 @@ class TestGenerate:
         ]
         # isolated single-epoch noise never exceeds the WASO bout threshold
         assert compute_waso(mask, detected[0]) == 0
-        sleep_slice = [e for e in series.epochs[:480]]
+        sleep_slice = [e for e in epochs_of(series)[:480]]
         assert any(e.axis1 > 0 for e in sleep_slice)  # noise actually landed
 
     def test_trailing_sleep_marked_truncated(self):
@@ -116,7 +118,7 @@ class TestGenerate:
         buf = io.StringIO()
         serialize_epoch_csv(series, buf)
         again = parse_epoch_csv(buf.getvalue())
-        assert again.epochs == series.epochs
+        assert epochs_of(again) == epochs_of(series)
 
 
 class TestProfileValidation:
@@ -166,6 +168,14 @@ class TestProfileValidation:
                           {"mode": "sedentary", "duration_min": 60}]}
         )
         with pytest.raises(InvalidProfile, match="UTC offset"):
+            generate(profile)
+
+    def test_counts_above_the_parse_ceiling_rejected(self):
+        # the file would hold counts `rahar` refuses to read
+        profile = DayProfile(
+            schedule=(ActivityBlock("light", 60, mean_counts=(5e9, 1.0, 1.0)),), seed=3
+        )
+        with pytest.raises(InvalidProfile, match="ceiling"):
             generate(profile)
 
 
