@@ -69,6 +69,10 @@ class MisalignedTimestamp(ValidationError):
     """Timestamps are not aligned to whole epochs."""
 
 
+class GapFillTooLarge(ValidationError):
+    """Filling the gaps would insert more epochs than one file may gain."""
+
+
 class ZeroFactor(RaharError):
     """Aggregation factor must be a positive integer."""
 

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     DuplicateTimestamp,
     GapDetected,
+    GapFillTooLarge,
     MalformedRow,
     MisalignedTimestamp,
     NegativeCount,
@@ -47,6 +48,12 @@ CSV_HEADER = ["timestamp", "axis1", "axis2", "axis3", "steps", "inclinometer"]
 MAX_COUNT = 10**9
 # largest count whose three squares still sum inside int64
 _VM3_INT64_MAX = math.isqrt((2**63 - 1) // 3)
+
+# The most epochs ``fill_gaps`` inserts into one file: about two years of
+# minute epochs, or 51 MB of columns.  Gaps that long point to a clock
+# fault more than to missing wear, and without a cap two rows a century
+# apart would ask for gigabytes.
+MAX_FILLED_EPOCHS = 2**20
 
 
 def vm3(counts: np.ndarray) -> np.ndarray:
@@ -239,7 +246,11 @@ def parse_epoch_csv(
 
     utc_us, offset_us, counts = array("q"), array("q"), array("q")
     states = bytearray()
-    for line_number, row in enumerate(reader, start=2):
+    # a quoted field can span lines, so a record is named by the physical
+    # line it starts on: one past the last line the reader had consumed
+    next_line = reader.line_num + 1
+    for row in reader:
+        line_number, next_line = next_line, reader.line_num + 1
         if not row:
             continue
         if len(row) != 6:
@@ -352,10 +363,18 @@ def fill_gaps(series: EpochSeries) -> tuple[EpochSeries, int]:
     can be scored as sleep; gaps are hard errors unless the caller asks for
     this.  An inserted epoch keeps the UTC offset of the epoch before it.
     Returns the filled series and the number of inserted epochs.
+
+    Raises :class:`GapFillTooLarge`, before allocating anything, when the
+    gaps miss more than ``MAX_FILLED_EPOCHS`` epochs in all.
     """
     after, missing = _gap_rows(series)
     if not len(after):
         return series, 0
+    total = int(missing.sum())
+    if total > MAX_FILLED_EPOCHS:
+        raise GapFillTooLarge(
+            f"gaps miss {total} epochs, more than the {MAX_FILLED_EPOCHS} gap filling may insert"
+        )
     run = np.ones(len(series), dtype=np.int64)  # each row plus the epochs inserted after it
     run[after] += missing
     source = np.repeat(np.arange(len(series)), run)
@@ -372,7 +391,7 @@ def fill_gaps(series: EpochSeries) -> tuple[EpochSeries, int]:
         counts=counts,
         inclinometer=states,
     )
-    return filled, int(missing.sum())
+    return filled, total
 
 
 def aggregate_epochs(series: EpochSeries, factor: int) -> tuple[EpochSeries, int]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ClassCollapse, DimensionMismatch
+from .search import sequential_argmin
 
 _EPS = 1e-12
 
@@ -111,34 +112,29 @@ class AdaBoostModel:
 
 def _best_stump(X: np.ndarray, y_signed: np.ndarray, weights: np.ndarray):
     """Exhaustive weighted-error-minimizing stump; None if no usable threshold."""
-    n, d = X.shape
-    best = None
-    best_err = np.inf
-    for feature in range(d):
-        col = X[:, feature]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        # signed weights: positive where the label is +1
-        wy = (weights * y_signed)[order]
-        # err(threshold, polarity=+1) = sum of weights of (+1 left) and (-1 right)
-        # computed from prefix sums of signed weights
-        left_pos = np.cumsum(np.where(wy > 0, wy, 0.0))
-        left_neg = np.cumsum(np.where(wy < 0, -wy, 0.0))
-        total_pos = left_pos[-1]
-        total_neg = left_neg[-1]
-        distinct = sorted_col[:-1] < sorted_col[1:]
-        for i in np.flatnonzero(distinct):
-            threshold = (sorted_col[i] + sorted_col[i + 1]) / 2.0
-            # polarity +1: predict -1 for x <= threshold, +1 above
-            err_pos = left_pos[i] + (total_neg - left_neg[i])
-            err_neg = left_neg[i] + (total_pos - left_pos[i])
-            for polarity, err in ((1, err_pos), (-1, err_neg)):
-                if err < best_err - _EPS:
-                    best_err = err
-                    best = Stump(feature, float(threshold), polarity)
-    if best is None:
+    cols = X.T
+    order = np.argsort(cols, axis=1, kind="stable")
+    sorted_cols = cols[np.arange(len(cols))[:, None], order]
+    # signed weights: positive where the label is +1
+    wy = (weights * y_signed)[order]
+    # err(threshold, polarity=+1) = sum of weights of (+1 left) and (-1 right)
+    # computed from prefix sums of signed weights
+    left_pos = np.cumsum(np.where(wy > 0, wy, 0.0), axis=1)
+    left_neg = np.cumsum(np.where(wy < 0, -wy, 0.0), axis=1)
+    # every (feature, cut) between two distinct values, feature-major as searched
+    f, i = np.nonzero(sorted_cols[:, :-1] < sorted_cols[:, 1:])
+    # polarity +1 predicts -1 for x <= threshold and +1 above; each cut
+    # tries +1 then -1, so the two errors interleave in that order
+    errors = np.empty((len(f), 2))
+    errors[:, 0] = left_pos[f, i] + (left_neg[f, -1] - left_neg[f, i])
+    errors[:, 1] = left_neg[f, i] + (left_pos[f, -1] - left_pos[f, i])
+    errors = errors.ravel()
+    kept = sequential_argmin(errors, _EPS)
+    if kept < 0:
         return None, 0.5
-    return best, float(best_err)
+    f, i = f[kept // 2], i[kept // 2]
+    threshold = (sorted_cols[f, i] + sorted_cols[f, i + 1]) / 2.0
+    return Stump(int(f), float(threshold), -1 if kept % 2 else 1), float(errors[kept])
 
 
 def train_adaboost(X, y, config: AdaBoostConfig | None = None) -> AdaBoostModel:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ClassCollapse, DimensionMismatch
+from .search import sequential_argmin
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,10 @@ class ForestConfig:
     mtry: int | None = None  # None -> ceil(sqrt(n_features))
     min_leaf: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be at least 1, got {self.min_leaf}")
 
 
 @dataclass
@@ -35,11 +40,14 @@ class _Node:
     right: "_Node | None" = None
     leaf_value: float | None = None  # class-1 fraction when this is a leaf
 
-    def predict_one(self, row: np.ndarray) -> float:
-        node = self
-        while node.leaf_value is None:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.leaf_value
+    def fill_leaf_values(self, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out[rows]`` the leaf value each of ``X[rows]`` reaches."""
+        if self.leaf_value is not None:
+            out[rows] = self.leaf_value
+            return
+        go_left = X[rows, self.feature] <= self.threshold
+        self.left.fill_leaf_values(X, rows[go_left], out)
+        self.right.fill_leaf_values(X, rows[~go_left], out)
 
     def to_dict(self) -> dict:
         if self.leaf_value is not None:
@@ -65,8 +73,11 @@ class RandomForestModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise DimensionMismatch(f"expected {self.n_features} features, got {X.shape}")
         scores = np.zeros(X.shape[0])
+        rows = np.arange(X.shape[0])
+        leaf_values = np.empty(X.shape[0])
         for tree in self.trees:
-            scores += [tree.predict_one(row) for row in X]
+            tree.fill_leaf_values(X, rows, leaf_values)
+            scores += leaf_values
         return scores / len(self.trees)
 
     def to_dict(self) -> dict:
@@ -77,38 +88,35 @@ class RandomForestModel:
         }
 
 
-def _gini(pos: float, total: float) -> float:
-    if total == 0:
-        return 0.0
-    p = pos / total
-    return 2.0 * p * (1.0 - p)
-
-
 def _best_node_split(X, y, rows, features, min_leaf):
-    """(feature, threshold) minimizing weighted child Gini; None when unsplittable."""
-    best = None
-    best_impurity = np.inf
+    """(feature, threshold) minimizing weighted child Gini; None when unsplittable.
+
+    Features are searched in the order given and cuts in ascending order;
+    a cut replaces the best one only when it lowers the impurity by more
+    than 1e-15, so near-ties go to the earlier feature and smaller cut.
+    """
     n = len(rows)
-    for feature in features:
-        col = X[rows, feature]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        sorted_y = y[rows][order]
-        left_pos = np.cumsum(sorted_y)
-        total_pos = left_pos[-1]
-        for i in range(min_leaf - 1, n - min_leaf):
-            if sorted_col[i] == sorted_col[i + 1]:
-                continue
-            n_left = i + 1
-            n_right = n - n_left
-            impurity = (
-                n_left * _gini(left_pos[i], n_left)
-                + n_right * _gini(total_pos - left_pos[i], n_right)
-            ) / n
-            if impurity < best_impurity - 1e-15:
-                best_impurity = impurity
-                best = (feature, (sorted_col[i] + sorted_col[i + 1]) / 2.0)
-    return best
+    cols = X[rows[None, :], features[:, None]]
+    order = np.argsort(cols, axis=1, kind="stable")
+    sorted_cols = cols[np.arange(len(features))[:, None], order]
+    left_pos = np.cumsum(y[rows][order], axis=1)
+    lo, hi = min_leaf - 1, n - min_leaf
+    # every (feature, cut) between two distinct values, feature-major as searched
+    f, i = np.nonzero(sorted_cols[:, lo:hi] != sorted_cols[:, lo + 1 : hi + 1])
+    i += lo
+    n_left = i + 1  # both sides hold at least min_leaf >= 1 rows
+    n_right = n - n_left
+    pos = left_pos[f, i]
+    p_left = pos / n_left
+    p_right = (left_pos[f, -1] - pos) / n_right
+    impurity = (
+        n_left * (2.0 * p_left * (1.0 - p_left)) + n_right * (2.0 * p_right * (1.0 - p_right))
+    ) / n
+    kept = sequential_argmin(impurity, 1e-15)
+    if kept < 0:
+        return None
+    f, i = f[kept], i[kept]
+    return features[f], (sorted_cols[f, i] + sorted_cols[f, i + 1]) / 2.0
 
 
 def _grow(X, y, rows, rng, mtry, min_leaf) -> _Node:

@@ -16,6 +16,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from rahar.cutpoints import IntensityLevel
+from rahar.models.boosting import _EPS, Stump
 from rahar.errors import (
     DuplicateTimestamp,
     GapDetected,
@@ -469,3 +470,88 @@ def ref_candidate_mask(series, cfg) -> np.ndarray:
         elif e.inclinometer not in cfg.inclinometer_accept:
             mask[i] = False
     return mask
+
+
+# --- model search loops ---------------------------------------------------------
+
+
+def ref_sequential_argmin(values, tol: float) -> int:
+    """The literal scan that ``models.search.sequential_argmin`` vectorizes."""
+    best, kept = np.inf, -1
+    for i, v in enumerate(values):
+        if v < best - tol:
+            best, kept = v, i
+    return kept
+
+
+def _gini(pos: float, total: float) -> float:
+    if total == 0:
+        return 0.0
+    p = pos / total
+    return 2.0 * p * (1.0 - p)
+
+
+def ref_best_node_split(X, y, rows, features, min_leaf):
+    """(feature, threshold) minimizing weighted child Gini; None when unsplittable."""
+    best = None
+    best_impurity = np.inf
+    n = len(rows)
+    for feature in features:
+        col = X[rows, feature]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        sorted_y = y[rows][order]
+        left_pos = np.cumsum(sorted_y)
+        total_pos = left_pos[-1]
+        for i in range(min_leaf - 1, n - min_leaf):
+            if sorted_col[i] == sorted_col[i + 1]:
+                continue
+            n_left = i + 1
+            n_right = n - n_left
+            impurity = (
+                n_left * _gini(left_pos[i], n_left)
+                + n_right * _gini(total_pos - left_pos[i], n_right)
+            ) / n
+            if impurity < best_impurity - 1e-15:
+                best_impurity = impurity
+                best = (feature, (sorted_col[i] + sorted_col[i + 1]) / 2.0)
+    return best
+
+
+def ref_best_stump(X: np.ndarray, y_signed: np.ndarray, weights: np.ndarray):
+    """Exhaustive weighted-error-minimizing stump; None if no usable threshold."""
+    n, d = X.shape
+    best = None
+    best_err = np.inf
+    for feature in range(d):
+        col = X[:, feature]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        # signed weights: positive where the label is +1
+        wy = (weights * y_signed)[order]
+        # err(threshold, polarity=+1) = sum of weights of (+1 left) and (-1 right)
+        # computed from prefix sums of signed weights
+        left_pos = np.cumsum(np.where(wy > 0, wy, 0.0))
+        left_neg = np.cumsum(np.where(wy < 0, -wy, 0.0))
+        total_pos = left_pos[-1]
+        total_neg = left_neg[-1]
+        distinct = sorted_col[:-1] < sorted_col[1:]
+        for i in np.flatnonzero(distinct):
+            threshold = (sorted_col[i] + sorted_col[i + 1]) / 2.0
+            # polarity +1: predict -1 for x <= threshold, +1 above
+            err_pos = left_pos[i] + (total_neg - left_neg[i])
+            err_neg = left_neg[i] + (total_pos - left_pos[i])
+            for polarity, err in ((1, err_pos), (-1, err_neg)):
+                if err < best_err - _EPS:
+                    best_err = err
+                    best = Stump(feature, float(threshold), polarity)
+    if best is None:
+        return None, 0.5
+    return best, float(best_err)
+
+
+def ref_predict_one(node, row: np.ndarray) -> float:
+    """The leaf value one row reaches in a forest tree (a ``forest._Node``)."""
+    while node.leaf_value is None:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.leaf_value

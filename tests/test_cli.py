@@ -343,6 +343,44 @@ class TestCountCeiling:
         assert not report.exists()
 
 
+class TestInputFaultsAfterParse:
+    def test_multiline_record_error_names_physical_line(self, tmp_path, capsys):
+        path = tmp_path / "multiline.csv"
+        path.write_text(
+            "timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+            '2014-09-01T22:00:00+03:00,"0\n",0,0,0,off\n'
+            "2014-09-01T22:01:00+03:00,x,0,0,0,off\n"
+        )
+        assert main(["validate", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: line 4: axis1 'x' is not an integer\n"
+
+    @pytest.fixture
+    def century_file(self, tmp_path):
+        """Two rows a century apart: filling would insert 52.6 million epochs."""
+        path = tmp_path / "century.csv"
+        path.write_text(
+            "timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+            "1914-09-01T22:00:00+03:00,0,0,0,0,off\n"
+            "2014-09-01T22:01:00+03:00,0,0,0,0,off\n"
+        )
+        return path
+
+    def test_validate_refuses_huge_gap_fill(self, century_file, capsys):
+        args = ["validate", "--in", str(century_file), "--fill-gaps", "sedentary-zero"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "gap filling" in err and "Traceback" not in err
+
+    def test_run_refuses_huge_gap_fill_and_leaves_no_report(self, century_file, tmp_path, capsys):
+        report = tmp_path / "report"
+        args = ["run", "--in", str(century_file), "--fill-gaps", "sedentary-zero"]
+        assert main(args + ["--report", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not report.exists()
+
+
 # one non-default value per flag that sets a PipelineConfig field
 NON_DEFAULT_FLAGS = [
     (["--age", "30"], "age_years", 30),

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import io
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 from rahar.errors import (
     DuplicateTimestamp,
     GapDetected,
+    GapFillTooLarge,
     MalformedRow,
     NegativeCount,
     NonMonotone,
     ParseError,
     UnknownInclinometer,
+    ValidationError,
     ZeroFactor,
 )
 from rahar.cutpoints import builtin_troiano_scale, classify_series, make_scale
 from rahar.ingest import (
     MAX_COUNT,
+    MAX_FILLED_EPOCHS,
     Inclinometer,
     aggregate_epochs,
     fill_gaps,
@@ -78,6 +81,16 @@ class TestParse:
         with pytest.raises(MalformedRow) as info:
             parse_epoch_csv(text)
         assert info.value.line_number == 3
+
+    def test_record_spanning_lines_names_physical_line(self):
+        # the quoted "0\n" field of line 2 runs onto line 3; the bad row is line 4
+        text = HEADER + (
+            '2014-09-01T22:00:00+03:00,"0\n",0,0,0,off\n'
+            "2014-09-01T22:01:00+03:00,x,0,0,0,off\n"
+        )
+        with pytest.raises(MalformedRow) as info:
+            parse_epoch_csv(text)
+        assert str(info.value) == "line 4: axis1 'x' is not an integer"
 
     def test_zulu_suffix_means_utc(self):
         series = parse_epoch_csv(csv_text(["2014-09-01T22:00:00Z,0,0,0,0,off"]))
@@ -180,6 +193,26 @@ class TestValidate:
         assert filled[55].counts == (0, 0, 0)
         assert filled[55].inclinometer is Inclinometer.OFF
         assert not find_gaps(filled)
+
+    @staticmethod
+    def two_rows(missing: int):
+        start = datetime(2014, 9, 1, 22, 0, tzinfo=timezone.utc)
+        end = start + timedelta(minutes=missing + 1)
+        return parse_epoch_csv(
+            csv_text([f"{start.isoformat()},1,0,0,0,off", f"{end.isoformat()},2,0,0,0,off"])
+        )
+
+    def test_fill_gaps_inserts_up_to_the_cap(self):
+        filled, inserted = fill_gaps(self.two_rows(MAX_FILLED_EPOCHS))
+        assert inserted == MAX_FILLED_EPOCHS
+        assert len(filled) == MAX_FILLED_EPOCHS + 2
+        assert filled.counts[-1, 0] == 2
+
+    def test_fill_gaps_refuses_past_the_cap(self):
+        with pytest.raises(GapFillTooLarge) as info:
+            fill_gaps(self.two_rows(MAX_FILLED_EPOCHS + 1))
+        assert isinstance(info.value, ValidationError)
+        assert str(MAX_FILLED_EPOCHS + 1) in str(info.value)
 
 
 class TestAggregate:
