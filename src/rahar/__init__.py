@@ -16,65 +16,12 @@ The pipeline turns minute-epoch actigraphy into sleep-quality predictions:
 and :mod:`rahar.cli` orchestrates everything from the command line.
 """
 
-from .changepoint import (
-    ChangePoint,
-    ChangePointSet,
-    EnergyParams,
-    PermutationConfig,
-    best_split,
-    e_divisive,
-    energy_divergence,
-    permutation_test,
-)
-from .cutpoints import (
-    CutPointScale,
-    IntensityLevel,
-    builtin_troiano_scale,
-    classify_series,
-    load_scale_file,
-    make_scale,
-)
-from .features import (
-    Dataset,
-    DatasetFilters,
-    FeatureVector,
-    Quality,
-    TargetLabel,
-    build_dataset,
-    extract_features,
-    label_target,
-    raw_fractions,
-    read_dataset_csv,
-    write_dataset_csv,
-)
-from .ingest import (
-    Epoch,
-    EpochSeries,
-    Gap,
-    Inclinometer,
-    SubjectMeta,
-    aggregate_epochs,
-    fill_gaps,
-    find_gaps,
-    parse_epoch_csv,
-    serialize_epoch_csv,
-    validate_series,
-)
-from .modes import ActivityMode, label_intervals
-from .segments import SleepWakeSegment, segment_sleep_wake
-from .sleep import (
-    CandidateConfig,
-    SleepMetrics,
-    SleepPeriod,
-    SleepRules,
-    TruncatedPolicy,
-    candidate_mask,
-    compute_latency,
-    compute_metrics,
-    compute_waso,
-    detect_sleep_periods,
-    sleep_report,
-)
-from .synth import ActivityBlock, DayProfile, GroundTruth, generate
+from .changepoint import EnergyParams, PermutationConfig, best_split, e_divisive, energy_divergence
+from .cutpoints import IntensityLevel, builtin_troiano_scale, classify_series
+from .ingest import parse_epoch_csv, validate_series
+from .modes import label_intervals
+from .segments import segment_sleep_wake
+from .sleep import candidate_mask, compute_metrics, detect_sleep_periods
+from .synth import ActivityBlock, DayProfile, generate
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,15 +21,17 @@ from .changepoint import EnergyParams, PermutationConfig
 from .errors import (
     EmptyDataset,
     InvalidProfile,
+    MalformedRow,
     ModelError,
     ParseError,
     RaharError,
     ValidationError,
 )
 from .features import read_dataset_csv
-from .ingest import fill_gaps, find_gaps, parse_epoch_csv, serialize_epoch_csv, validate_series
+from .ingest import numbered_records, serialize_epoch_csv
 from .models import evaluate
 from .pipeline import (
+    STAGE_FIELDS,
     PipelineConfig,
     analyze_recording,
     analyze_sleep,
@@ -61,14 +62,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _checked(cast, check):
-    """argparse type: ``cast`` the text, then let ``check`` (a constructor of
-    the config class that owns the bound) reject the value with its message."""
+def _checked(cast, owner, name: str):
+    """argparse type: ``cast`` the text, then let ``owner``, the config class
+    that holds the bound on its field ``name``, reject the value with its message."""
 
     def parse(text: str):
         value = cast(text)
         try:
-            check(value)
+            owner(**{name: value})
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -77,67 +78,55 @@ def _checked(cast, check):
     return parse
 
 
-# every PipelineConfig field but ``candidate`` has one flag, whose dest is the field name
-_CONFIG_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig) if f.name != "candidate"]
+# One flag per PipelineConfig field but ``candidate``, keyed by the field,
+# which is also the flag's dest, and in --help order.  A subcommand adds the
+# flags of the fields its stages read (``STAGE_FIELDS``), so a flag no stage
+# of it reads is a bad command line.
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "age_years": ("--age", dict(type=int, metavar="AGE", help="subject age in years")),
+    "scale_file": ("--scale-file", dict(help="custom cut-point scale CSV")),
+    "cut_axis": ("--cut-axis", dict(
+        choices=["axis1", "vm3"], help="counts signal for cut points (default: vertical axis)")),
+    "cp_signal": ("--signal", dict(
+        choices=["triaxial", "vm3"], help="observation signal for change-point detection")),
+    "alpha_exp": ("--alpha-exp", dict(type=_checked(float, EnergyParams, "alpha_exp"))),
+    "min_segment": ("--min-segment", dict(type=_checked(int, EnergyParams, "min_segment"))),
+    "n_permutations": ("--permutations", dict(
+        metavar="PERMUTATIONS", type=_checked(int, PermutationConfig, "n_permutations"))),
+    "significance": ("--significance", dict(
+        type=_checked(float, PermutationConfig, "significance"))),
+    "seed": ("--seed", dict(type=int)),
+    "efficiency_threshold": ("--efficiency-threshold", dict(
+        type=_checked(float, PipelineConfig, "efficiency_threshold"))),
+    "folds": ("--folds", dict(type=_checked(int, PipelineConfig, "folds"))),
+    "model": ("--model", dict(choices=["logreg", "adaboost", "rf"])),
+    "fill_gaps": ("--fill-gaps", dict(
+        choices=["sedentary-zero"], help="impute recording gaps with zero-count epochs (opt-in)")),
+    "features_mode": ("--features", dict(
+        choices=["modes", "raw"],
+        help="fraction source: smoothed mode intervals or raw epoch labels")),
+    "min_awake_min": ("--min-awake-min", dict(type=float)),
+    "min_sleep_min": ("--min-sleep-min", dict(type=int)),
+    "include_first_segment": ("--include-first-segment", dict(action="store_true")),
+    "aggregate": ("--aggregate", dict(
+        type=_checked(int, PipelineConfig, "aggregate"), metavar="FACTOR")),
+    "mode_tie_break": ("--mode-tie-break", dict(
+        choices=["lower", "higher"], help="mode histogram ties go to this intensity")),
+    "include_awake_feature": ("--awake-feature", dict(
+        action="store_true", help="append awake minutes as a fifth model feature")),
+}
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--age", dest="age_years", type=int, metavar="AGE", help="subject age in years"
-    )
-    parser.add_argument("--scale-file", help="custom cut-point scale CSV")
-    parser.add_argument(
-        "--cut-axis", choices=["axis1", "vm3"],
-        help="counts signal for cut points (default: vertical axis)",
-    )
-    parser.add_argument(
-        "--signal", dest="cp_signal", choices=["triaxial", "vm3"],
-        help="observation signal for change-point detection",
-    )
-    parser.add_argument("--alpha-exp", type=_checked(float, lambda v: EnergyParams(alpha_exp=v)))
-    parser.add_argument("--min-segment", type=_checked(int, lambda v: EnergyParams(min_segment=v)))
-    parser.add_argument(
-        "--permutations", dest="n_permutations", metavar="PERMUTATIONS",
-        type=_checked(int, lambda v: PermutationConfig(n_permutations=v)),
-    )
-    parser.add_argument(
-        "--significance", type=_checked(float, lambda v: PermutationConfig(significance=v))
-    )
-    parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--efficiency-threshold",
-        type=_checked(float, lambda v: PipelineConfig(efficiency_threshold=v)),
-    )
-    parser.add_argument("--folds", type=_checked(int, lambda v: PipelineConfig(folds=v)))
-    parser.add_argument("--model", choices=["logreg", "adaboost", "rf"])
-    parser.add_argument(
-        "--fill-gaps", choices=["sedentary-zero"],
-        help="impute recording gaps with zero-count epochs (opt-in)",
-    )
-    parser.add_argument(
-        "--features", choices=["modes", "raw"], dest="features_mode",
-        help="fraction source: smoothed mode intervals or raw epoch labels",
-    )
-    parser.add_argument("--min-awake-min", type=float)
-    parser.add_argument("--min-sleep-min", type=int)
-    parser.add_argument("--include-first-segment", action="store_true")
-    parser.add_argument(
-        "--aggregate", type=_checked(int, lambda v: PipelineConfig(aggregate=v)), metavar="FACTOR"
-    )
-    parser.add_argument(
-        "--mode-tie-break", choices=["lower", "higher"],
-        help="mode histogram ties go to this intensity",
-    )
-    parser.add_argument(
-        "--awake-feature", action="store_true", dest="include_awake_feature",
-        help="append awake minutes as a fifth model feature",
-    )
-    defaults = PipelineConfig()
-    parser.set_defaults(**{name: getattr(defaults, name) for name in _CONFIG_FIELDS})
+def _add_stage_options(parser: argparse.ArgumentParser, stages: tuple[str, ...]) -> None:
+    fields = {name for stage in stages for name in STAGE_FIELDS[stage]}
+    for name, (flag, kwargs) in _FLAGS.items():
+        if name in fields:
+            # an absent flag sets nothing, so PipelineConfig alone holds the defaults
+            parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS})
+    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in _FLAGS})
 
 
 def _collect_inputs(path: str) -> list[Path]:
@@ -153,18 +142,7 @@ def _collect_inputs(path: str) -> list[Path]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.input, "rb") as fh:
-        series = parse_epoch_csv(fh)
-    gaps = find_gaps(series)
-    if gaps:
-        if args.fill_gaps != "sedentary-zero":
-            for g in gaps:
-                _log(f"gap: {g.length} epoch(s) missing from {g.start.isoformat()}")
-            _log(f"{args.input}: INVALID ({len(gaps)} gap(s))")
-            return EXIT_VALIDATION
-        series, inserted = fill_gaps(series)
-        _log(f"filled {inserted} missing epoch(s) with sedentary-zero records")
-    validate_series(series)
+    series = load_series(args.input, _config_from_args(args))
     _log(f"{args.input}: OK ({len(series)} epochs)")
     return 0
 
@@ -219,16 +197,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["score", "label"]:
             raise ParseError(f"bad eval header {header!r}, expected score,label")
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for line_number, row in numbered_records(reader):
+            if len(row) != 2:
+                raise MalformedRow(line_number, f"expected 2 fields, got {len(row)}")
             token = row[1].strip()
             if token not in token_map:
-                raise ParseError(f"line {line_number}: label must be good/poor or 0/1")
+                raise MalformedRow(line_number, "label must be good/poor or 0/1")
             try:
                 scores.append(float(row[0]))
             except ValueError:
-                raise ParseError(f"line {line_number}: bad score {row[0]!r}")
+                raise MalformedRow(line_number, f"bad score {row[0]!r}") from None
             labels.append(token_map[token])
     report = evaluate(scores, labels, class_threshold=args.threshold)
     out = Path(args.out or "eval_report.json")
@@ -282,49 +260,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rahar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, needs_common: bool = True):
+    def add(name: str, handler, help_text: str, stages: tuple[str, ...] = ()):
         p = sub.add_parser(name, help=help_text)
-        if needs_common:
-            _add_common_options(p)
+        _add_stage_options(p, stages)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("validate", cmd_validate, "check an epoch CSV for grid gaps and ordering")
+    sleep_stages = ("ingest", "sleep")
+    mode_stages = (*sleep_stages, "changepoints")
+    p = add("validate", cmd_validate, "check an epoch CSV for grid gaps and ordering", ("ingest",))
     p.add_argument("--in", dest="input", required=True)
 
     # sleep and segment reports need no change points, so they run the sleep stage only
-    for name, suffix, noun, stage, help_text in [
-        ("sleep", "sleep.json", "sleep period(s)", analyze_sleep,
+    for name, suffix, noun, stage, stages, help_text in [
+        ("sleep", "sleep.json", "sleep period(s)", analyze_sleep, sleep_stages,
          "detect sleep periods and write the JSON sleep report"),
-        ("segment", "segments.csv", "segment(s)", analyze_sleep,
+        ("segment", "segments.csv", "segment(s)", analyze_sleep, sleep_stages,
          "write the sleep-wake segment manifest"),
-        ("changepoints", "changepoints.csv", "change point(s)", analyze_recording,
+        ("changepoints", "changepoints.csv", "change point(s)", analyze_recording, mode_stages,
          "write per-segment change points"),
-        ("modes", "modes.csv", "mode interval(s)", analyze_recording,
+        ("modes", "modes.csv", "mode interval(s)", analyze_recording, mode_stages,
          "write labeled activity-mode intervals"),
     ]:
-        p = add(name, _report_command(suffix, noun, stage), help_text)
+        p = add(name, _report_command(suffix, noun, stage), help_text, stages)
         p.add_argument("--in", dest="input", required=True)
         p.add_argument("--out", default=None)
 
-    p = add("features", cmd_features, "build the model dataset from recordings")
+    p = add(
+        "features", cmd_features, "build the model dataset from recordings",
+        (*mode_stages, "dataset"),
+    )
     p.add_argument("--in", dest="input", required=True, help="epoch CSV or directory of CSVs")
     p.add_argument("--out", default=None)
 
-    p = add("train", cmd_train, "cross-validate a model on a dataset CSV")
+    p = add("train", cmd_train, "cross-validate a model on a dataset CSV", ("model",))
     p.add_argument("--in", dest="input", required=True, help="dataset.csv from `features`")
     p.add_argument("--out-dir", default=".")
 
-    p = add("eval", cmd_eval, "evaluate a score,label CSV", needs_common=False)
+    p = add("eval", cmd_eval, "evaluate a score,label CSV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--threshold", type=float, default=0.5)
 
-    p = add("run", cmd_run, "run the full pipeline and write all reports")
+    p = add("run", cmd_run, "run the full pipeline and write all reports", tuple(STAGE_FIELDS))
     p.add_argument("--in", dest="input", required=True, help="epoch CSV or directory of CSVs")
     p.add_argument("--report", required=True, help="output directory")
 
-    p = add("synth", cmd_synth, "generate a synthetic recording", needs_common=False)
+    p = add("synth", cmd_synth, "generate a synthetic recording")
     p.add_argument("--profile", required=True, help="day profile JSON")
     p.add_argument("--out", required=True, help="epoch CSV to write")
     p.add_argument("--truth", default=None, help="optional ground-truth JSON to write")

@@ -137,15 +137,8 @@ def load_scale_file(path: str | Path, name: str | None = None) -> CutPointScale:
 
 def builtin_troiano_scale() -> CutPointScale:
     """The bundled Troiano (2008) scale: youth bands for ages 6-17, adult 18+."""
-    with resources.files("rahar").joinpath("data/troiano_2008.csv").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header, fixed by the bundled file
-        rows = [
-            (int(r[0]), int(r[1]), float(r[2]), float(r[3]), float(r[4])) for r in reader if r
-        ]
-    return make_scale("troiano-2008", rows)
+    with resources.as_file(resources.files("rahar") / "data" / "troiano_2008.csv") as path:
+        return load_scale_file(path, "troiano-2008")
 
 
 def _signal_counts(series: EpochSeries, signal: str) -> np.ndarray:

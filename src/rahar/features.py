@@ -17,7 +17,8 @@ from typing import TextIO
 import numpy as np
 
 from .cutpoints import IntensityLevel
-from .errors import EmptyAwakeSpan, EmptyDataset
+from .errors import EmptyAwakeSpan, EmptyDataset, MalformedRow, ParseError
+from .ingest import numbered_records
 from .modes import ActivityMode
 from .segments import SleepWakeSegment
 from .sleep import SleepMetrics
@@ -216,20 +217,34 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
 
 
 def read_dataset_csv(stream: TextIO, include_awake_feature: bool = False) -> Dataset:
-    """Read a dataset CSV produced by :func:`write_dataset_csv`."""
+    """Read a dataset CSV produced by :func:`write_dataset_csv`.
+
+    A bad header is a :class:`ParseError`; a bad row is a
+    :class:`MalformedRow` naming the physical line it starts on.
+    """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header != DATASET_HEADER:
-        raise ValueError(f"bad dataset header {header!r}")
+        raise ParseError(f"bad dataset header {header!r}, expected {','.join(DATASET_HEADER)}")
     ids, X, y, effs, awake = [], [], [], [], []
-    for row in reader:
-        if not row:
-            continue
+    for line_number, row in numbered_records(reader):
+        if len(row) != len(DATASET_HEADER):
+            raise MalformedRow(
+                line_number, f"expected {len(DATASET_HEADER)} fields, got {len(row)}"
+            )
+        try:
+            values = [float(v) for v in row[1:7]]
+        except ValueError as exc:
+            raise MalformedRow(line_number, str(exc)) from None
+        try:
+            label = Quality.from_token(row[7])
+        except KeyError:
+            raise MalformedRow(line_number, f"label {row[7]!r} is not good or poor") from None
         ids.append(row[0])
-        X.append([float(v) for v in row[1:5]])
-        awake.append(float(row[5]))
-        effs.append(float(row[6]))
-        y.append(int(Quality.from_token(row[7])))
+        X.append(values[:4])
+        awake.append(values[4])
+        effs.append(values[5])
+        y.append(int(label))
     if not ids:
         raise EmptyDataset("dataset file has no rows")
     features = np.asarray(X)

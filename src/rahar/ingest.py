@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -215,6 +215,19 @@ def _parse_count(token: str, name: str, line_number: int) -> int:
     return value
 
 
+def numbered_records(reader) -> Iterator[tuple[int, list[str]]]:
+    """Each non-empty record of a ``csv.reader``, with the physical line it starts on.
+
+    A quoted field can span lines, so a record starts one past the last
+    line the reader had consumed before it.
+    """
+    next_line = reader.line_num + 1
+    for row in reader:
+        line_number, next_line = next_line, reader.line_num + 1
+        if row:
+            yield line_number, row
+
+
 def parse_epoch_csv(
     source: TextIO | io.RawIOBase | bytes | str,
     meta: SubjectMeta | None = None,
@@ -246,13 +259,7 @@ def parse_epoch_csv(
 
     utc_us, offset_us, counts = array("q"), array("q"), array("q")
     states = bytearray()
-    # a quoted field can span lines, so a record is named by the physical
-    # line it starts on: one past the last line the reader had consumed
-    next_line = reader.line_num + 1
-    for row in reader:
-        line_number, next_line = next_line, reader.line_num + 1
-        if not row:
-            continue
+    for line_number, row in numbered_records(reader):
         if len(row) != 6:
             raise MalformedRow(line_number, f"expected 6 fields, got {len(row)}")
         instant, offset = split_instant(_parse_timestamp(row[0].strip(), line_number))

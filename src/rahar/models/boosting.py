@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ClassCollapse, DimensionMismatch
-from .search import sequential_argmin
+from .search import cut_threshold, sequential_argmin
 
 _EPS = 1e-12
 
@@ -133,7 +133,7 @@ def _best_stump(X: np.ndarray, y_signed: np.ndarray, weights: np.ndarray):
     if kept < 0:
         return None, 0.5
     f, i = f[kept // 2], i[kept // 2]
-    threshold = (sorted_cols[f, i] + sorted_cols[f, i + 1]) / 2.0
+    threshold = cut_threshold(sorted_cols[f, i], sorted_cols[f, i + 1])
     return Stump(int(f), float(threshold), -1 if kept % 2 else 1), float(errors[kept])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ClassCollapse, DimensionMismatch
-from .search import sequential_argmin
+from .search import cut_threshold, sequential_argmin
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.trees < 1:
+            raise ValueError(f"trees must be at least 1, got {self.trees}")
         if self.min_leaf < 1:
             raise ValueError(f"min_leaf must be at least 1, got {self.min_leaf}")
 
@@ -116,7 +118,7 @@ def _best_node_split(X, y, rows, features, min_leaf):
     if kept < 0:
         return None
     f, i = f[kept], i[kept]
-    return features[f], (sorted_cols[f, i] + sorted_cols[f, i + 1]) / 2.0
+    return features[f], cut_threshold(sorted_cols[f, i], sorted_cols[f, i + 1])
 
 
 def _grow(X, y, rows, rng, mtry, min_leaf) -> _Node:

@@ -1,10 +1,11 @@
-"""The tie rule shared by the exhaustive split searches.
+"""The tie rule and the threshold shared by the exhaustive split searches.
 
 The random forest's Gini split search and AdaBoost's stump search both
 scan their candidates in a fixed order and keep one only when it beats
 the best so far by more than a tolerance, so among near-ties the earliest
 candidate wins.  :func:`sequential_argmin` applies that rule to a whole
-vector of candidate scores.
+vector of candidate scores, and :func:`cut_threshold` places the winning
+cut between its two values.
 """
 
 from __future__ import annotations
@@ -32,3 +33,14 @@ def sequential_argmin(values: np.ndarray, tol: float) -> int:
         if v < best - tol:
             best, kept = v, i
     return kept
+
+
+def cut_threshold(lower: float, upper: float) -> float:
+    """A threshold ``t`` with ``lower <= t < upper``, for a cut between two values.
+
+    The midpoint, unless it rounds to ``upper`` (two adjacent floats, or a
+    sum that overflows): then ``x <= t`` would send ``upper`` to the left
+    too, so ``lower`` itself is the threshold.
+    """
+    mid = (lower + upper) / 2.0
+    return mid if mid < upper else lower

@@ -107,6 +107,23 @@ class PipelineConfig:
         return params
 
 
+# The PipelineConfig fields each stage reads, ``candidate`` aside; a CLI
+# subcommand takes the flags of the stages it runs and no others.
+STAGE_FIELDS = {
+    "ingest": ("fill_gaps", "aggregate"),
+    "sleep": ("age_years", "scale_file", "cut_axis", "min_sleep_min"),
+    "changepoints": (
+        "cp_signal", "alpha_exp", "min_segment", "n_permutations", "significance", "seed",
+        "mode_tie_break",
+    ),
+    "dataset": (
+        "features_mode", "efficiency_threshold", "include_first_segment", "min_awake_min",
+        "include_awake_feature",
+    ),
+    "model": ("model", "folds", "seed", "include_awake_feature"),
+}
+
+
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from arbitrary labeled parts (e.g. file/segment ids)."""
     text = ":".join(str(p) for p in parts)
@@ -282,12 +299,13 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> R
     t0 = time.perf_counter()
     series_by_name = [(Path(path).stem, load_series(path, config)) for path in sorted(inputs)]
     timings["ingest"] = time.perf_counter() - t0
-    # created only once every input has loaded, so a bad input leaves nothing behind
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     analyses = [analyze_recording(name, series, config) for name, series in series_by_name]
     timings["analyze"] = time.perf_counter() - t0
+    # created only once every recording is analysed, so a bad input, scale
+    # file or age leaves nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     for a in analyses:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import json
@@ -12,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import rahar
-from rahar.cli import _add_common_options, _config_from_args, build_parser, main
+from rahar import cli
+from rahar.cli import _FLAGS, _config_from_args, build_parser, main
 from rahar.pipeline import PipelineConfig
 from rahar.synth import ActivityBlock, DayProfile, save_profile
 
@@ -58,13 +58,24 @@ class TestSubcommands:
         target = next(iter(sorted(study_dir.glob("*.csv"))))
         assert main(["validate", "--in", str(target)]) == 0
 
-    def test_validate_gap_exit_code(self, tmp_path, study_dir):
+    def test_validate_gap_exit_code(self, tmp_path, study_dir, capsys):
         target = sorted(study_dir.glob("*.csv"))[0]
         lines = target.read_text().splitlines()
         broken = tmp_path / "gappy.csv"
         broken.write_text("\n".join(lines[:200] + lines[230:]) + "\n")
         assert main(["validate", "--in", str(broken)]) == 3
+        # the one-line GapDetected report that `run` prints too
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("validation failure: 1 gap(s): ") and err.endswith(" (30 missing)\n")
         assert main(["validate", "--in", str(broken), "--fill-gaps", "sedentary-zero"]) == 0
+        assert capsys.readouterr().err == f"{broken}: OK ({len(lines) - 1} epochs)\n"
+
+    def test_validate_honours_aggregate(self, study_dir, capsys):
+        target = sorted(study_dir.glob("*.csv"))[0]
+        epochs = len(target.read_text().splitlines()) - 1
+        assert main(["validate", "--in", str(target), "--aggregate", "3"]) == 0
+        assert capsys.readouterr().err == f"{target}: OK ({epochs // 3} epochs)\n"
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -425,11 +436,9 @@ class TestParameterSource:
         fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"candidate"}
         assert set(flags_by_field) == fields
         assert all(len(flags) == 1 for flags in flags_by_field.values())
-        # and the common options hold no flag outside that list
-        common = argparse.ArgumentParser(add_help=False)
-        _add_common_options(common)
-        options = {a.option_strings[0] for a in common._actions}
-        assert options == {argv[0] for argv, _, _ in NON_DEFAULT_FLAGS}
+        # and the flag table holds no flag outside that list
+        flags = {flag for flag, _ in _FLAGS.values()}
+        assert flags == {argv[0] for argv, _, _ in NON_DEFAULT_FLAGS}
 
 
 class TestSubcommandsEqualRun:
@@ -442,10 +451,162 @@ class TestSubcommandsEqualRun:
             for command, suffix in [("sleep", "sleep.json"), ("segment", "segments.csv"),
                                     ("changepoints", "changepoints.csv"), ("modes", "modes.csv")]:
                 out = single / f"{recording.stem}.{suffix}"
-                assert main([command, "--in", str(recording), "--out", str(out),
-                             "--seed", "7"]) == 0
+                seed = ["--seed", "7"] if command in ("changepoints", "modes") else []
+                assert main([command, "--in", str(recording), "--out", str(out), *seed]) == 0
                 assert out.read_bytes() == (report / out.name).read_bytes(), out.name
         dataset = single / "dataset.csv"
         assert main(["features", "--in", str(study_dir), "--out", str(dataset),
                      "--seed", "7"]) == 0
         assert dataset.read_bytes() == (report / "dataset.csv").read_bytes()
+
+
+# the PipelineConfig fields each subcommand's stages read
+FIELDS_READ = {
+    "validate": 2, "sleep": 6, "segment": 6, "changepoints": 13, "modes": 13,
+    "features": 18, "train": 4, "run": 20, "eval": 0, "synth": 0,
+}
+
+
+def required_args(command: str, tmp_path: Path, source: Path | None = None) -> list[str]:
+    """The required arguments of ``command`` reading ``source``, with its outputs under
+    ``tmp_path``."""
+    if command == "synth":
+        return ["--profile", str(tmp_path / "p.json"), "--out", str(tmp_path / "s.csv")]
+    args = ["--in", str(source or tmp_path / "in.csv")]
+    if command == "run":
+        return args + ["--report", str(tmp_path / "report")]
+    if command == "train":
+        return args + ["--out-dir", str(tmp_path / "models")]
+    if command == "validate":
+        return args
+    return args + ["--out", str(tmp_path / "out")]
+
+
+def accepted_fields(command: str, tmp_path: Path) -> set[str]:
+    """The PipelineConfig fields whose flags ``command`` parses."""
+    parser = build_parser()
+    fields = set()
+    for argv, name, _ in NON_DEFAULT_FLAGS:
+        try:
+            parser.parse_args([command, *required_args(command, tmp_path), *argv])
+        except SystemExit:
+            continue
+        fields.add(name)
+    return fields
+
+
+def fields_read(monkeypatch, argv: list[str]) -> set[str]:
+    """The PipelineConfig fields ``main(argv)`` reads after building its config."""
+    reads: set[str] = set()
+
+    class ReadRecorder(PipelineConfig):
+        def __post_init__(self):
+            super().__post_init__()  # its range checks are not stage reads
+            self._recording = True
+
+        def __getattribute__(self, name):
+            if name in _FLAGS and object.__getattribute__(self, "__dict__").get("_recording"):
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    monkeypatch.setattr(cli, "PipelineConfig", ReadRecorder)
+    assert main(argv) == 0
+    return reads
+
+
+class TestStageFlags:
+    """Each subcommand takes the flags of the fields its stages read, and no others."""
+
+    @pytest.mark.parametrize("command", [c for c in FIELDS_READ if c not in ("eval", "synth")])
+    def test_flags_equal_fields_read(self, command, study_dir, tmp_path, monkeypatch):
+        source, model = sorted(study_dir.glob("*.csv"))[0], []
+        if command == "train":
+            source, model = tmp_path / "dataset.csv", ["--model", "logreg", "--folds", "2"]
+            assert main(["features", "--in", str(study_dir), "--out", str(source)]) == 0
+        argv = [command, *required_args(command, tmp_path, source), *model]
+        read = fields_read(monkeypatch, argv)
+        assert accepted_fields(command, tmp_path) == read
+        assert len(read) == FIELDS_READ[command]
+
+    @pytest.mark.parametrize("command", FIELDS_READ)
+    def test_foreign_flag_exits_2_before_any_output(self, command, tmp_path, capsys):
+        accepted = accepted_fields(command, tmp_path)
+        assert len(accepted) == FIELDS_READ[command]
+        foreign = [argv for argv, name, _ in NON_DEFAULT_FLAGS if name not in accepted]
+        assert len(foreign) == len(NON_DEFAULT_FLAGS) - FIELDS_READ[command]
+        capsys.readouterr()
+        for argv in foreign:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *required_args(command, tmp_path), *argv])
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and argv[0] in err, err
+            assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+DATASET_HEADER = "segment_id,frac_sed,frac_light,frac_mod,frac_vig,awake_min,efficiency,label\n"
+DATASET_ROW = "s0,0.7,0.1,0.1,0.1,100.0,0.9,good\n"
+
+
+class TestBadTablesExit2:
+    """`train` and `eval` report a bad file in one line naming its physical line."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("segment_id,label\n" + DATASET_ROW, "parse error: bad dataset header"),
+        (DATASET_HEADER + DATASET_ROW + DATASET_ROW.replace("good", "meh"),
+         "parse error: line 3: label 'meh' is not good or poor"),
+        (DATASET_HEADER + DATASET_ROW + "s1,0.7,0.1\n",
+         "parse error: line 3: expected 8 fields, got 3"),
+        # a quoted id spanning two lines: the bad row starts on line 4
+        (DATASET_HEADER + '"s\n0",0.7,0.1,0.1,0.1,100.0,0.9,good\n'
+         + DATASET_ROW.replace("0.9", "x"),
+         "parse error: line 4: could not convert string to float: 'x'"),
+    ])
+    def test_train(self, tmp_path, capsys, text, message):
+        dataset = tmp_path / "ds.csv"
+        dataset.write_text(text)
+        out_dir = tmp_path / "models"
+        assert main(["train", "--in", str(dataset), "--model", "logreg",
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(message), err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("score,label\n0.9,good\n0.4\n", "parse error: line 3: expected 2 fields, got 1"),
+        ("score,label\n0.9,excellent\n", "parse error: line 2: label must be good/poor or 0/1"),
+        ("score,label\nhigh,good\n", "parse error: line 2: bad score 'high'"),
+    ])
+    def test_eval(self, tmp_path, capsys, text, message):
+        scored = tmp_path / "scored.csv"
+        scored.write_text(text)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--in", str(scored), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+
+class TestRunLeavesNoReportOnBadConfig:
+    """The scale and the age band resolve while recordings are analysed, before
+    the report directory exists."""
+
+    @pytest.mark.parametrize(
+        "case,code", [("bad-bounds", 3), ("missing-scale", 2), ("no-age-band", 3)]
+    )
+    def test_no_report_directory(self, study_dir, tmp_path, capsys, case, code):
+        scale_file = tmp_path / "scale.csv"
+        scale_file.write_text(
+            "age_min,age_max,sedentary_max,light_max,moderate_max\n0,130,500,100,2000\n"
+        )
+        flags = {
+            "bad-bounds": ["--scale-file", str(scale_file)],
+            "missing-scale": ["--scale-file", str(tmp_path / "missing.csv")],
+            "no-age-band": ["--age", "3"],
+        }[case]
+        report = tmp_path / "report"
+        assert main(["run", "--in", str(study_dir), "--report", str(report), *flags]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not report.exists()

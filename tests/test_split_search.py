@@ -3,7 +3,10 @@
 The reference loops live in ``oracles``; every comparison here is exact
 (bit-equal thresholds, errors and scores), on small tie-heavy data where
 the ``1e-15`` Gini and ``1e-12`` stump tolerances decide which candidate
-wins.
+wins.  The one departure is a cut between two adjacent floats whose
+midpoint rounds to the upper one: the reference's threshold then sends
+both values left, so there the searches must make the same cut with the
+lower value as the threshold (``assert_same_cut``).
 """
 
 from __future__ import annotations
@@ -71,9 +74,7 @@ def node_problems(draw, jitter=1e-16):
     """A tie-heavy feature matrix, labels, bootstrap rows with repeats, a feature subset.
 
     Levels k/3 shifted by ``jitter`` times -1, 0 or 1.  At 1e-16 two values
-    can be adjacent floats whose midpoint rounds to the upper one, so a
-    tree grown on them never separates them; only the split search itself
-    runs on those.
+    can be adjacent floats whose midpoint rounds to the upper one.
     """
     n = draw(st.integers(2, 16))
     d = draw(st.integers(1, 4))
@@ -88,6 +89,17 @@ def node_problems(draw, jitter=1e-16):
     return X, y, rows, features, min_leaf
 
 
+def assert_same_cut(column: np.ndarray, got: float, want: float) -> None:
+    """``got`` sends left the rows of ``column`` that the reference's ``want`` meant to.
+
+    Equal literals, except where ``want`` is a midpoint that rounded up to the
+    value above the cut: then ``got`` is the value below it.
+    """
+    if float(got) != float(want):
+        lower = column[column < want].max()
+        assert want in column and (lower + want) / 2.0 == want and got == lower
+
+
 class TestNodeSplit:
     @given(problem=node_problems())
     @settings(max_examples=150, deadline=None)
@@ -97,7 +109,8 @@ class TestNodeSplit:
         assert (got is None) == (want is None)
         if want is not None:
             assert int(got[0]) == int(want[0])
-            assert float(got[1]) == float(want[1])
+            X, _, rows, _, _ = problem
+            assert_same_cut(X[rows, want[0]], got[1], want[1])
 
 
 @st.composite
@@ -119,13 +132,53 @@ class TestStump:
     @given(problem=stump_problems())
     @settings(max_examples=150, deadline=None)
     def test_equals_reference_loop(self, problem):
-        assert _best_stump(*problem) == ref_best_stump(*problem)
+        (got, got_err), (want, want_err) = _best_stump(*problem), ref_best_stump(*problem)
+        assert got_err == want_err
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert (got.feature, got.polarity) == (want.feature, want.polarity)
+            assert_same_cut(problem[0][:, want.feature], got.threshold, want.threshold)
 
 
 def test_forest_rejects_empty_leaves():
     # the split search relies on every cut leaving a row on each side
     with pytest.raises(ValueError):
         ForestConfig(min_leaf=0)
+
+
+def test_forest_rejects_no_trees():
+    # an empty forest would average zero votes into NaN scores
+    with pytest.raises(ValueError):
+        ForestConfig(trees=0)
+
+
+def adjacent_floats() -> tuple[float, float]:
+    """Two adjacent floats whose midpoint rounds to the upper one."""
+    a = 1 / 3
+    b = float(np.nextafter(a, 1.0))
+    if (a + b) / 2.0 != b:
+        a, b = b, float(np.nextafter(b, 1.0))
+    assert (a + b) / 2.0 == b
+    return a, b
+
+
+class TestAdjacentFloats:
+    """A cut between adjacent floats sends the lower one left and the upper one right."""
+
+    def test_forest_separates_them(self):
+        a, b = adjacent_floats()
+        X = np.array([[a], [b]] * 20)
+        y = np.array([0, 1] * 20)
+        model = train_random_forest(X, y, ForestConfig(trees=5, seed=3))
+        assert model.predict_scores(X).tolist() == y.tolist()
+
+    def test_stump_separates_them(self):
+        a, b = adjacent_floats()
+        X = np.array([[a], [b], [a], [b]])
+        y_signed = np.array([-1.0, 1.0, -1.0, 1.0])
+        stump, err = _best_stump(X, y_signed, np.full(4, 0.25))
+        assert err == 0.0 and stump.threshold == a
+        assert stump.predict(X).tolist() == y_signed.tolist()
 
 
 class TestForestPrediction:
