@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .changepoint import EnergyParams, PermutationConfig
 from .errors import (
     EmptyDataset,
     InvalidProfile,
@@ -27,10 +26,11 @@ from .errors import (
     RaharError,
     ValidationError,
 )
-from .features import read_dataset_csv
+from .features import finite_cell, read_dataset_csv
 from .ingest import numbered_records, serialize_epoch_csv
 from .models import evaluate
 from .pipeline import (
+    CHOICES,
     STAGE_FIELDS,
     PipelineConfig,
     analyze_recording,
@@ -62,14 +62,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _checked(cast, owner, name: str):
-    """argparse type: ``cast`` the text, then let ``owner``, the config class
-    that holds the bound on its field ``name``, reject the value with its message."""
+def _checked(cast, name: str):
+    """argparse type: ``cast`` the text, then let PipelineConfig reject the
+    value of its field ``name`` with its message."""
 
     def parse(text: str):
         value = cast(text)
         try:
-            owner(**{name: value})
+            PipelineConfig(**{name: value})
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -81,37 +81,31 @@ def _checked(cast, owner, name: str):
 # One flag per PipelineConfig field but ``candidate``, keyed by the field,
 # which is also the flag's dest, and in --help order.  A subcommand adds the
 # flags of the fields its stages read (``STAGE_FIELDS``), so a flag no stage
-# of it reads is a bad command line.
+# of it reads is a bad command line.  PipelineConfig checks every value:
+# ``CHOICES`` gives an enumerated flag its choices, and a typed flag's value
+# goes through ``_checked``.
 _FLAGS: dict[str, tuple[str, dict]] = {
     "age_years": ("--age", dict(type=int, metavar="AGE", help="subject age in years")),
     "scale_file": ("--scale-file", dict(help="custom cut-point scale CSV")),
-    "cut_axis": ("--cut-axis", dict(
-        choices=["axis1", "vm3"], help="counts signal for cut points (default: vertical axis)")),
-    "cp_signal": ("--signal", dict(
-        choices=["triaxial", "vm3"], help="observation signal for change-point detection")),
-    "alpha_exp": ("--alpha-exp", dict(type=_checked(float, EnergyParams, "alpha_exp"))),
-    "min_segment": ("--min-segment", dict(type=_checked(int, EnergyParams, "min_segment"))),
-    "n_permutations": ("--permutations", dict(
-        metavar="PERMUTATIONS", type=_checked(int, PermutationConfig, "n_permutations"))),
-    "significance": ("--significance", dict(
-        type=_checked(float, PermutationConfig, "significance"))),
+    "cut_axis": ("--cut-axis", dict(help="counts signal for cut points (default: vertical axis)")),
+    "cp_signal": ("--signal", dict(help="observation signal for change-point detection")),
+    "alpha_exp": ("--alpha-exp", dict(type=float)),
+    "min_segment": ("--min-segment", dict(type=int)),
+    "n_permutations": ("--permutations", dict(metavar="PERMUTATIONS", type=int)),
+    "significance": ("--significance", dict(type=float)),
     "seed": ("--seed", dict(type=int)),
-    "efficiency_threshold": ("--efficiency-threshold", dict(
-        type=_checked(float, PipelineConfig, "efficiency_threshold"))),
-    "folds": ("--folds", dict(type=_checked(int, PipelineConfig, "folds"))),
-    "model": ("--model", dict(choices=["logreg", "adaboost", "rf"])),
+    "efficiency_threshold": ("--efficiency-threshold", dict(type=float)),
+    "folds": ("--folds", dict(type=int)),
+    "model": ("--model", dict()),
     "fill_gaps": ("--fill-gaps", dict(
-        choices=["sedentary-zero"], help="impute recording gaps with zero-count epochs (opt-in)")),
+        help="impute recording gaps with zero-count epochs (opt-in)")),
     "features_mode": ("--features", dict(
-        choices=["modes", "raw"],
         help="fraction source: smoothed mode intervals or raw epoch labels")),
     "min_awake_min": ("--min-awake-min", dict(type=float)),
     "min_sleep_min": ("--min-sleep-min", dict(type=int)),
     "include_first_segment": ("--include-first-segment", dict(action="store_true")),
-    "aggregate": ("--aggregate", dict(
-        type=_checked(int, PipelineConfig, "aggregate"), metavar="FACTOR")),
-    "mode_tie_break": ("--mode-tie-break", dict(
-        choices=["lower", "higher"], help="mode histogram ties go to this intensity")),
+    "aggregate": ("--aggregate", dict(type=int, metavar="FACTOR")),
+    "mode_tie_break": ("--mode-tie-break", dict(help="mode histogram ties go to this intensity")),
     "include_awake_feature": ("--awake-feature", dict(
         action="store_true", help="append awake minutes as a fifth model feature")),
 }
@@ -120,9 +114,14 @@ _FLAGS: dict[str, tuple[str, dict]] = {
 def _add_stage_options(parser: argparse.ArgumentParser, stages: tuple[str, ...]) -> None:
     fields = {name for stage in stages for name in STAGE_FIELDS[stage]}
     for name, (flag, kwargs) in _FLAGS.items():
-        if name in fields:
-            # an absent flag sets nothing, so PipelineConfig alone holds the defaults
-            parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
+        if name not in fields:
+            continue
+        if name in CHOICES:
+            kwargs = dict(kwargs, choices=CHOICES[name])
+        if "type" in kwargs:
+            kwargs = dict(kwargs, type=_checked(kwargs["type"], name))
+        # an absent flag sets nothing, so PipelineConfig alone holds the defaults
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -180,10 +179,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not config.model:
         raise ModelError("train requires --model")
     with open(args.input, encoding="utf-8") as fh:
-        dataset = read_dataset_csv(fh, include_awake_feature=config.include_awake_feature)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = train_and_report(dataset, out_dir, config)
+        dataset = read_dataset_csv(fh)
+    paths = train_and_report(dataset, Path(args.out_dir), config)
     for p in paths:
         _log(f"wrote {p}")
     return 0
@@ -203,10 +200,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             token = row[1].strip()
             if token not in token_map:
                 raise MalformedRow(line_number, "label must be good/poor or 0/1")
-            try:
-                scores.append(float(row[0]))
-            except ValueError:
-                raise MalformedRow(line_number, f"bad score {row[0]!r}") from None
+            scores.append(finite_cell(row[0], line_number, "score"))
             labels.append(token_map[token])
     report = evaluate(scores, labels, class_threshold=args.threshold)
     out = Path(args.out or "eval_report.json")

@@ -10,6 +10,7 @@ threshold (default 0.85) is poor, at or above it is good.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import TextIO
@@ -64,21 +65,6 @@ class FeatureVector:
         return np.array(
             [self.frac_sedentary, self.frac_light, self.frac_moderate, self.frac_vigorous]
         )
-
-
-@dataclass(frozen=True)
-class TargetLabel:
-    label: Quality
-    efficiency: float
-    threshold: float = EFFICIENCY_THRESHOLD
-
-
-@dataclass(frozen=True)
-class DatasetFilters:
-    """Optional exclusions; truncated sleeps and empty awake spans are always skipped."""
-
-    exclude_first_segment: bool = True
-    min_awake_min: float = 0.0  # 0 disables the nap filter
 
 
 @dataclass
@@ -140,75 +126,64 @@ def raw_fractions(
     return FeatureVector(*frac, awake_minutes=span_len * epoch_minutes)
 
 
-def label_target(metrics: SleepMetrics, threshold: float = EFFICIENCY_THRESHOLD) -> TargetLabel:
+def label_target(metrics: SleepMetrics, threshold: float = EFFICIENCY_THRESHOLD) -> Quality:
     """Poor sleep iff efficiency is strictly below the threshold."""
-    quality = Quality.POOR if metrics.efficiency < threshold else Quality.GOOD
-    return TargetLabel(label=quality, efficiency=metrics.efficiency, threshold=threshold)
+    return Quality.POOR if metrics.efficiency < threshold else Quality.GOOD
 
 
 def build_dataset(
     segments: list[SleepWakeSegment],
     features: list[FeatureVector | None],
-    filters: DatasetFilters | None = None,
+    *,
+    include_first_segment: bool = False,
+    min_awake_min: float = 0.0,
     threshold: float = EFFICIENCY_THRESHOLD,
     segment_ids: list[str] | None = None,
-    include_awake_feature: bool = False,
 ) -> Dataset:
-    """Assemble the model matrix, applying the exclusion filters in segment order.
+    """Assemble the model matrix of four fractions, in segment order.
 
     ``features`` holds one vector per segment (from :func:`extract_features`
-    or :func:`raw_fractions`), ``None`` where the awake span is empty.  The
-    default input is the four fractions; ``include_awake_feature`` appends
-    awake minutes as a fifth column for models that want exposure time as
-    well.
+    or :func:`raw_fractions`), ``None`` where the awake span is empty.
+    Truncated sleeps and empty awake spans are always skipped; the first
+    segment is skipped unless ``include_first_segment``, and awake spans
+    shorter than ``min_awake_min`` minutes are skipped (0 keeps them all).
     """
-    filters = filters or DatasetFilters()
     if len(segments) != len(features):
         raise ValueError("segments and features must align")
     ids = segment_ids or [f"seg{k:04d}" for k in range(len(segments))]
     rows, labels, kept_ids, effs, awake = [], [], [], [], []
     for seg, fv, seg_id in zip(segments, features, ids):
-        if filters.exclude_first_segment and seg.first_segment:
+        if seg.first_segment and not include_first_segment:
             continue
         if seg.sleep.truncated or fv is None:
             continue
-        if filters.min_awake_min > 0 and fv.awake_minutes < filters.min_awake_min:
+        if min_awake_min > 0 and fv.awake_minutes < min_awake_min:
             continue
-        target = label_target(seg.metrics, threshold)
         rows.append(fv.as_array())
-        labels.append(int(target.label))
+        labels.append(int(label_target(seg.metrics, threshold)))
         kept_ids.append(seg_id)
         effs.append(seg.metrics.efficiency)
         awake.append(fv.awake_minutes)
     if not rows:
         raise EmptyDataset("all segments were filtered out")
-    X = np.vstack(rows)
-    awake_arr = np.asarray(awake)
-    if include_awake_feature:
-        X = np.hstack([X, awake_arr[:, None]])
     return Dataset(
-        X=X,
+        X=np.vstack(rows),
         y=np.asarray(labels, dtype=np.int64),
         segment_ids=kept_ids,
         efficiency=np.asarray(effs),
-        awake_minutes=awake_arr,
+        awake_minutes=np.asarray(awake),
     )
 
 
 def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
-    """Write the exchange-format dataset CSV (floats via repr, so reads round-trip).
-
-    The file format is fixed regardless of the in-memory feature width:
-    four fractions plus the awake-minutes column, which doubles as the
-    optional fifth model feature.
-    """
+    """Write the exchange-format dataset CSV (floats via repr, so reads round-trip)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(DATASET_HEADER)
     for i, seg_id in enumerate(dataset.segment_ids):
         writer.writerow(
             [
                 seg_id,
-                *(repr(float(v)) for v in dataset.X[i, :4]),
+                *(repr(float(v)) for v in dataset.X[i]),
                 repr(float(dataset.awake_minutes[i])),
                 repr(float(dataset.efficiency[i])),
                 Quality(dataset.y[i]).token,
@@ -216,7 +191,19 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
         )
 
 
-def read_dataset_csv(stream: TextIO, include_awake_feature: bool = False) -> Dataset:
+def finite_cell(text: str, line_number: int, name: str) -> float:
+    """The number in the table cell ``name``; a :class:`MalformedRow` naming
+    ``line_number`` when it is not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise MalformedRow(line_number, f"bad {name} {text!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(line_number, f"{name} {text!r} is not a finite number")
+    return value
+
+
+def read_dataset_csv(stream: TextIO) -> Dataset:
     """Read a dataset CSV produced by :func:`write_dataset_csv`.
 
     A bad header is a :class:`ParseError`; a bad row is a
@@ -232,10 +219,9 @@ def read_dataset_csv(stream: TextIO, include_awake_feature: bool = False) -> Dat
             raise MalformedRow(
                 line_number, f"expected {len(DATASET_HEADER)} fields, got {len(row)}"
             )
-        try:
-            values = [float(v) for v in row[1:7]]
-        except ValueError as exc:
-            raise MalformedRow(line_number, str(exc)) from None
+        values = [
+            finite_cell(v, line_number, name) for name, v in zip(DATASET_HEADER[1:7], row[1:7])
+        ]
         try:
             label = Quality.from_token(row[7])
         except KeyError:
@@ -247,14 +233,10 @@ def read_dataset_csv(stream: TextIO, include_awake_feature: bool = False) -> Dat
         y.append(int(label))
     if not ids:
         raise EmptyDataset("dataset file has no rows")
-    features = np.asarray(X)
-    awake_arr = np.asarray(awake)
-    if include_awake_feature:
-        features = np.hstack([features, awake_arr[:, None]])
     return Dataset(
-        X=features,
+        X=np.asarray(X),
         y=np.asarray(y, dtype=np.int64),
         segment_ids=ids,
         efficiency=np.asarray(effs),
-        awake_minutes=awake_arr,
+        awake_minutes=np.asarray(awake),
     )

@@ -34,6 +34,9 @@ class ActivityMode:
         return self.end_index - self.start_index
 
 
+TIE_BREAKS = ("lower", "higher")  # where a mode histogram tie goes
+
+
 def label_intervals(
     intensity: list[IntensityLevel] | np.ndarray,
     change_points: ChangePointSet,
@@ -44,8 +47,8 @@ def label_intervals(
     ``intensity`` is the per-epoch label sequence of the awake span; change
     point indices are offsets within that span, each strictly inside (0, n).
     """
-    if tie_break not in ("lower", "higher"):
-        raise ValueError(f"tie_break must be 'lower' or 'higher', got {tie_break!r}")
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     levels = np.asarray(intensity, dtype=np.int64)
     n = len(levels)
     if n == 0:

@@ -24,8 +24,8 @@ from . import __version__
 from .changepoint import ChangePointSet, EnergyParams, PermutationConfig, e_divisive
 from .cutpoints import CutPointScale, builtin_troiano_scale, classify_series, load_scale_file
 from .features import (
+    EFFICIENCY_THRESHOLD,
     Dataset,
-    DatasetFilters,
     FeatureVector,
     build_dataset,
     extract_features,
@@ -33,8 +33,8 @@ from .features import (
     write_dataset_csv,
 )
 from .ingest import EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, validate_series
-from .modes import ActivityMode, label_intervals, mode_report_rows
-from .models import cross_validate, make_config
+from .modes import TIE_BREAKS, ActivityMode, label_intervals, mode_report_rows
+from .models import MODEL_KINDS, cross_validate, make_config
 from .reports import sha256_file, write_csv, write_json, write_roc_outputs
 from .segments import SleepWakeSegment, segment_id, segment_manifest_rows, segment_sleep_wake
 from .sleep import (
@@ -47,51 +47,66 @@ from .sleep import (
 )
 
 
+# The allowed values of each enumerated PipelineConfig field, which are the
+# CLI flags' choices; the field's default (None for model and fill_gaps) is too.
+CHOICES = {
+    "cut_axis": ("axis1", "vm3"),
+    "cp_signal": ("triaxial", "vm3"),
+    "model": MODEL_KINDS,
+    "fill_gaps": ("sedentary-zero",),
+    "features_mode": ("modes", "raw"),
+    "mode_tie_break": TIE_BREAKS,
+}
+
+
 @dataclass
 class PipelineConfig:
     age_years: int | None = None  # None -> subject metadata default
     scale_file: str | None = None
-    cut_axis: str = "axis1"  # cut-point signal: axis1 | vm3
-    cp_signal: str = "triaxial"  # change-point observations: triaxial | vm3
+    cut_axis: str = "axis1"  # cut-point signal
+    cp_signal: str = "triaxial"  # change-point observations
     alpha_exp: float = 1.0
     min_segment: int = 30
     n_permutations: int = 99
     significance: float = 0.01
     seed: int = 0
-    efficiency_threshold: float = 0.85
+    efficiency_threshold: float = EFFICIENCY_THRESHOLD
     folds: int = 5
-    model: str | None = None  # logreg | adaboost | rf | None
-    fill_gaps: str | None = None  # None | "sedentary-zero"
-    features_mode: str = "modes"  # modes | raw
+    model: str | None = None  # None -> no model stage
+    fill_gaps: str | None = None  # None -> gaps are a validation failure
+    features_mode: str = "modes"
     min_awake_min: float = 0.0
     min_sleep_min: int = 0
     include_first_segment: bool = False
     aggregate: int = 1
-    mode_tie_break: str = "lower"  # lower | higher
+    mode_tie_break: str = "lower"
     include_awake_feature: bool = False
     candidate: CandidateConfig = field(default_factory=CandidateConfig)
 
     def __post_init__(self):
+        # the stage classes check their own fields when built
+        self.sleep_rules()
+        self.energy_params()
+        PermutationConfig(self.n_permutations, self.significance, master_seed=self.seed)
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if not 0 < self.efficiency_threshold <= 1:
             raise ValueError(
                 f"efficiency_threshold must be in (0, 1], got {self.efficiency_threshold}"
             )
+        if not self.min_awake_min >= 0:
+            raise ValueError(f"min_awake_min must be >= 0, got {self.min_awake_min}")
         if self.aggregate < 1:
             raise ValueError(f"aggregate must be >= 1, got {self.aggregate}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in (*choices, getattr(PipelineConfig, name)):
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
 
     def sleep_rules(self) -> SleepRules:
         return SleepRules(min_sleep_min=self.min_sleep_min)
 
     def energy_params(self) -> EnergyParams:
         return EnergyParams(alpha_exp=self.alpha_exp, min_segment=self.min_segment)
-
-    def dataset_filters(self) -> DatasetFilters:
-        return DatasetFilters(
-            exclude_first_segment=not self.include_first_segment,
-            min_awake_min=self.min_awake_min,
-        )
 
     def load_scale(self) -> CutPointScale:
         if self.scale_file:
@@ -116,10 +131,7 @@ STAGE_FIELDS = {
         "cp_signal", "alpha_exp", "min_segment", "n_permutations", "significance", "seed",
         "mode_tie_break",
     ),
-    "dataset": (
-        "features_mode", "efficiency_threshold", "include_first_segment", "min_awake_min",
-        "include_awake_feature",
-    ),
+    "dataset": ("features_mode", "efficiency_threshold", "include_first_segment", "min_awake_min"),
     "model": ("model", "folds", "seed", "include_awake_feature"),
 }
 
@@ -277,10 +289,10 @@ def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) ->
     return build_dataset(
         segments,
         features,
-        filters=config.dataset_filters(),
+        include_first_segment=config.include_first_segment,
+        min_awake_min=config.min_awake_min,
         threshold=config.efficiency_threshold,
         segment_ids=ids,
-        include_awake_feature=config.include_awake_feature,
     )
 
 
@@ -344,12 +356,18 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> R
 
 
 def train_and_report(dataset: Dataset, out_dir: Path, config: PipelineConfig) -> list[Path]:
-    """Cross-validate the configured model and write report + ROC files."""
+    """Cross-validate the configured model on the four fractions, plus awake
+    minutes with ``include_awake_feature``; only then create ``out_dir`` and
+    write report + ROC files into it."""
     out_dir = Path(out_dir)
+    X = dataset.X
+    if config.include_awake_feature:
+        X = np.hstack([X, dataset.awake_minutes[:, None]])
     model_cfg = make_config(config.model, seed=config.seed)
     result = cross_validate(
-        dataset.X, dataset.y, config.model, config=model_cfg, folds=config.folds, seed=config.seed
+        X, dataset.y, config.model, config=model_cfg, folds=config.folds, seed=config.seed
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "model_kind": config.model,
         "hyperparameters": {

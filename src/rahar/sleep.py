@@ -67,6 +67,8 @@ class SleepRules:
     def __post_init__(self):
         if self.onset_run < 1 or self.awakening_gap < 1 or self.waso_bout_min < 1:
             raise ValueError("sleep rule thresholds must be positive")
+        if self.min_sleep_min < 0:
+            raise ValueError(f"min_sleep_min must be >= 0, got {self.min_sleep_min}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rahar
-from rahar import cli
+from rahar import cli, pipeline
 from rahar.cli import _FLAGS, _config_from_args, build_parser, main
 from rahar.pipeline import PipelineConfig
 from rahar.synth import ActivityBlock, DayProfile, save_profile
@@ -164,6 +164,19 @@ class TestSubcommands:
         assert main(["train", "--in", str(ds), "--model", "logreg",
                      "--out-dir", str(tmp_path)]) == 5
 
+    @pytest.mark.parametrize("poor_rows,folds", [(0, 2), (2, 3)])
+    def test_train_model_failure_leaves_no_out_dir(self, tmp_path, capsys, poor_rows, folds):
+        # one class only, or fewer poor rows than folds
+        ds = tmp_path / "ds.csv"
+        rows = [f"s{i},0.7,0.1,0.1,0.1,100.0,0.9,good\n" for i in range(10)]
+        rows += [f"p{i},0.1,0.7,0.1,0.1,100.0,0.5,poor\n" for i in range(poor_rows)]
+        ds.write_text(DATASET_HEADER + "".join(rows))
+        out_dir = tmp_path / "models"
+        assert main(["train", "--in", str(ds), "--model", "rf", "--folds", str(folds),
+                     "--out-dir", str(out_dir)]) == 5
+        assert capsys.readouterr().err.startswith("model failure: ")
+        assert not out_dir.exists()
+
     def test_missing_input_file(self, tmp_path):
         assert main(["sleep", "--in", str(tmp_path / "nope.csv")]) == 2
 
@@ -250,6 +263,10 @@ BAD_CHANGEPOINT_FLAGS = [
     ("--efficiency-threshold", "7"),
     ("--efficiency-threshold", "0"),
     ("--aggregate", "0"),
+    ("--seed", "-1"),
+    ("--min-awake-min", "nan"),
+    ("--min-awake-min", "-1"),
+    ("--min-sleep-min", "-1"),
 ]
 
 
@@ -285,6 +302,21 @@ class TestBadFlags:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--folds" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command,out_flag,seed", [
+        ("run", "--report", "-1"), ("train", "--out-dir", "-2"),
+    ])
+    def test_negative_seed_with_a_model_rejected_before_any_output(
+        self, study_dir, tmp_path, capsys, command, out_flag, seed
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--in", str(study_dir), out_flag, str(out), "--model", "rf",
+                  "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_exit_code_and_single_line_from_the_command(self, study_dir, tmp_path):
         report = tmp_path / "report"
@@ -459,11 +491,34 @@ class TestSubcommandsEqualRun:
                      "--seed", "7"]) == 0
         assert dataset.read_bytes() == (report / "dataset.csv").read_bytes()
 
+    def test_train_awake_feature_equals_run(self, study_dir, tmp_path, monkeypatch):
+        inputs = []  # the model input of each cross-validation
+        cross_validate = pipeline.cross_validate
+        monkeypatch.setattr(pipeline, "cross_validate",
+                            lambda X, *a, **k: inputs.append(X) or cross_validate(X, *a, **k))
+        model = ["--model", "logreg", "--folds", "2", "--seed", "7"]
+        report = tmp_path / "report"
+        assert main(["run", "--in", str(study_dir), "--report", str(report), *model,
+                     "--awake-feature"]) == 0
+        dataset = tmp_path / "dataset.csv"
+        assert main(["features", "--in", str(study_dir), "--out", str(dataset),
+                     "--seed", "7"]) == 0
+        for flags, out in [(["--awake-feature"], "awake"), ([], "fractions")]:
+            assert main(["train", "--in", str(dataset), "--out-dir", str(tmp_path / out),
+                         *model, *flags]) == 0
+        awake = (tmp_path / "awake" / "model_report.json").read_bytes()
+        assert awake == (report / "model_report.json").read_bytes()
+        run_X, train_X, fractions_X = inputs
+        rows = read_csv_rows(dataset)[1:]
+        assert fractions_X.tolist() == [[float(v) for v in row[1:5]] for row in rows]
+        assert train_X.tolist() == [[float(v) for v in row[1:6]] for row in rows]
+        assert run_X.tolist() == train_X.tolist()
+
 
 # the PipelineConfig fields each subcommand's stages read
 FIELDS_READ = {
     "validate": 2, "sleep": 6, "segment": 6, "changepoints": 13, "modes": 13,
-    "features": 18, "train": 4, "run": 20, "eval": 0, "synth": 0,
+    "features": 17, "train": 4, "run": 20, "eval": 0, "synth": 0,
 }
 
 
@@ -561,7 +616,11 @@ class TestBadTablesExit2:
         # a quoted id spanning two lines: the bad row starts on line 4
         (DATASET_HEADER + '"s\n0",0.7,0.1,0.1,0.1,100.0,0.9,good\n'
          + DATASET_ROW.replace("0.9", "x"),
-         "parse error: line 4: could not convert string to float: 'x'"),
+         "parse error: line 4: bad efficiency 'x'"),
+        (DATASET_HEADER + DATASET_ROW + DATASET_ROW.replace("0.7", "nan"),
+         "parse error: line 3: frac_sed 'nan' is not a finite number"),
+        (DATASET_HEADER + DATASET_ROW.replace("100.0", "inf"),
+         "parse error: line 2: awake_min 'inf' is not a finite number"),
     ])
     def test_train(self, tmp_path, capsys, text, message):
         dataset = tmp_path / "ds.csv"
@@ -578,6 +637,10 @@ class TestBadTablesExit2:
         ("score,label\n0.9,good\n0.4\n", "parse error: line 3: expected 2 fields, got 1"),
         ("score,label\n0.9,excellent\n", "parse error: line 2: label must be good/poor or 0/1"),
         ("score,label\nhigh,good\n", "parse error: line 2: bad score 'high'"),
+        ("score,label\n0.9,good\nnan,good\n",
+         "parse error: line 3: score 'nan' is not a finite number"),
+        ("score,label\ninf,good\n0.2,poor\n",
+         "parse error: line 2: score 'inf' is not a finite number"),
     ])
     def test_eval(self, tmp_path, capsys, text, message):
         scored = tmp_path / "scored.csv"

@@ -8,7 +8,6 @@ import pytest
 from rahar.cutpoints import IntensityLevel
 from rahar.errors import EmptyAwakeSpan, EmptyDataset
 from rahar.features import (
-    DatasetFilters,
     Quality,
     build_dataset,
     extract_features,
@@ -118,19 +117,19 @@ class TestExtractFeatures:
 
 class TestLabelTarget:
     def test_above_threshold_good(self):
-        assert label_target(metrics_with(0.86)).label is Quality.GOOD
+        assert label_target(metrics_with(0.86)) is Quality.GOOD
 
     def test_below_threshold_poor(self):
-        assert label_target(metrics_with(0.84)).label is Quality.POOR
+        assert label_target(metrics_with(0.84)) is Quality.POOR
 
     def test_exactly_at_threshold_good(self):
         # "below 0.85" is strict
-        assert label_target(metrics_with(0.85)).label is Quality.GOOD
+        assert label_target(metrics_with(0.85)) is Quality.GOOD
 
     def test_monotone(self):
         rng = np.random.default_rng(9)
         effs = np.sort(rng.random(50))
-        labels = [int(label_target(metrics_with(e)).label) for e in effs]
+        labels = [int(label_target(metrics_with(e))) for e in effs]
         assert labels == sorted(labels)
 
 
@@ -158,9 +157,7 @@ class TestBuildDataset:
     def test_first_segment_kept_when_asked(self):
         segs = [segment_with(60, 0.9, first=True), segment_with(60, 0.8)]
         modes = [[mode(0, 60, SED)]] * 2
-        ds = build_dataset(
-            segs, fractions(segs, modes), DatasetFilters(exclude_first_segment=False)
-        )
+        ds = build_dataset(segs, fractions(segs, modes), include_first_segment=True)
         assert len(ds) == 2
 
     def test_all_filtered_raises(self):
@@ -171,7 +168,7 @@ class TestBuildDataset:
     def test_min_awake_filter(self):
         segs = [segment_with(30, 0.9), segment_with(200, 0.9)]
         modes = [[mode(0, 30, SED)], [mode(0, 200, SED)]]
-        ds = build_dataset(segs, fractions(segs, modes), DatasetFilters(min_awake_min=60))
+        ds = build_dataset(segs, fractions(segs, modes), min_awake_min=60)
         assert len(ds) == 1 and ds.awake_minutes.tolist() == [200.0]
 
     def test_row_order_and_ids(self):
@@ -180,19 +177,6 @@ class TestBuildDataset:
         ds = build_dataset(segs, fractions(segs, modes), segment_ids=["a", "b"])
         assert ds.segment_ids == ["a", "b"]
         assert ds.X[0][0] == 1.0 and ds.X[1][3] == 1.0
-
-    def test_awake_feature_appends_fifth_column(self):
-        segs = [segment_with(60, 0.9), segment_with(90, 0.5)]
-        modes = [[mode(0, 60, SED)], [mode(0, 90, VIG)]]
-        ds = build_dataset(segs, fractions(segs, modes), include_awake_feature=True)
-        assert ds.X.shape == (2, 5)
-        assert ds.X[:, 4].tolist() == [60.0, 90.0]
-        # the exchange file format is unchanged: awake stays its own column
-        buf = io.StringIO()
-        write_dataset_csv(ds, buf)
-        buf.seek(0)
-        again = read_dataset_csv(buf, include_awake_feature=True)
-        assert (again.X == ds.X).all()
 
     def test_csv_round_trip_bit_exact(self):
         rng = np.random.default_rng(13)

@@ -147,7 +147,13 @@ class TestManifestParameters:
 
     @pytest.mark.parametrize(
         "field,value", [("folds", 1), ("efficiency_threshold", 0.0),
-                        ("efficiency_threshold", 1.5), ("aggregate", 0)]
+                        ("efficiency_threshold", 1.5), ("aggregate", 0),
+                        ("seed", -1), ("min_awake_min", float("nan")), ("min_awake_min", -1),
+                        ("min_sleep_min", -1), ("alpha_exp", 2), ("min_segment", 1),
+                        ("n_permutations", 0), ("significance", 1),
+                        *((name, "bogus") for name in ("cut_axis", "cp_signal", "model",
+                                                       "fill_gaps", "features_mode",
+                                                       "mode_tie_break"))]
     )
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
