@@ -11,8 +11,8 @@ failure or bad command line, 3 validation failure, 4 empty dataset,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,14 +27,14 @@ from .errors import (
     ValidationError,
 )
 from .features import finite_cell, read_dataset_csv
-from .ingest import numbered_records, serialize_epoch_csv
+from .ingest import read_table, serialize_epoch_csv
 from .models import evaluate
 from .pipeline import (
     CHOICES,
     STAGE_FIELDS,
     PipelineConfig,
-    analyze_recording,
-    analyze_sleep,
+    analyze_inputs,
+    find_inputs,
     load_series,
     pooled_dataset,
     run_pipeline,
@@ -128,31 +128,26 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**{k: v for k, v in vars(args).items() if k in _FLAGS})
 
 
-def _collect_inputs(path: str) -> list[Path]:
-    p = Path(path)
-    if p.is_dir():
-        files = sorted(p.glob("*.csv"))
-        if not files:
-            raise ParseError(f"no .csv files in {p}")
-        return files
-    if not p.exists():
-        raise ParseError(f"input {p} does not exist")
-    return [p]
+def _one_input(path: str) -> Path:
+    """The one epoch CSV ``path`` names, for the commands that read one recording."""
+    inputs = find_inputs(path)
+    if len(inputs) > 1:
+        raise ParseError(f"{path} holds {len(inputs)} .csv files; this command reads one")
+    return inputs[0]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    series = load_series(args.input, _config_from_args(args))
+    series = load_series(_one_input(args.input), _config_from_args(args))
     _log(f"{args.input}: OK ({len(series)} epochs)")
     return 0
 
 
-def _report_command(suffix: str, noun: str, stage):
-    """Handler that runs ``stage`` on one recording and writes its ``suffix`` report."""
+def _report_command(suffix: str, noun: str, sleep_only: bool):
+    """Handler that analyzes one recording and writes its ``suffix`` report."""
 
     def handler(args: argparse.Namespace) -> int:
-        config = _config_from_args(args)
-        path = _collect_inputs(args.input)[0]
-        analysis = stage(path.stem, load_series(path, config), config)
+        path = _one_input(args.input)
+        [analysis] = analyze_inputs([path], _config_from_args(args), sleep_only)
         out = Path(args.out or f"{path.stem}.{suffix}")
         count = write_report(suffix, analysis, out)
         _log(f"wrote {out} ({count} {noun})")
@@ -163,11 +158,7 @@ def _report_command(suffix: str, noun: str, stage):
 
 def cmd_features(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    analyses = [
-        analyze_recording(path.stem, load_series(path, config), config)
-        for path in _collect_inputs(args.input)
-    ]
-    dataset = pooled_dataset(analyses, config)
+    dataset = pooled_dataset(analyze_inputs(find_inputs(args.input), config), config)
     out = Path(args.out or "dataset.csv")
     write_dataset(dataset, out)
     _log(f"wrote {out} ({len(dataset)} row(s))")
@@ -187,16 +178,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.threshold):
+        raise ParseError(f"--threshold must be a finite number, got {args.threshold}")
     token_map = {"good": 1, "poor": 0, "1": 1, "0": 0}
     scores, labels = [], []
     with open(args.input, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["score", "label"]:
-            raise ParseError(f"bad eval header {header!r}, expected score,label")
-        for line_number, row in numbered_records(reader):
-            if len(row) != 2:
-                raise MalformedRow(line_number, f"expected 2 fields, got {len(row)}")
+        for line_number, row in read_table(fh, ["score", "label"], "eval "):
             token = row[1].strip()
             if token not in token_map:
                 raise MalformedRow(line_number, "label must be good/poor or 0/1")
@@ -211,9 +198,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    inputs = _collect_inputs(args.input)
-    result = run_pipeline(inputs, Path(args.report), config)
-    _log(f"wrote {len(result.output_files)} output file(s) + {result.manifest_path}")
+    written = run_pipeline(find_inputs(args.input), Path(args.report), config)
+    _log(f"wrote {len(written) - 1} output file(s) + {written[-1]}")
     return 0
 
 
@@ -266,17 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
 
     # sleep and segment reports need no change points, so they run the sleep stage only
-    for name, suffix, noun, stage, stages, help_text in [
-        ("sleep", "sleep.json", "sleep period(s)", analyze_sleep, sleep_stages,
+    for name, suffix, noun, stages, help_text in [
+        ("sleep", "sleep.json", "sleep period(s)", sleep_stages,
          "detect sleep periods and write the JSON sleep report"),
-        ("segment", "segments.csv", "segment(s)", analyze_sleep, sleep_stages,
+        ("segment", "segments.csv", "segment(s)", sleep_stages,
          "write the sleep-wake segment manifest"),
-        ("changepoints", "changepoints.csv", "change point(s)", analyze_recording, mode_stages,
+        ("changepoints", "changepoints.csv", "change point(s)", mode_stages,
          "write per-segment change points"),
-        ("modes", "modes.csv", "mode interval(s)", analyze_recording, mode_stages,
+        ("modes", "modes.csv", "mode interval(s)", mode_stages,
          "write labeled activity-mode intervals"),
     ]:
-        p = add(name, _report_command(suffix, noun, stage), help_text, stages)
+        p = add(name, _report_command(suffix, noun, stages == sleep_stages), help_text, stages)
         p.add_argument("--in", dest="input", required=True)
         p.add_argument("--out", default=None)
 
@@ -319,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidProfile as exc:
         _log(f"profile error: {exc}")
         return EXIT_PARSE
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _log(f"input error: {exc}")
         return EXIT_PARSE
     except EmptyDataset as exc:

@@ -18,8 +18,8 @@ from typing import TextIO
 import numpy as np
 
 from .cutpoints import IntensityLevel
-from .errors import EmptyAwakeSpan, EmptyDataset, MalformedRow, ParseError
-from .ingest import numbered_records
+from .errors import EmptyAwakeSpan, EmptyDataset, MalformedRow
+from .ingest import read_table
 from .modes import ActivityMode
 from .segments import SleepWakeSegment
 from .sleep import SleepMetrics
@@ -209,16 +209,8 @@ def read_dataset_csv(stream: TextIO) -> Dataset:
     A bad header is a :class:`ParseError`; a bad row is a
     :class:`MalformedRow` naming the physical line it starts on.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != DATASET_HEADER:
-        raise ParseError(f"bad dataset header {header!r}, expected {','.join(DATASET_HEADER)}")
     ids, X, y, effs, awake = [], [], [], [], []
-    for line_number, row in numbered_records(reader):
-        if len(row) != len(DATASET_HEADER):
-            raise MalformedRow(
-                line_number, f"expected {len(DATASET_HEADER)} fields, got {len(row)}"
-            )
+    for line_number, row in read_table(stream, DATASET_HEADER, "dataset "):
         values = [
             finite_cell(v, line_number, name) for name, v in zip(DATASET_HEADER[1:7], row[1:7])
         ]

@@ -215,21 +215,29 @@ def _parse_count(token: str, name: str, line_number: int) -> int:
     return value
 
 
-def numbered_records(reader) -> Iterator[tuple[int, list[str]]]:
-    """Each non-empty record of a ``csv.reader``, with the physical line it starts on.
-
-    A quoted field can span lines, so a record starts one past the last
-    line the reader had consumed before it.
-    """
-    next_line = reader.line_num + 1
+def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tuple[int, list]]:
+    """Each non-empty record of a CSV table headed ``header``, with the physical
+    line it starts on.  A bad header is a :class:`ParseError` naming the table
+    ``kind`` (``"eval "``: bad eval header), and a record of another width a
+    :class:`MalformedRow`."""
+    reader = csv.reader(stream)
+    first = next(reader, None)
+    if first is None and not kind:
+        raise ParseError("empty input: missing header")
+    if first is None or [h.strip() for h in first] != header:
+        raise ParseError(f"bad {kind}header {first!r}, expected {','.join(header)}")
+    next_line = reader.line_num + 1  # a quoted field can span lines
     for row in reader:
         line_number, next_line = next_line, reader.line_num + 1
-        if row:
-            yield line_number, row
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(line_number, f"expected {len(header)} fields, got {len(row)}")
+        yield line_number, row
 
 
 def parse_epoch_csv(
-    source: TextIO | io.RawIOBase | bytes | str,
+    source: TextIO | str,
     meta: SubjectMeta | None = None,
     epoch_length: timedelta = timedelta(seconds=60),
 ) -> EpochSeries:
@@ -240,28 +248,10 @@ def parse_epoch_csv(
     are lowercase ``off|standing|sitting|lying``, and counts are integers in
     ``[0, MAX_COUNT]``.
     """
-    if isinstance(source, bytes):
-        text = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        text = io.StringIO(source)
-    elif isinstance(source.read(0), bytes):
-        text = io.TextIOWrapper(source, encoding="utf-8")
-    else:
-        text = source
-
-    reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header")
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise ParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-
+    text = io.StringIO(source) if isinstance(source, str) else source
     utc_us, offset_us, counts = array("q"), array("q"), array("q")
     states = bytearray()
-    for line_number, row in numbered_records(reader):
-        if len(row) != 6:
-            raise MalformedRow(line_number, f"expected 6 fields, got {len(row)}")
+    for line_number, row in read_table(text, CSV_HEADER):
         instant, offset = split_instant(_parse_timestamp(row[0].strip(), line_number))
         utc_us.append(instant)
         offset_us.append(offset)

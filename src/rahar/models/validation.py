@@ -75,7 +75,6 @@ def stratified_folds(y, folds: int, seed: int = 0) -> np.ndarray:
 class CVResult:
     fold_reports: list[EvalReport]
     pooled: EvalReport
-    fold_assignment: np.ndarray
     pooled_scores: np.ndarray
 
 
@@ -104,6 +103,5 @@ def cross_validate(
     return CVResult(
         fold_reports=fold_reports,
         pooled=pooled,
-        fold_assignment=assignment,
         pooled_scores=pooled_scores,
     )

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .changepoint import ChangePointSet, EnergyParams, PermutationConfig, e_divisive
 from .cutpoints import CutPointScale, builtin_troiano_scale, classify_series, load_scale_file
+from .errors import ParseError, ValidationError
 from .features import (
     EFFICIENCY_THRESHOLD,
     Dataset,
@@ -150,7 +151,6 @@ class RecordingAnalysis:
     name: str
     series: EpochSeries
     intensity: np.ndarray  # uint8 IntensityLevel codes
-    mask: np.ndarray
     periods: list
     metrics: list
     segments: list[SleepWakeSegment]
@@ -158,8 +158,19 @@ class RecordingAnalysis:
     modes: list[list[ActivityMode]] = field(default_factory=list)
 
 
+def find_inputs(path: str | Path) -> list[Path]:
+    """The epoch CSV ``path``, or the ``*.csv`` files in directory ``path``, sorted."""
+    p = Path(path)
+    if not p.exists():
+        raise ParseError(f"input {p} does not exist")
+    files = sorted(p.glob("*.csv")) if p.is_dir() else [p]
+    if not files:
+        raise ParseError(f"no .csv files in {p}")
+    return files
+
+
 def load_series(path: str | Path, config: PipelineConfig) -> EpochSeries:
-    with open(path, "rb") as fh:
+    with open(path, encoding="utf-8") as fh:
         series = parse_epoch_csv(fh)
     if config.fill_gaps == "sedentary-zero":
         series, _ = fill_gaps(series)
@@ -192,7 +203,6 @@ def analyze_sleep(name: str, series: EpochSeries, config: PipelineConfig) -> Rec
         name=name,
         series=series,
         intensity=intensity,
-        mask=mask,
         periods=periods,
         metrics=metrics,
         segments=segment_sleep_wake(series, periods, metrics),
@@ -224,6 +234,32 @@ def analyze_recording(
         span_labels = analysis.intensity[seg.awake_start_index : seg.awake_end_index]
         analysis.modes.append(label_intervals(span_labels, cps, tie_break=config.mode_tie_break))
     return analysis
+
+
+def analyze_inputs(
+    paths: list[Path], config: PipelineConfig, sleep_only: bool = False, timings: dict | None = None
+) -> list[RecordingAnalysis]:
+    """Load every file in the order given, then run the sleep stage
+    (``sleep_only``) or every per-recording stage on each.  A file that fails
+    to load is named and fails the call before any analysis; ``timings`` gets
+    the seconds spent loading (``ingest``) and analyzing (``analyze``)."""
+    timings = {} if timings is None else timings
+    t0 = time.perf_counter()
+    loaded = []
+    for path in paths:
+        try:
+            loaded.append((path.stem, load_series(path, config)))
+        except (ParseError, ValidationError) as exc:
+            exc.args = (f"{path.name}: {exc}",)  # str(exc), the one-line message
+            raise
+    timings["ingest"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    # looked up per call, so a stage replaced on this module is the one run
+    stage = analyze_sleep if sleep_only else analyze_recording
+    analyses = [stage(name, series, config) for name, series in loaded]
+    timings["analyze"] = time.perf_counter() - t0
+    return analyses
 
 
 def _changepoint_rows(a: RecordingAnalysis) -> list[list]:
@@ -296,25 +332,13 @@ def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) ->
     )
 
 
-@dataclass
-class RunResult:
-    output_files: list[Path]
-    manifest_path: Path
-
-
-def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> RunResult:
-    """Full batch run over one or more epoch CSVs; writes reports + manifest."""
+def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> list[Path]:
+    """Full batch run over one or more epoch CSVs, in the order given; writes
+    reports + manifest and returns the paths written, ``manifest.json`` last."""
     out_dir = Path(out_dir)
     timings: dict[str, float] = {}
     outputs: list[Path] = []
-
-    t0 = time.perf_counter()
-    series_by_name = [(Path(path).stem, load_series(path, config)) for path in sorted(inputs)]
-    timings["ingest"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    analyses = [analyze_recording(name, series, config) for name, series in series_by_name]
-    timings["analyze"] = time.perf_counter() - t0
+    analyses = analyze_inputs(inputs, config, timings=timings)
     # created only once every recording is analysed, so a bad input, scale
     # file or age leaves nothing behind
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -338,8 +362,7 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> R
 
     if config.model:
         t0 = time.perf_counter()
-        report_paths = train_and_report(dataset, out_dir, config)
-        outputs.extend(report_paths)
+        outputs.extend(train_and_report(dataset, out_dir, config))
         timings["model"] = time.perf_counter() - t0
 
     manifest_path = out_dir / "manifest.json"
@@ -347,12 +370,12 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> R
         "tool": "rahar",
         "version": __version__,
         "parameters": config.manifest_parameters(),
-        "inputs": {str(Path(p).name): sha256_file(p) for p in sorted(inputs)},
+        "inputs": {p.name: sha256_file(p) for p in inputs},
         "outputs": {p.name: sha256_file(p) for p in sorted(outputs)},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
     write_json(manifest_path, manifest)
-    return RunResult(output_files=outputs, manifest_path=manifest_path)
+    return [*outputs, manifest_path]
 
 
 def train_and_report(dataset: Dataset, out_dir: Path, config: PipelineConfig) -> list[Path]:

@@ -318,6 +318,16 @@ class TestBadFlags:
         assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eval_rejects_a_non_finite_threshold_before_any_output(self, tmp_path, capsys, value):
+        scored = tmp_path / "scored.csv"
+        scored.write_text("score,label\n0.9,good\n0.2,poor\n")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--in", str(scored), "--out", str(out), "--threshold", value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: --threshold must be a finite number, got {value}\n"
+        assert not out.exists()
+
     def test_exit_code_and_single_line_from_the_command(self, study_dir, tmp_path):
         report = tmp_path / "report"
         proc = run_cli_subprocess("run", "--in", str(study_dir), "--report", str(report),
@@ -621,6 +631,7 @@ class TestBadTablesExit2:
          "parse error: line 3: frac_sed 'nan' is not a finite number"),
         (DATASET_HEADER + DATASET_ROW.replace("100.0", "inf"),
          "parse error: line 2: awake_min 'inf' is not a finite number"),
+        ("", "parse error: bad dataset header None, expected segment_id,"),
     ])
     def test_train(self, tmp_path, capsys, text, message):
         dataset = tmp_path / "ds.csv"
@@ -641,6 +652,8 @@ class TestBadTablesExit2:
          "parse error: line 3: score 'nan' is not a finite number"),
         ("score,label\ninf,good\n0.2,poor\n",
          "parse error: line 2: score 'inf' is not a finite number"),
+        ("", "parse error: bad eval header None, expected score,label"),
+        ("score,label\n0.9,good,x\n", "parse error: line 2: expected 2 fields, got 3"),
     ])
     def test_eval(self, tmp_path, capsys, text, message):
         scored = tmp_path / "scored.csv"
@@ -673,3 +686,87 @@ class TestRunLeavesNoReportOnBadConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not report.exists()
+
+
+SINGLE_RECORDING_COMMANDS = ["validate", "sleep", "segment", "changepoints", "modes"]
+
+
+class TestSingleRecordingCommands:
+    """The commands that report on one recording take exactly one CSV."""
+
+    @pytest.mark.parametrize("command", SINGLE_RECORDING_COMMANDS)
+    def test_directory_of_two_csvs_exits_2_and_writes_nothing(
+        self, command, study_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # where a report without --out would go
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--in", str(study_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: {study_dir} holds 2 .csv files; this command reads one\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", SINGLE_RECORDING_COMMANDS)
+    def test_directory_of_one_csv_reads_it(self, command, study_dir, tmp_path):
+        recording = sorted(study_dir.glob("*.csv"))[0]
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / recording.name).write_bytes(recording.read_bytes())
+        if command == "validate":
+            assert main([command, "--in", str(alone)]) == 0
+            return
+        outs = [tmp_path / "from_dir", tmp_path / "from_file"]
+        assert main([command, "--in", str(alone), "--out", str(outs[0])]) == 0
+        assert main([command, "--in", str(recording), "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestLoadFailureNamesTheFile:
+    """A file that fails to load is named in the one-line message; every
+    file loads before any is analysed, so `run` and `features` agree."""
+
+    @pytest.fixture
+    def one_bad_file(self, study_dir):
+        bad = sorted(study_dir.glob("*.csv"))[1]
+        lines = bad.read_text().splitlines()
+        lines[1] = "not-a-time," + lines[1].split(",", 1)[1]
+        bad.write_text("\n".join(lines) + "\n")
+        return study_dir
+
+    @pytest.mark.parametrize("command,out_flag", [("run", "--report"), ("features", "--out")])
+    def test_parse_failure_names_the_file(self, command, out_flag, one_bad_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        # the bad age would fail the analysis, which must not start
+        args = [command, "--in", str(one_bad_file), out_flag, str(out), "--age", "200"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: subj1.csv: line 2: bad timestamp 'not-a-time'\n"
+        assert not out.exists()
+
+    def test_validation_failure_names_the_file(self, study_dir, tmp_path, capsys):
+        gappy = sorted(study_dir.glob("*.csv"))[0]
+        lines = gappy.read_text().splitlines()
+        gappy.write_text("\n".join(lines[:200] + lines[230:]) + "\n")
+        report = tmp_path / "report"
+        assert main(["run", "--in", str(study_dir), "--report", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: subj0.csv: 1 gap(s): ") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_config_failure_names_no_file(self, study_dir, tmp_path, capsys):
+        report = tmp_path / "report"
+        assert main(["run", "--in", str(study_dir), "--report", str(report), "--age", "200"]) == 3
+        err = capsys.readouterr().err
+        assert err == "validation failure: scale 'troiano-2008' has no band for age 200\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_file_that_is_not_utf8_exits_2_with_one_line(command, tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+                     b"2014-09-01T22:00:00+03:00,0,0,0,0,\xe9t\xe9\n")
+    report = tmp_path / "report"
+    args = [command, "--in", str(path)] + (["--report", str(report)] if command == "run" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert not report.exists()
