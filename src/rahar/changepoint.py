@@ -123,12 +123,15 @@ def _alpha_distance_matrix(obs: np.ndarray, alpha_exp: float) -> np.ndarray:
 
     Squared differences are added in axis order before the square root,
     the order a pairwise Euclidean distance loop uses, so the entries are
-    the same bit for bit."""
+    the same bit for bit; two L x L arrays are live at most."""
     sq = np.zeros((obs.shape[0], obs.shape[0]))
+    diff = np.empty_like(sq)
     for k in range(obs.shape[1]):
-        diff = np.subtract.outer(obs[:, k], obs[:, k])
+        np.subtract.outer(obs[:, k], obs[:, k], out=diff)
         sq += np.square(diff, out=diff)
-    return np.sqrt(sq, out=sq) ** alpha_exp
+    np.sqrt(sq, out=sq)
+    sq **= alpha_exp  # the same scalar fast paths (sqrt, copy, square) as `**`
+    return sq
 
 
 def _pair_increments(dist: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -290,6 +293,15 @@ def _permutation_pvalue(
     return (1 + exceed) / (n_perm + 1)
 
 
+def _open(start: int, dist: np.ndarray, min_segment: int) -> list:
+    """``[(start, own C-contiguous dist, best local split t, Q)]`` for a segment
+    long enough to split (a child's slice is copied here, once), else ``[]``."""
+    if dist.shape[0] < 2 * min_segment:
+        return []
+    dist = np.ascontiguousarray(dist)
+    return [(start, dist, *_split_scan(dist, min_segment))]
+
+
 def e_divisive(
     span,
     params: EnergyParams | None = None,
@@ -310,42 +322,29 @@ def e_divisive(
     if length < 2 * params.min_segment:
         return []
 
-    full_dist = _alpha_distance_matrix(obs, params.alpha_exp)
-    segments: list[tuple[int, int]] = [(0, length)]
-    best_cache: dict[tuple[int, int], tuple[int, float]] = {}
+    segments = _open(0, _alpha_distance_matrix(obs, params.alpha_exp), params.min_segment)
     committed: list[ChangePoint] = []
 
     for iteration_id in range(length):  # hard upper bound; loop exits earlier
-        best_seg = None
-        best_q = -np.inf
-        best_t = -1
-        for seg in segments:  # segments kept sorted, so ties pick the smallest index
-            a, b = seg
-            if b - a < 2 * params.min_segment:
-                continue
-            if seg not in best_cache:
-                local_t, q = _split_scan(full_dist[a:b, a:b], params.min_segment)
-                best_cache[seg] = (a + local_t, q)
-            t_global, q = best_cache[seg]
-            if q > best_q:
-                best_seg, best_q, best_t = seg, q, t_global
-        if best_seg is None:
+        best, best_q = None, -np.inf
+        for k, seg in enumerate(segments):  # span order, so ties pick the smallest index
+            if seg[3] > best_q:
+                best, best_q = k, seg[3]
+        if best is None:
             break
 
-        matrices = [full_dist[a:b, a:b] for a, b in segments]
         p_value = _permutation_pvalue(
-            matrices, best_q, params, perm_cfg, iteration_id, stop_above=perm_cfg.significance
+            [seg[1] for seg in segments], best_q, params, perm_cfg, iteration_id,
+            stop_above=perm_cfg.significance,
         )
         if p_value > perm_cfg.significance:
             break
 
-        committed.append(ChangePoint(index=best_t, statistic=best_q, p_value=p_value))
-        a, b = best_seg
-        segments.remove(best_seg)
-        del best_cache[best_seg]
-        segments.append((a, best_t))
-        segments.append((best_t, b))
-        segments.sort()
+        start, dist, t, _ = segments[best]
+        committed.append(ChangePoint(index=start + t, statistic=best_q, p_value=p_value))
+        left = _open(start, dist[:t, :t], params.min_segment)
+        segments[best : best + 1] = left + _open(start + t, dist[t:, t:], params.min_segment)
+        del dist  # the parent matrix goes before the next test
 
     committed.sort(key=lambda cp: cp.index)
     return committed

@@ -52,14 +52,16 @@ EXIT_MODEL = 5
 
 
 def _log(message: str) -> None:
-    print(message, file=sys.stderr)
+    """One line on stderr: a path or value that holds a line break is escaped."""
+    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line in one line, without the usage block."""
 
     def error(self, message):
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+        _log(f"{self.prog}: error: {message}")
+        self.exit(EXIT_PARSE)
 
 
 def _checked(cast, name: str):
@@ -297,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads "--flag=--" as no value, past its type
+        parser.error("an option was given '--' as its value")
     try:
         return args.handler(args)
     except ParseError as exc:

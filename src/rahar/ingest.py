@@ -153,6 +153,11 @@ class EpochSeries:
         for name, dtype in columns.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64).reshape(-1, 4))
+        lengths = [len(self.utc_us), len(self.offset_us), len(self.counts), len(self.inclinometer)]
+        if len(set(lengths)) > 1:
+            raise ValueError(
+                f"column lengths disagree: {lengths} (utc_us, offset_us, counts, inclinometer)"
+            )
 
     def __eq__(self, other) -> bool:
         """Equal columns (offsets included), epoch length and subject."""
@@ -219,21 +224,25 @@ def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tu
     """Each non-empty record of a CSV table headed ``header``, with the physical
     line it starts on.  A bad header is a :class:`ParseError` naming the table
     ``kind`` (``"eval "``: bad eval header), and a record of another width a
-    :class:`MalformedRow`."""
+    :class:`MalformedRow`, as is a record the csv module cannot read."""
     reader = csv.reader(stream)
-    first = next(reader, None)
-    if first is None and not kind:
-        raise ParseError("empty input: missing header")
-    if first is None or [h.strip() for h in first] != header:
-        raise ParseError(f"bad {kind}header {first!r}, expected {','.join(header)}")
-    next_line = reader.line_num + 1  # a quoted field can span lines
-    for row in reader:
-        line_number, next_line = next_line, reader.line_num + 1
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(line_number, f"expected {len(header)} fields, got {len(row)}")
-        yield line_number, row
+    next_line = 1
+    try:
+        first = next(reader, None)
+        if first is None and not kind:
+            raise ParseError("empty input: missing header")
+        if first is None or [h.strip() for h in first] != header:
+            raise ParseError(f"bad {kind}header {first!r}, expected {','.join(header)}")
+        next_line = reader.line_num + 1  # a quoted field can span lines
+        for row in reader:
+            line_number, next_line = next_line, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRow(line_number, f"expected {len(header)} fields, got {len(row)}")
+            yield line_number, row
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRow(next_line, str(exc)) from None
 
 
 def parse_epoch_csv(

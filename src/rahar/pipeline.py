@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass, field
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .features import (
     raw_fractions,
     write_dataset_csv,
 )
-from .ingest import EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, validate_series
+from .ingest import EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, validate_series, vm3
 from .modes import TIE_BREAKS, ActivityMode, label_intervals, mode_report_rows
 from .models import MODEL_KINDS, cross_validate, make_config
 from .reports import sha256_file, write_csv, write_json, write_roc_outputs
@@ -97,8 +98,9 @@ class PipelineConfig:
             )
         if not self.min_awake_min >= 0:
             raise ValueError(f"min_awake_min must be >= 0, got {self.min_awake_min}")
-        if self.aggregate < 1:
-            raise ValueError(f"aggregate must be >= 1, got {self.aggregate}")
+        most = timedelta.max // timedelta(minutes=1)  # the longest aggregated minute epoch
+        if not 1 <= self.aggregate <= most:
+            raise ValueError(f"aggregate must be in [1, {most}], got {self.aggregate}")
         for name, choices in CHOICES.items():
             if getattr(self, name) not in (*choices, getattr(PipelineConfig, name)):
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
@@ -181,11 +183,12 @@ def load_series(path: str | Path, config: PipelineConfig) -> EpochSeries:
 
 
 def cp_observations(series: EpochSeries, start: int, stop: int, cp_signal: str) -> np.ndarray:
-    counts = series.counts[start:stop, :3].astype(float, order="C")
+    """Change-point observations of epochs [start, stop); ``vm3`` is the exact
+    magnitude the cut points classify, one column."""
     if cp_signal == "triaxial":
-        return counts
+        return series.counts[start:stop, :3].astype(float, order="C")
     if cp_signal == "vm3":
-        return np.linalg.norm(counts, axis=1)[:, None]
+        return vm3(series.counts[start:stop])[:, None]
     raise ValueError(f"unknown cp_signal {cp_signal!r}")
 
 
@@ -339,8 +342,12 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> l
     timings: dict[str, float] = {}
     outputs: list[Path] = []
     analyses = analyze_inputs(inputs, config, timings=timings)
-    # created only once every recording is analysed, so a bad input, scale
-    # file or age leaves nothing behind
+    t0 = time.perf_counter()
+    dataset = pooled_dataset(analyses, config)
+    pool_s = time.perf_counter() - t0
+    # created only once every recording is analysed and the dataset has rows,
+    # so a bad input, scale file or age, or an empty dataset (exit code 4 at
+    # the CLI), leaves nothing behind
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
@@ -352,13 +359,10 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> l
     timings["reports"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # an empty dataset is a failure class of its own (exit code 4 at the
-    # CLI); the per-recording reports written above stay on disk
-    dataset = pooled_dataset(analyses, config)
     dataset_path = out_dir / "dataset.csv"
     write_dataset(dataset, dataset_path)
     outputs.append(dataset_path)
-    timings["features"] = time.perf_counter() - t0
+    timings["features"] = pool_s + time.perf_counter() - t0
 
     if config.model:
         t0 = time.perf_counter()

@@ -18,6 +18,7 @@ axis1 so an awake block can never masquerade as candidate sleep.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -104,8 +105,20 @@ def validate_profile(profile: DayProfile, rules: SleepRules | None = None) -> No
             raise InvalidProfile(f"unknown block mode {block.mode!r}")
         if block.duration_min <= 0:
             raise InvalidProfile("block durations must be positive")
-        if block.dispersion <= 0:
-            raise InvalidProfile("dispersion must be positive")
+        if not 0.0 < block.dispersion < math.inf:
+            raise InvalidProfile(f"dispersion must be finite and positive, got {block.dispersion}")
+        if block.mean_counts is not None and (
+            len(block.mean_counts) != 3 or not all(0 <= m <= MAX_COUNT for m in block.mean_counts)
+        ):
+            raise InvalidProfile(
+                f"mean_counts must be three numbers from 0 to the count ceiling of {MAX_COUNT}, "
+                f"got {list(block.mean_counts)}"
+            )
+        if block.mean_steps is not None and not 0 <= block.mean_steps <= MAX_COUNT:  # NaN too
+            raise InvalidProfile(
+                f"mean_steps must be from 0 to the count ceiling of {MAX_COUNT}, "
+                f"got {block.mean_steps}"
+            )
         if block.mode == SLEEP:
             if block.duration_min <= rules.onset_run:
                 raise InvalidProfile(
@@ -120,13 +133,20 @@ def validate_profile(profile: DayProfile, rules: SleepRules | None = None) -> No
             awake_since_sleep = 0
         elif awake_since_sleep is not None:
             awake_since_sleep += block.duration_min
+    try:  # the CSV writes each timestamp as a datetime in the start's offset
+        profile.start + timedelta(minutes=sum(b.duration_min for b in profile.schedule))
+    except OverflowError:
+        raise InvalidProfile("the schedule runs past the year 9999") from None
 
 
 def _draw_counts(rng: np.random.Generator, mean: float, dispersion: float, size: int) -> np.ndarray:
     if mean <= 0:
         return np.zeros(size, dtype=np.int64)
     p = dispersion / (dispersion + mean)
-    return rng.negative_binomial(dispersion, p, size=size).astype(np.int64)
+    try:
+        return rng.negative_binomial(dispersion, p, size=size).astype(np.int64)
+    except ValueError as exc:  # numpy refuses a p this close to 0
+        raise InvalidProfile(f"dispersion {dispersion} is too small for mean {mean}: {exc}")
 
 
 def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[EpochSeries, GroundTruth]:
@@ -228,8 +248,8 @@ def profile_from_dict(payload: dict) -> DayProfile:
         blocks = tuple(
             ActivityBlock(
                 mode=item["mode"],
-                duration_min=int(item["duration_min"]),
-                mean_counts=tuple(item["mean_counts"]) if "mean_counts" in item else None,
+                duration_min=_whole(item["duration_min"]),
+                mean_counts=_numbers(item["mean_counts"]) if "mean_counts" in item else None,
                 dispersion=float(item.get("dispersion", 50.0)),
                 mean_steps=float(item["mean_steps"]) if "mean_steps" in item else None,
             )
@@ -239,15 +259,27 @@ def profile_from_dict(payload: dict) -> DayProfile:
         return DayProfile(
             schedule=blocks,
             noise=float(payload.get("noise", 0.0)),
-            seed=int(payload.get("seed", 0)),
+            seed=_whole(payload.get("seed", 0)),
             start=datetime.fromisoformat(payload.get("start", "2014-09-01T00:00:00+00:00")),
             subject=SubjectMeta(
                 subject_id=str(subject.get("subject_id", "sim")),
-                age_years=int(subject.get("age_years", 18)),
+                age_years=_whole(subject.get("age_years", 18)),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InvalidProfile(f"bad profile payload: {exc}")
+
+
+def _whole(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value}")
+    return int(value)
+
+
+def _numbers(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def load_profile(path: str | Path) -> DayProfile:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,7 +227,7 @@ class TestBlockKernel:
     def test_matches_single_order_reference(self, length):
         rng = np.random.default_rng(length)
         full = changepoint._alpha_distance_matrix(count_span(rng, length, extra=23), 1.0)
-        view = full[11 : 11 + length, 11 : 11 + length]  # a strided slice, as e_divisive passes
+        view = full[11 : 11 + length, 11 : 11 + length]  # a strided slice, as a caller may pass
         assert not view.flags.c_contiguous
         dist = np.ascontiguousarray(view)
         orders = np.stack([rng.permutation(length) for _ in range(37)])
@@ -339,3 +341,28 @@ class TestEarlyStop:
             assert spent_by_e_divisive == full_budget
         else:
             assert len(cps) * cfg.n_permutations <= spent_by_e_divisive < full_budget
+
+
+class TestMemoryShape:
+    @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
+    def test_traced_peak_is_about_two_distance_matrices(self, alpha_exp):
+        # numpy reports its buffers to tracemalloc.  At L = 600 one L x L
+        # matrix (2.9 MB) dwarfs the 256 KiB kernel blocks, so the peak counts
+        # the live matrices: two while the distances are built, then a parent
+        # and its children at a commit, L^2 + t^2 + (L - t)^2 <= 2 L^2
+        rng = np.random.default_rng(2016)
+        span = np.concatenate(
+            [rng.poisson(lam, (n, 3)) for lam, n in ((4.0, 200), (30.0, 180), (12.0, 220))]
+        ).astype(float)
+        length = len(span)
+        tracemalloc.start()
+        try:
+            cps = e_divisive(
+                span, EnergyParams(alpha_exp=alpha_exp, min_segment=30),
+                PermutationConfig(master_seed=7),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [cp.index for cp in cps] == [200, 380]  # both commits copied children
+        assert peak <= 2.25 * 8 * length**2

@@ -770,3 +770,73 @@ def test_file_that_is_not_utf8_exits_2_with_one_line(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: 'utf-8' codec can't decode") and err.count("\n") == 1
     assert not report.exists()
+
+
+MEAN_COUNTS_RULE = "mean_counts must be three numbers from 0 to the count ceiling of 1000000000"
+
+
+class TestBadProfileExit2:
+    """`synth` rejects a profile value it cannot draw from, in one line,
+    before it writes the CSV."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("dispersion", "1e400", "dispersion must be finite and positive, got inf"),
+        ("mean_counts", "[NaN, 1, 1]", MEAN_COUNTS_RULE),
+        ("mean_counts", "[1e300, 1, 1]", MEAN_COUNTS_RULE),
+        ("mean_steps", "-5", "mean_steps must be from 0 to the count ceiling of 1000000000"),
+        ("mean_counts", "[1, 1]", MEAN_COUNTS_RULE),
+        ("mean_counts", "[1, 1, 1, 1]", MEAN_COUNTS_RULE),
+        # numpy cannot draw at so small a dispersion; JSON keeps the last key
+        ("dispersion", "1e-300", "dispersion 1e-300 is too small for mean 700.0"),
+        ("duration_min", "1.5", "bad profile payload: expected a whole number, got 1.5"),
+    ])
+    def test_rejected_before_the_csv(self, tmp_path, capsys, field, value, message):
+        profile = tmp_path / "p.json"
+        profile.write_text(
+            f'{{"schedule": [{{"mode": "light", "duration_min": 60, "{field}": {value}}}]}}'
+        )
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"profile error: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def test_run_with_an_empty_dataset_leaves_no_report(tmp_path, capsys):
+    # three awake epochs hold no sleep, so no segment reaches the dataset
+    recording = tmp_path / "day.csv"
+    recording.write_text(
+        "timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+        + "".join(f"2014-09-01T22:0{m}:00+00:00,5,0,0,0,sitting\n" for m in range(3))
+    )
+    report = tmp_path / "report"
+    assert main(["run", "--in", str(recording), "--report", str(report)]) == 4
+    assert capsys.readouterr().err == "empty dataset: all segments were filtered out\n"
+    assert not report.exists()
+
+
+class TestOneLineFailures:
+    """Inputs that once ended in a traceback or a second line on stderr."""
+
+    def test_field_over_the_csv_size_limit(self, tmp_path, capsys):
+        path = tmp_path / "day.csv"
+        path.write_text("timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+                        "2014-09-01T22:00:00+00:00,5,0,0,0," + "x" * 200_000 + "\n")
+        assert main(["validate", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: line 2: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("flag,message", [
+        # argparse reads "--seed=--" as an empty list and skips the type
+        ("--seed=--", "rahar: error: an option was given '--' as its value"),
+        ("--aggregate=99999999999999999999", "aggregate must be in [1, 1439999999999]"),
+        ("--out=x\ny", r"unrecognized arguments: --out=x\ny"),
+    ])
+    def test_bad_flag(self, study_dir, tmp_path, capsys, flag, message):
+        report = tmp_path / "report"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--in", str(study_dir), "--report", str(report), flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert not report.exists()

@@ -4,6 +4,7 @@ import io
 import math
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from rahar.cutpoints import builtin_troiano_scale, classify_series, make_scale
 from rahar.ingest import (
     MAX_COUNT,
     MAX_FILLED_EPOCHS,
+    EpochSeries,
     Inclinometer,
     aggregate_epochs,
     fill_gaps,
@@ -126,6 +128,13 @@ class TestParse:
         serialize_epoch_csv(series, buf)
         again = parse_epoch_csv(buf.getvalue())
         assert epochs_of(again) == epochs_of(series)
+
+
+def test_series_columns_of_different_lengths_rejected():
+    # 60 rows of three count columns would reshape into 45 rows of four
+    utc_us = np.arange(60, dtype=np.int64) * 60_000_000
+    with pytest.raises(ValueError, match=r"column lengths disagree.*\[60, 60, 45, 60\]"):
+        EpochSeries(utc_us, np.zeros(60), np.ones((60, 3)), np.zeros(60))
 
 
 class TestCountCeiling:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from rahar.ingest import aggregate_epochs
+from rahar.ingest import MAX_COUNT, EpochSeries, aggregate_epochs, vm3
 from rahar.pipeline import (
     PipelineConfig,
     analyze_recording,
@@ -176,3 +177,14 @@ class TestHelpers:
         assert np.allclose(vm[:, 0], np.linalg.norm(tri, axis=1))
         with pytest.raises(ValueError):
             cp_observations(analysis.series, 0, 5, "nope")
+
+    def test_cp_observations_vm3_is_the_cut_point_magnitude(self):
+        # near MAX_COUNT a float norm and the exact integer sum of squares
+        # round apart; the change points see the magnitude the cut points do
+        counts = np.random.default_rng(0).integers(0, MAX_COUNT + 1, (200, 4))
+        series = EpochSeries(np.arange(200) * 60_000_000, np.zeros(200), counts, np.zeros(200))
+        exact = [math.sqrt(a * a + b * b + c * c) for a, b, c, _ in counts.tolist()]
+        assert np.linalg.norm(counts[:, :3].astype(float), axis=1).tolist() != exact
+        observations = cp_observations(series, 0, 200, "vm3")
+        assert observations.shape == (200, 1)
+        assert observations[:, 0].tolist() == exact == vm3(counts).tolist()

@@ -179,6 +179,16 @@ class TestProfileValidation:
             generate(profile)
 
 
+    def test_schedule_past_year_9999_rejected(self):
+        # the CSV could not write its last timestamps
+        profile = profile_from_dict(
+            {"start": "9999-12-31T20:00:00+00:00",
+             "schedule": [{"mode": "light", "duration_min": 600}]}
+        )
+        with pytest.raises(InvalidProfile, match="past the year 9999"):
+            generate(profile)
+
+
 class TestProfileJson:
     def test_round_trip(self, tmp_path):
         profile = day_profile(noise=0.02, seed=77)
