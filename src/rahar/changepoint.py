@@ -18,11 +18,14 @@ One prefix-sum kernel scores every split of a block of orderings at
 once: the identity ordering for the split scan, a block of permutations
 for the test.  It adds distance rows in the same sequence a column-wise
 cumulative sum would, so every statistic is bit-identical to the
-one-permutation-at-a-time formula.  Inside :func:`e_divisive` a test stops
-after the first block at which (1 + exceedances) / (R + 1) already
-exceeds the significance level; such a rejected p-value never leaves the
-function, while a committed split always spends all R permutations and
-reports the exact p-value that :func:`permutation_test` returns.
+one-permutation-at-a-time formula.  Inside :func:`e_divisive` a test scores
+a small first block of ``FIRST_BLOCK`` permutations, then the usual
+blocks, and stops after the first block at which (1 + exceedances) /
+(R + 1) already exceeds the significance level; a rejected split is
+mostly decided by the first few permutations.  Such a rejected p-value
+never leaves the function, while a committed split always spends all R
+permutations and reports the exact p-value that :func:`permutation_test`
+returns.
 
 All randomness flows through per-permutation streams seeded from
 (master_seed, iteration, permutation index), so results are identical
@@ -40,6 +43,10 @@ from .errors import SegmentTooSmall
 # Elements of one (block, L) float64 kernel buffer: about 256 KiB, so the
 # running sums stay cache resident while distance rows stream past.
 BLOCK_ELEMENTS = 32768
+# Permutations in the first block of an early-stopped test.  A rejected test
+# is decided by its first exceedance, which mostly falls in the first few
+# permutations; a committed test pays one extra kernel pass for it.
+FIRST_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -263,9 +270,10 @@ def _permutation_pvalue(
 ) -> float:
     """p-value over R permutations, scored a block at a time.
 
-    With ``stop_above`` set, returns as soon as the p-value is sure to
-    exceed it; the value returned then is a lower bound, only good for
-    that comparison.
+    With ``stop_above`` set, the first block holds only ``FIRST_BLOCK``
+    permutations, and the test returns after the first block at which the
+    p-value is sure to exceed ``stop_above``; the value returned then is a
+    lower bound, only good for that comparison.
     """
     admissible = [
         np.ascontiguousarray(d) for d in matrices if d.shape[0] >= 2 * params.min_segment
@@ -273,11 +281,13 @@ def _permutation_pvalue(
     row_totals = [d.sum(axis=1) for d in admissible]
     n_perm = perm_cfg.n_permutations
     block = max(1, BLOCK_ELEMENTS // max((d.shape[0] for d in admissible), default=1))
+    starts = range(0, n_perm, block)
+    if stop_above is not None:
+        starts = [0, *range(min(FIRST_BLOCK, block), n_perm, block)]
     exceed = 0
-    for first in range(0, n_perm, block):
+    for first, stop in zip(starts, [*starts[1:], n_perm]):
         rngs = [
-            _permutation_rng(perm_cfg.master_seed, iteration_id, r)
-            for r in range(first, min(first + block, n_perm))
+            _permutation_rng(perm_cfg.master_seed, iteration_id, r) for r in range(first, stop)
         ]
         # each stream draws its segments' orders in segment order
         orders = [np.empty((len(rngs), d.shape[0]), dtype=np.intp) for d in admissible]

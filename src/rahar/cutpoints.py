@@ -17,7 +17,6 @@ thresholds were published for axis1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -26,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidScale
-from .ingest import EpochSeries, vm3
+from .errors import InvalidScale, ParseError
+from .ingest import EpochSeries, read_table, vm3
 
 SCALE_HEADER = ["age_min", "age_max", "sedentary_max", "light_max", "moderate_max"]
 
@@ -111,25 +110,22 @@ def make_scale(name: str, rows: list[tuple[int, int, float, float, float]]) -> C
 
 
 def load_scale_file(path: str | Path, name: str | None = None) -> CutPointScale:
-    """Load a cut-point scale from a CSV file (see module docstring for format)."""
+    """Load a cut-point scale from a CSV file (see module docstring for format).
+
+    Every fault in its contents, from the header to a field the csv module
+    cannot read, is an :class:`InvalidScale`."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SCALE_HEADER:
-            raise InvalidScale(f"bad scale header {header!r}, expected {','.join(SCALE_HEADER)}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise InvalidScale(f"scale row {row!r} must have 5 fields")
-            try:
-                rows.append(
-                    (int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
-                )
-            except ValueError as exc:
-                raise InvalidScale(f"scale row {row!r}: {exc}")
+        try:
+            table = list(read_table(fh, SCALE_HEADER, "scale "))
+        except ParseError as exc:
+            raise InvalidScale(str(exc)) from None
+    rows = []
+    for line_number, row in table:
+        try:
+            rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4])))
+        except ValueError as exc:
+            raise InvalidScale(f"line {line_number}: scale row {row!r}: {exc}") from None
     if not rows:
         raise InvalidScale("scale file has no bands")
     return make_scale(name or path.stem, rows)

@@ -345,9 +345,15 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> l
     t0 = time.perf_counter()
     dataset = pooled_dataset(analyses, config)
     pool_s = time.perf_counter() - t0
-    # created only once every recording is analysed and the dataset has rows,
-    # so a bad input, scale file or age, or an empty dataset (exit code 4 at
-    # the CLI), leaves nothing behind
+    model_outputs: list[Path] = []
+    if config.model:
+        t0 = time.perf_counter()
+        model_outputs = train_and_report(dataset, out_dir, config)
+        model_s = time.perf_counter() - t0
+    # created only once every recording is analysed, the dataset has rows and
+    # the model has cross-validated, so a bad input, scale file or age, an
+    # empty dataset or a model failure (exit codes 4 and 5 at the CLI) leaves
+    # nothing behind
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
@@ -364,10 +370,9 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> l
     outputs.append(dataset_path)
     timings["features"] = pool_s + time.perf_counter() - t0
 
+    outputs.extend(model_outputs)
     if config.model:
-        t0 = time.perf_counter()
-        outputs.extend(train_and_report(dataset, out_dir, config))
-        timings["model"] = time.perf_counter() - t0
+        timings["model"] = model_s
 
     manifest_path = out_dir / "manifest.json"
     manifest = {

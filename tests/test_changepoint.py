@@ -214,6 +214,22 @@ def three_regime_span():
     ).astype(float)
 
 
+def permuted_stats(matrices, params, cfg, iteration):
+    """Max best-split Q over the permutable segments' distance matrices under
+    each permutation, one ordering at a time."""
+    admissible = [m for m in matrices if m.shape[0] >= 2 * params.min_segment]
+    stats = []
+    for r in range(cfg.n_permutations):
+        rng = changepoint._permutation_rng(cfg.master_seed, iteration, r)
+        stats.append(
+            max(
+                single_order_best_split(m, rng.permutation(m.shape[0]), params.min_segment)[1]
+                for m in admissible
+            )
+        )
+    return stats
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_distance_matrix_matches_loop(self, d):
@@ -256,20 +272,26 @@ class TestBlockKernel:
         matrices = [full[a:b, a:b] for a, b in bounds]
         params = EnergyParams(min_segment=30)
         cfg = PermutationConfig(n_permutations=99, master_seed=4)
-        stats = []
-        for r in range(cfg.n_permutations):
-            perm_rng = changepoint._permutation_rng(cfg.master_seed, 2, r)
-            stats.append(
-                max(
-                    single_order_best_split(m, perm_rng.permutation(m.shape[0]), 30)[1]
-                    for m in matrices[1:]
-                )
-            )
+        stats = permuted_stats(matrices, params, cfg, 2)
         observed = float(np.quantile(stats, 0.8))
         expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
         # the largest segment sets the block: BLOCK_ELEMENTS // 150 orderings
         monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 150 * block)
         assert changepoint._permutation_pvalue(matrices, observed, params, cfg, 2) == expected
+        level = expected - 1.5 / (cfg.n_permutations + 1)
+        for first_block in (1, 4, 8, 16):
+            monkeypatch.setattr(changepoint, "FIRST_BLOCK", first_block)
+            # an early stop that never fires spends the first block, then the
+            # usual ones, and reaches the same exact p-value
+            stopped = changepoint._permutation_pvalue(
+                matrices, observed, params, cfg, 2, stop_above=expected
+            )
+            assert stopped == expected
+            # one that fires returns a lower bound already above the level
+            stopped = changepoint._permutation_pvalue(
+                matrices, observed, params, cfg, 2, stop_above=level
+            )
+            assert level < stopped <= expected
 
 
 def replayed_tests(span, params, cps):
@@ -294,6 +316,30 @@ def replayed_tests(span, params, cps):
             return tests
         remaining.remove(t)
         bounds = sorted([*bounds, t])
+
+
+def distance_matrices(segments, params):
+    return [
+        changepoint._alpha_distance_matrix(np.asarray(seg, dtype=float), params.alpha_exp)
+        for seg in segments
+    ]
+
+
+def kernel_block(segments, params):
+    """Orderings per kernel pass: BLOCK_ELEMENTS // the longest permutable segment."""
+    longest = max(len(seg) for seg in segments if len(seg) >= 2 * params.min_segment)
+    return max(1, changepoint.BLOCK_ELEMENTS // longest)
+
+
+def spent_by_stopped_test(exceeds, block, significance):
+    """Permutations an early-stopped test draws: a first block of FIRST_BLOCK
+    (at most ``block``), then blocks of ``block``, up to the first at whose
+    end (1 + exceedances) / (R + 1) exceeds the significance level, or all R."""
+    n_perm = len(exceeds)
+    end = min(changepoint.FIRST_BLOCK, block)
+    while end < n_perm and (1 + sum(exceeds[:end])) / (n_perm + 1) <= significance:
+        end += block
+    return min(end, n_perm)
 
 
 class TestEarlyStop:
@@ -334,13 +380,40 @@ class TestEarlyStop:
             assert permutation_test(segments, q, params, cfg, iteration) == committed[t].p_value
         segments, q, _ = tests[-1]
         assert permutation_test(segments, q, params, cfg, len(cps)) > significance
-        # committed tests spend every permutation; a small block lets the
-        # rejected one stop early
+        # committed tests spend every permutation; the rejected one stops at
+        # the end of the block where its p-value is sure to exceed the level
+        stats = permuted_stats(distance_matrices(segments, params), params, cfg, len(cps))
+        exceeds = [q_r >= q for q_r in stats]
+        assert spent_by_e_divisive == len(cps) * cfg.n_permutations + spent_by_stopped_test(
+            exceeds, kernel_block(segments, params), significance
+        )
         full_budget = len(tests) * cfg.n_permutations
-        if block is None:
-            assert spent_by_e_divisive == full_budget
-        else:
+        if block is not None:
             assert len(cps) * cfg.n_permutations <= spent_by_e_divisive < full_budget
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_rejected_test_at_l300_stops_after_the_first_block(self, monkeypatch, block):
+        # one regime: the first split is rejected.  At L = 300 the usual block
+        # holds all 99 permutations; a first block never outgrows a smaller one
+        span = np.random.default_rng(300).poisson((9.0, 6.0, 7.0), (300, 3)).astype(float)
+        params, cfg = EnergyParams(min_segment=30), PermutationConfig(master_seed=3)
+        if block is None:
+            assert kernel_block([span], params) >= cfg.n_permutations
+        else:
+            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 300 * block)
+        first_block = min(changepoint.FIRST_BLOCK, kernel_block([span], params))
+        streams = []
+        draw = changepoint._permutation_rng
+        monkeypatch.setattr(
+            changepoint, "_permutation_rng", lambda *key: streams.append(key) or draw(*key)
+        )
+        assert e_divisive(span, params, cfg) == []
+        assert streams == [(3, 0, r) for r in range(first_block)]
+        _, q = best_split(span, params)
+        stats = permuted_stats(distance_matrices([span], params), params, cfg, 0)
+        exceeds = [q_r >= q for q_r in stats]
+        assert any(exceeds[:first_block])
+        assert permutation_test([span], q, params, cfg, 0) > cfg.significance
 
 
 class TestMemoryShape:

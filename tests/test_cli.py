@@ -669,15 +669,23 @@ class TestRunLeavesNoReportOnBadConfig:
     the report directory exists."""
 
     @pytest.mark.parametrize(
-        "case,code", [("bad-bounds", 3), ("missing-scale", 2), ("no-age-band", 3)]
+        "case,code",
+        [("bad-bounds", 3), ("missing-scale", 2), ("no-age-band", 3), ("overlong-field", 3)],
     )
     def test_no_report_directory(self, study_dir, tmp_path, capsys, case, code):
         scale_file = tmp_path / "scale.csv"
         scale_file.write_text(
             "age_min,age_max,sedentary_max,light_max,moderate_max\n0,130,500,100,2000\n"
         )
+        # a field over csv.field_size_limit(), 131,072 characters by default
+        long_scale = tmp_path / "long_scale.csv"
+        long_scale.write_text(
+            "age_min,age_max,sedentary_max,light_max,moderate_max\n0,130,99,2019,"
+            + "1" * 200_000 + "\n"
+        )
         flags = {
             "bad-bounds": ["--scale-file", str(scale_file)],
+            "overlong-field": ["--scale-file", str(long_scale)],
             "missing-scale": ["--scale-file", str(tmp_path / "missing.csv")],
             "no-age-band": ["--age", "3"],
         }[case]
@@ -812,6 +820,30 @@ def test_run_with_an_empty_dataset_leaves_no_report(tmp_path, capsys):
     report = tmp_path / "report"
     assert main(["run", "--in", str(recording), "--report", str(report)]) == 4
     assert capsys.readouterr().err == "empty dataset: all segments were filtered out\n"
+    assert not report.exists()
+
+
+def test_run_with_a_model_failure_leaves_no_report(tmp_path, capsys):
+    # the first sleep is not scored and the second is good: one row, one class
+    profile = DayProfile(
+        schedule=(
+            ActivityBlock("sedentary", 120),
+            ActivityBlock("sleep", 480),
+            ActivityBlock("light", 100),
+            ActivityBlock("sedentary", 30),
+            ActivityBlock("sleep", 420),
+            ActivityBlock("moderate", 100),
+            ActivityBlock("sedentary", 190),
+        ),
+        seed=3,
+    )
+    save_profile(profile, tmp_path / "day.json")
+    recording = tmp_path / "day.csv"
+    assert main(["synth", "--profile", str(tmp_path / "day.json"), "--out", str(recording)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert main(["run", "--in", str(recording), "--report", str(report), "--model", "logreg"]) == 5
+    assert capsys.readouterr().err == "model failure: class 1 has 1 members, fewer than 5 folds\n"
     assert not report.exists()
 
 

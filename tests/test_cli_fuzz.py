@@ -1,10 +1,10 @@
 """Fuzz of the command line.
 
-Bad epoch CSVs, bad flag values and bad day profiles must end in a
-documented exit code with one line on stderr and no traceback, and a
-command that fails leaves no output behind.  The inputs hold a few hundred
-epochs at most and no sleep to segment, so no example reaches the slow
-stages.
+Bad epoch CSVs, bad flag values, bad day profiles and bad cut-point scale
+files must end in a documented exit code with one line on stderr and no
+traceback, and a command that fails leaves no output behind.  The inputs
+hold a few hundred epochs at most and no sleep to segment, so no example
+reaches the slow stages.
 """
 
 from __future__ import annotations
@@ -217,3 +217,78 @@ def test_bad_day_profiles(blocks, start):
             assert cli(["validate", "--in", str(out)], workdir) == (
                 0, f"{out}: OK ({epochs} epochs)\n"
             )
+
+
+SCALE_HEADER = "age_min,age_max,sedentary_max,light_max,moderate_max"
+SCALE_NUMBERS = st.one_of(
+    st.sampled_from([
+        "nan", "inf", "-inf", "1e400", "-1", "0", "1.5", "", " ", "x", "0x10", "1_000",
+        "9" * 5000, "99999999999999999999", '"7\n"', "١",
+    ]),
+    st.integers(-10, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@st.composite
+def bad_scale_files(draw) -> str:
+    """A valid one-band adult scale, then one to three faults."""
+    rows = [["0", "130", "99", "2019", "5998"]]
+    header = SCALE_HEADER
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from([
+            "header", "fields", "number", "order", "ages", "band", "garbage", "blank",
+            "overlong", "empty",
+        ]))
+        i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        if fault == "empty":
+            return ""
+        if fault == "header":
+            header = draw(st.sampled_from([
+                SCALE_HEADER.upper(), SCALE_HEADER.rsplit(",", 1)[0], "", "\ufeff" + SCALE_HEADER,
+                " " + SCALE_HEADER.replace(",", " , "), SCALE_HEADER + ",extra",
+            ]))
+        elif fault == "blank":
+            rows.insert(i, [])
+        elif fault == "garbage":
+            rows.insert(i, [draw(st.text(max_size=20))])
+        elif fault == "overlong":
+            # one field over csv.field_size_limit(), 131,072 characters by default
+            rows.insert(i, ["1" * 131_073, "130", "99", "2019", "5998"])
+        elif fault == "band":
+            rows.append(draw(st.lists(SCALE_NUMBERS, min_size=5, max_size=5)))
+        elif not rows or len(rows[i]) != len(SCALE_HEADER.split(",")):
+            continue  # no row to break, or an earlier fault already broke this one
+        elif fault == "fields":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else [*rows[i], "0"]
+        elif fault == "number":
+            rows[i][draw(st.integers(0, 4))] = draw(SCALE_NUMBERS)
+        elif fault == "order":
+            rows[i][2:] = draw(st.permutations(rows[i][2:]))
+        elif fault == "ages":
+            rows[i][:2] = draw(st.sampled_from([["30", "18"], ["0", "3"], ["40", "130"]]))
+    return "".join(line + "\n" for line in [header, *(",".join(r) for r in rows)])
+
+
+@FUZZ
+@given(text=bad_scale_files(), command=st.sampled_from(["sleep", "run"]))
+def test_bad_scale_files(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        recording = workdir / "day.csv"
+        recording.write_text("".join(
+            line + "\n" for line in [HEADER, *(",".join(row(m)) for m in range(12))]
+        ))
+        scale = workdir / "scale.csv"
+        scale.write_text(text, encoding="utf-8")
+        out = {"sleep": "--out", "run": "--report"}[command]
+        code, err = cli(
+            [command, "--in", str(recording), "--scale-file", str(scale), out,
+             str(workdir / "out")],
+            workdir,
+        )
+        # a scale fault, from its header to a band the age misses, is exit 3;
+        # a good scale leaves this sleepless recording an empty dataset (4)
+        assert code in {0, 3, 4}, err
+        if code == 3:
+            assert err.startswith("validation failure: "), err
