@@ -8,7 +8,8 @@ adults use 100 / 2020 / 5999 counts-per-minute boundaries, youths aged
 6-17 use the age-specific moderate and vigorous thresholds from the same
 publication.  Custom scales can be loaded from a CSV file with rows
 ``age_min,age_max,sedentary_max,light_max,moderate_max`` (inclusive
-upper bounds in counts/min).
+upper bounds in counts/min); ages are ASCII digits and bounds ASCII
+numbers without ``_``.
 
 The scale is defined on vertical-axis (axis1) counts.  A vector-magnitude
 signal option exists for devices calibrated that way, but the bundled
@@ -18,6 +19,7 @@ thresholds were published for axis1.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidScale, ParseError
-from .ingest import EpochSeries, read_table, vm3
+from .ingest import EpochSeries, is_count, is_plain_number, read_table, vm3
 
 SCALE_HEADER = ["age_min", "age_max", "sedentary_max", "light_max", "moderate_max"]
 
@@ -40,10 +42,6 @@ class IntensityLevel(IntEnum):
     @property
     def token(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_token(cls, token: str) -> "IntensityLevel":
-        return cls[token.upper()]
 
 
 @dataclass(frozen=True)
@@ -126,6 +124,12 @@ def load_scale_file(path: str | Path, name: str | None = None) -> CutPointScale:
             rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4])))
         except ValueError as exc:
             raise InvalidScale(f"line {line_number}: scale row {row!r}: {exc}") from None
+        plain = [is_count(c.strip(string.whitespace)) for c in row[:2]] + [is_plain_number(c) for c in row[2:]]
+        if not all(plain):
+            bad = row[plain.index(False)]
+            raise InvalidScale(
+                f"line {line_number}: scale row {row!r}: {bad!r} is not a plain ASCII number"
+            )
     if not rows:
         raise InvalidScale("scale file has no bands")
     return make_scale(name or path.stem, rows)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cutpoints import IntensityLevel
 from .errors import EmptyAwakeSpan, EmptyDataset, MalformedRow
-from .ingest import read_table
+from .ingest import is_plain_number, read_table
 from .modes import ActivityMode
 from .segments import SleepWakeSegment
 from .sleep import SleepMetrics
@@ -193,8 +193,10 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
 
 def finite_cell(text: str, line_number: int, name: str) -> float:
     """The number in the table cell ``name``; a :class:`MalformedRow` naming
-    ``line_number`` when it is not a finite number."""
+    ``line_number`` when it is not a finite number in plain ASCII."""
     try:
+        if not is_plain_number(text):
+            raise ValueError
         value = float(text)
     except ValueError:
         raise MalformedRow(line_number, f"bad {name} {text!r}") from None

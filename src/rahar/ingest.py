@@ -210,14 +210,32 @@ def _parse_timestamp(token: str, line_number: int) -> datetime:
 
 def _parse_count(token: str, name: str, line_number: int) -> int:
     try:
-        value = int(token)
+        # a "-" before ASCII digits is a negative count, unless they are zero
+        if not is_count(token) and not (
+            token[:1] == "-" and is_count(token[1:]) and token[1:].strip("0")
+        ):
+            raise ValueError
+        value = int(token)  # a ValueError too past int()'s 4,300-digit limit
     except ValueError:
-        raise MalformedRow(line_number, f"{name} {token!r} is not an integer")
+        raise MalformedRow(line_number, f"{name} {token!r} is not an integer") from None
     if value < 0:
         raise NegativeCount(line_number, name, value)
     if value > MAX_COUNT:
         raise MalformedRow(line_number, f"{name} {value} exceeds the ceiling of {MAX_COUNT}")
     return value
+
+
+# The number rule of every input table.  ``int()`` and ``float()`` alone
+# also read a sign on a count, ``_`` separators (``1_0`` is 10) and the
+# digits of other scripts (Arabic-Indic ``١٢`` is 12).
+def is_count(cell: str) -> bool:
+    """True when ``cell`` is one or more ASCII digits."""
+    return cell.isascii() and cell.isdigit()
+
+
+def is_plain_number(cell: str) -> bool:
+    """True when ``cell`` may be read by ``float()``: ASCII, without ``_``."""
+    return cell.isascii() and "_" not in cell
 
 
 def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tuple[int, list]]:
@@ -254,8 +272,8 @@ def parse_epoch_csv(
 
     The header must be exactly ``timestamp,axis1,axis2,axis3,steps,inclinometer``;
     timestamps are ISO-8601 with an explicit UTC offset, inclinometer tokens
-    are lowercase ``off|standing|sitting|lying``, and counts are integers in
-    ``[0, MAX_COUNT]``.
+    are lowercase ``off|standing|sitting|lying``, and counts are ASCII digits
+    for an integer in ``[0, MAX_COUNT]``.
     """
     text = io.StringIO(source) if isinstance(source, str) else source
     utc_us, offset_us, counts = array("q"), array("q"), array("q")

@@ -77,10 +77,7 @@ def roc_curve(scores, y) -> list[tuple[float, float]]:
     fps = np.cumsum(sorted_y == 0)
     # keep only the last index of each tied score block
     distinct = np.r_[sorted_scores[1:] != sorted_scores[:-1], True]
-    points = [(0.0, 0.0)]
-    for i in np.flatnonzero(distinct):
-        points.append((fps[i] / n_neg, tps[i] / n_pos))
-    return points
+    return [(0.0, 0.0), *zip((fps[distinct] / n_neg).tolist(), (tps[distinct] / n_pos).tolist())]
 
 
 def auc_trapezoid(points: list[tuple[float, float]]) -> float:

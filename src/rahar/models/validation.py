@@ -22,13 +22,13 @@ from .logreg import LogRegConfig, train_logreg
 MODEL_KINDS = ("logreg", "adaboost", "rf")
 
 
-def make_config(kind: str, seed: int = 0, **overrides):
+def make_config(kind: str, seed: int = 0):
     if kind == "logreg":
-        return LogRegConfig(**overrides)
+        return LogRegConfig()
     if kind == "adaboost":
-        return AdaBoostConfig(seed=seed, **overrides)
+        return AdaBoostConfig(seed=seed)
     if kind == "rf":
-        return ForestConfig(seed=seed, **overrides)
+        return ForestConfig(seed=seed)
     raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
 
 

@@ -19,14 +19,13 @@ time (duration - WASO - latency), and sleep efficiency (TST / TMB).
 Note on the candidate predicate: the default accepted inclinometer set is
 everything *except* lying down.  That is deliberate and surprising; see
 the README before overriding it.  A recording that ends mid-sleep yields
-a truncated period (closed at the last candidate epoch, or discarded,
-per policy) because the awakening rule cannot be verified.
+a truncated period, closed at its last candidate epoch and flagged,
+because the awakening rule cannot be verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -51,17 +50,11 @@ class CandidateConfig:
             raise ValueError("at least one candidate criterion must be enabled")
 
 
-class TruncatedPolicy(Enum):
-    CLOSE_AT_LAST_CANDIDATE = "close_at_last_candidate"
-    DISCARD = "discard"
-
-
 @dataclass(frozen=True)
 class SleepRules:
     onset_run: int = 15
     awakening_gap: int = 30
     waso_bout_min: int = 5  # a bout counts toward WASO only if strictly longer
-    truncated_policy: TruncatedPolicy = TruncatedPolicy.CLOSE_AT_LAST_CANDIDATE
     min_sleep_min: int = 0  # optional post-filter; 0 disables
 
     def __post_init__(self):
@@ -127,46 +120,26 @@ def _runs(mask: np.ndarray) -> list[tuple[bool, int, int]]:
 def detect_sleep_periods(mask: np.ndarray, rules: SleepRules | None = None) -> list[SleepPeriod]:
     """Apply the onset/awakening run rules to a candidate mask.
 
-    Returns disjoint, ordered periods.  A period opens at the start of the
-    first candidate run of length >= ``onset_run`` and stays open across
-    non-candidate bouts shorter than ``awakening_gap``; it closes at the
-    last candidate epoch before the first long-enough non-candidate run.
-    If the recording ends first, the truncation policy decides whether the
-    period is closed at the last candidate epoch (flagged) or dropped.
+    Returns disjoint, ordered periods from one forward scan over the runs
+    of the mask.  A candidate run at least ``onset_run`` long opens a
+    period when none is open; any candidate run extends an open one.  A
+    non-candidate run at least ``awakening_gap`` long closes the open
+    period at its last candidate epoch.  A period still open when the runs
+    end is closed there and flagged truncated.
     """
     rules = rules or SleepRules()
-    mask = np.asarray(mask, dtype=bool)
-    runs = _runs(mask)
     periods: list[SleepPeriod] = []
-    i = 0
-    while i < len(runs):
-        value, start, stop = runs[i]
-        if not value or stop - start < rules.onset_run:
-            i += 1
-            continue
-        onset = start
-        last_candidate = stop - 1
-        truncated = False
-        j = i + 1
-        while True:
-            if j >= len(runs):
-                truncated = True  # recording ended during a candidate run
-                break
-            _, gap_start, gap_stop = runs[j]
-            if gap_stop - gap_start >= rules.awakening_gap:
-                break
-            if j + 1 >= len(runs):
-                truncated = True  # trailing gap too short to confirm awakening
-                break
-            _, _, cand_stop = runs[j + 1]
-            last_candidate = cand_stop - 1
-            j += 2
-        if truncated:
-            if rules.truncated_policy is TruncatedPolicy.CLOSE_AT_LAST_CANDIDATE:
-                periods.append(SleepPeriod(onset, last_candidate, truncated=True))
-            break
-        periods.append(SleepPeriod(onset, last_candidate))
-        i = j + 1
+    onset = last_candidate = None
+    for value, start, stop in _runs(np.asarray(mask, dtype=bool)):
+        if value:
+            if onset is None and stop - start >= rules.onset_run:
+                onset = start
+            last_candidate = stop - 1
+        elif onset is not None and stop - start >= rules.awakening_gap:
+            periods.append(SleepPeriod(onset, last_candidate))
+            onset = None
+    if onset is not None:
+        periods.append(SleepPeriod(onset, last_candidate, truncated=True))
     if rules.min_sleep_min > 0:
         periods = [p for p in periods if p.duration_epochs >= rules.min_sleep_min]
     return periods

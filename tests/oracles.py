@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
@@ -301,7 +302,10 @@ def ref_parse_timestamp(token: str, line_number: int) -> datetime:
 
 
 def ref_parse_count(token: str, name: str, line_number: int) -> int:
+    # ASCII digits, with a "-" only before a non-zero value
     try:
+        if not re.fullmatch(r"-?[0-9]+", token) or re.fullmatch(r"-0+", token):
+            raise ValueError
         value = int(token)
     except ValueError:
         raise MalformedRow(line_number, f"{name} {token!r} is not an integer")

@@ -872,3 +872,72 @@ class TestOneLineFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
         assert not report.exists()
+
+
+def test_roc_csv_cells_are_plain_numbers(study_dir, tmp_path):
+    """Every roc.csv cell `run --model` and `train` write reads with float()."""
+    report, trained = tmp_path / "report", tmp_path / "trained"
+    model = ["--model", "logreg", "--folds", "2"]
+    assert main(["run", "--in", str(study_dir), "--report", str(report), *model]) == 0
+    assert main(["train", "--in", str(report / "dataset.csv"), "--out-dir", str(trained),
+                 *model]) == 0
+    for roc in (report / "roc.csv", trained / "roc.csv"):
+        header, *rows = read_csv_rows(roc)
+        assert header == ["fpr", "tpr"] and len(rows) > 2
+        for row in rows:
+            assert [0.0 <= float(cell) <= 1.0 for cell in row] == [True, True], row
+
+
+class TestNumbersAreAscii:
+    """`int()` and `float()` alone read `1_0` as 10 and Arabic-Indic `١٢` as 12;
+    every input table takes its numbers in plain ASCII only."""
+
+    @pytest.mark.parametrize("token", [
+        "1_0", "١٢", "+5", "-0",
+        pytest.param("9" * 5000, id="5000-digits"), pytest.param("-" + "9" * 5000, id="-5000-digits"),
+    ])
+    def test_epoch_count(self, tmp_path, capsys, token):
+        path = tmp_path / "day.csv"
+        path.write_text("timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+                        "2014-09-01T22:00:00+00:00,0,0,0,0,off\n"
+                        f"2014-09-01T22:01:00+00:00,{token},0,0,0,off\n", encoding="utf-8")
+        assert main(["validate", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: line 3: axis1 {token!r} is not an integer\n"
+
+    @pytest.mark.parametrize("token", ["0_7", "٠.٧"])
+    def test_dataset_number(self, tmp_path, capsys, token):
+        dataset = tmp_path / "ds.csv"
+        dataset.write_text(DATASET_HEADER + DATASET_ROW.replace("0.7", token), encoding="utf-8")
+        out_dir = tmp_path / "models"
+        assert main(["train", "--in", str(dataset), "--model", "logreg",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"parse error: line 2: bad frac_sed {token!r}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("token", ["0_9", "٠.٩"])
+    def test_eval_score(self, tmp_path, capsys, token):
+        scored = tmp_path / "scored.csv"
+        scored.write_text(f"score,label\n{token},good\n0.2,poor\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--in", str(scored), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"parse error: line 2: bad score {token!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", [
+        "1_0,130,99,2019,5998", "٠,130,99,2019,5998", "+0,130,99,2019,5998",
+        "0,130,9_9,2019,5998", "0,130,99,٢٠١٩,5998", "\u00a00,130,99,2019,5998",
+        "0,130,\u00a099,2019,5998",
+    ])
+    def test_scale_number(self, study_dir, tmp_path, capsys, row):
+        scale = tmp_path / "scale.csv"
+        scale.write_text(
+            "age_min,age_max,sedentary_max,light_max,moderate_max\n" + row + "\n", encoding="utf-8"
+        )
+        recording = sorted(study_dir.glob("*.csv"))[0]
+        out = tmp_path / "sleep.json"
+        assert main(["sleep", "--in", str(recording), "--scale-file", str(scale),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: line 2: scale row ") and err.count("\n") == 1
+        assert "is not a plain ASCII number" in err, err
+        assert not out.exists()

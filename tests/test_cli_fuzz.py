@@ -93,7 +93,8 @@ def bad_epoch_csvs(draw) -> str:
             rows[i][draw(st.integers(1, 4))] = str(-draw(st.integers(1, 10**12)))
         elif fault == "non-integer":
             rows[i][draw(st.integers(1, 4))] = draw(st.sampled_from(
-                ["1.5", "x", "", " ", "1e3", "0x10", "+", "nan", "inf", "10000000000"]
+                ["1.5", "x", "", " ", "1e3", "0x10", "+", "nan", "inf", "10000000000", "1_0",
+                 "١٢"]
             ))
         elif fault == "inclinometer":
             rows[i][5] = draw(st.sampled_from(["", "sleeping", "OFF ", "on", "0", "Lying"]))
@@ -292,3 +293,7 @@ def test_bad_scale_files(text, command):
         assert code in {0, 3, 4}, err
         if code == 3:
             assert err.startswith("validation failure: "), err
+        # a number with a `_` separator or a non-ASCII digit is a scale fault
+        rows = text.partition("\n")[2]
+        if "_" in rows or not rows.isascii():
+            assert code == 3, (text, err)

@@ -119,7 +119,7 @@ def epoch_files(draw, corruption: str | None = None):
         elif corruption == "naive":
             row[0] = utc.replace(tzinfo=None).isoformat()
         elif corruption == "not_integer":
-            row[k] = draw(st.sampled_from(["1.5", "x", ""]))
+            row[k] = draw(st.sampled_from(["1.5", "x", "", "1_0", "+5", "١٢"]))
         elif corruption == "negative":
             row[k] = "-3"
         elif corruption == "ceiling":

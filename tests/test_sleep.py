@@ -11,7 +11,6 @@ from rahar.sleep import (
     CandidateConfig,
     SleepPeriod,
     SleepRules,
-    TruncatedPolicy,
     candidate_mask,
     compute_latency,
     compute_metrics,
@@ -101,11 +100,6 @@ class TestDetect:
     def test_exact_trailing_gap_closes_normally(self):
         mask = mask_of((True, 15), (False, 30))
         assert detect_sleep_periods(mask) == [SleepPeriod(0, 14)]
-
-    def test_discard_policy_drops_truncated(self):
-        rules = SleepRules(truncated_policy=TruncatedPolicy.DISCARD)
-        mask = mask_of((True, 20),)
-        assert detect_sleep_periods(mask, rules) == []
 
     def test_shift_equivariance(self):
         mask = mask_of((True, 15), (False, 6), (True, 4), (False, 40), (True, 16), (False, 35))
