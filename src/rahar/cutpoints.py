@@ -31,6 +31,7 @@ from .errors import InvalidScale, ParseError
 from .ingest import EpochSeries, is_count, is_plain_number, read_table, vm3
 
 SCALE_HEADER = ["age_min", "age_max", "sedentary_max", "light_max", "moderate_max"]
+DEFAULT_AGE_YEARS = 18  # the adult band
 
 
 class IntensityLevel(IntEnum):
@@ -157,10 +158,10 @@ def classify_series(
 ) -> np.ndarray:
     """Elementwise intensity levels (uint8 :class:`IntensityLevel` codes) for a series.
 
-    Age defaults to the series' subject metadata; the scale defaults to the
-    bundled Troiano table.
+    The age defaults to ``DEFAULT_AGE_YEARS`` (18, the adult band); the
+    scale defaults to the bundled Troiano table.
     """
     scale = scale or builtin_troiano_scale()
-    age = age_years if age_years is not None else series.subject.age_years
+    age = DEFAULT_AGE_YEARS if age_years is None else age_years
     band = scale.band_for_age(age)  # resolve once; also fails fast on bad age
     return band.levels(_signal_counts(series, signal) / series.epoch_minutes)

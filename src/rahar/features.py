@@ -191,9 +191,9 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
         )
 
 
-def finite_cell(text: str, line_number: int, name: str) -> float:
+def finite_cell(text: str, line_number: int, name: str, low=-math.inf, high=math.inf) -> float:
     """The number in the table cell ``name``; a :class:`MalformedRow` naming
-    ``line_number`` when it is not a finite number in plain ASCII."""
+    ``line_number`` when it is not a finite number in plain ASCII in [low, high]."""
     try:
         if not is_plain_number(text):
             raise ValueError
@@ -202,19 +202,23 @@ def finite_cell(text: str, line_number: int, name: str) -> float:
         raise MalformedRow(line_number, f"bad {name} {text!r}") from None
     if not math.isfinite(value):
         raise MalformedRow(line_number, f"{name} {text!r} is not a finite number")
+    if not low <= value <= high:
+        raise MalformedRow(line_number, f"{name} {text!r} is outside [{low:g}, {high:g}]")
     return value
 
 
 def read_dataset_csv(stream: TextIO) -> Dataset:
     """Read a dataset CSV produced by :func:`write_dataset_csv`.
 
-    A bad header is a :class:`ParseError`; a bad row is a
-    :class:`MalformedRow` naming the physical line it starts on.
+    A bad header is a :class:`ParseError`; a bad row is a :class:`MalformedRow`
+    naming the physical line it starts on.  Fractions and efficiency lie in
+    [0, 1] and awake minutes at or above 0, as in every row build_dataset makes.
     """
     ids, X, y, effs, awake = [], [], [], [], []
     for line_number, row in read_table(stream, DATASET_HEADER, "dataset "):
         values = [
-            finite_cell(v, line_number, name) for name, v in zip(DATASET_HEADER[1:7], row[1:7])
+            finite_cell(v, line_number, name, 0.0, math.inf if name == "awake_min" else 1.0)
+            for name, v in zip(DATASET_HEADER[1:7], row[1:7])
         ]
         try:
             label = Quality.from_token(row[7])

@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import string
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
 from typing import Iterator, TextIO
@@ -108,16 +109,6 @@ class Epoch:
         return (self.axis1, self.axis2, self.axis3)
 
 
-@dataclass(frozen=True)
-class SubjectMeta:
-    subject_id: str = "anon"
-    age_years: int = 18
-
-    def __post_init__(self):
-        if self.age_years <= 0:
-            raise ValueError(f"age_years must be positive, got {self.age_years}")
-
-
 def _aware(utc_us: int, offset_us: int) -> datetime:
     """The instant ``utc_us`` written in its own UTC offset."""
     local = _LOCAL_EPOCH + timedelta(microseconds=int(utc_us) + int(offset_us))
@@ -139,6 +130,7 @@ class EpochSeries:
     axis3 and steps, and ``inclinometer`` the uint8 :class:`Inclinometer`
     codes.  Construction does not validate the stride; run
     :func:`validate_series` before feeding a series to downstream stages.
+    It holds no subject data: the age is an argument of ``classify_series``.
     """
 
     utc_us: np.ndarray
@@ -146,7 +138,6 @@ class EpochSeries:
     counts: np.ndarray
     inclinometer: np.ndarray
     epoch_length: timedelta = timedelta(seconds=60)
-    subject: SubjectMeta = field(default_factory=SubjectMeta)
 
     def __post_init__(self):
         columns = {"utc_us": np.int64, "offset_us": np.int64, "inclinometer": np.uint8}
@@ -160,11 +151,11 @@ class EpochSeries:
             )
 
     def __eq__(self, other) -> bool:
-        """Equal columns (offsets included), epoch length and subject."""
+        """Equal columns (offsets included) and epoch length."""
         if not isinstance(other, EpochSeries):
             return NotImplemented
         columns = ("utc_us", "offset_us", "counts", "inclinometer")
-        return (self.epoch_length, self.subject) == (other.epoch_length, other.subject) and all(
+        return self.epoch_length == other.epoch_length and all(
             np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
         )
 
@@ -264,29 +255,28 @@ def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tu
 
 
 def parse_epoch_csv(
-    source: TextIO | str,
-    meta: SubjectMeta | None = None,
-    epoch_length: timedelta = timedelta(seconds=60),
+    source: TextIO | str, *, epoch_length: timedelta = timedelta(seconds=60)
 ) -> EpochSeries:
     """Parse an epoch CSV into an :class:`EpochSeries`, preserving row order.
 
     The header must be exactly ``timestamp,axis1,axis2,axis3,steps,inclinometer``;
     timestamps are ISO-8601 with an explicit UTC offset, inclinometer tokens
     are lowercase ``off|standing|sitting|lying``, and counts are ASCII digits
-    for an integer in ``[0, MAX_COUNT]``.
+    for an integer in ``[0, MAX_COUNT]``.  Cells are stripped of ASCII whitespace only.
     """
     text = io.StringIO(source) if isinstance(source, str) else source
     utc_us, offset_us, counts = array("q"), array("q"), array("q")
     states = bytearray()
+    space = string.whitespace
     for line_number, row in read_table(text, CSV_HEADER):
-        instant, offset = split_instant(_parse_timestamp(row[0].strip(), line_number))
+        instant, offset = split_instant(_parse_timestamp(row[0].strip(space), line_number))
         utc_us.append(instant)
         offset_us.append(offset)
-        counts.append(_parse_count(row[1].strip(), "axis1", line_number))
-        counts.append(_parse_count(row[2].strip(), "axis2", line_number))
-        counts.append(_parse_count(row[3].strip(), "axis3", line_number))
-        counts.append(_parse_count(row[4].strip(), "steps", line_number))
-        token = row[5].strip()
+        counts.append(_parse_count(row[1].strip(space), "axis1", line_number))
+        counts.append(_parse_count(row[2].strip(space), "axis2", line_number))
+        counts.append(_parse_count(row[3].strip(space), "axis3", line_number))
+        counts.append(_parse_count(row[4].strip(space), "steps", line_number))
+        token = row[5].strip(space)
         code = _INCLINOMETER_CODES.get(token.upper())
         if code is None:
             raise UnknownInclinometer(line_number, token)
@@ -297,7 +287,6 @@ def parse_epoch_csv(
         np.frombuffer(counts, np.int64),
         np.frombuffer(states, np.uint8),
         epoch_length,
-        meta or SubjectMeta(),
     )
 
 
@@ -441,6 +430,5 @@ def aggregate_epochs(series: EpochSeries, factor: int) -> tuple[EpochSeries, int
         series.counts[:kept].reshape(n_blocks, factor, 4).sum(axis=1),
         tally.argmax(axis=1),  # the first maximum: ties go to the lower state
         series.epoch_length * factor,
-        series.subject,
     )
     return out, len(series) - kept

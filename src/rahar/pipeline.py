@@ -63,7 +63,7 @@ CHOICES = {
 
 @dataclass
 class PipelineConfig:
-    age_years: int | None = None  # None -> subject metadata default
+    age_years: int | None = None  # None -> cutpoints.DEFAULT_AGE_YEARS
     scale_file: str | None = None
     cut_axis: str = "axis1"  # cut-point signal
     cp_signal: str = "triaxial"  # change-point observations

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidProfile
-from .ingest import MAX_COUNT, EpochSeries, Inclinometer, SubjectMeta, split_instant
+from .ingest import MAX_COUNT, EpochSeries, Inclinometer, split_instant
 from .sleep import SleepPeriod, SleepRules
 
 SLEEP = "sleep"
@@ -78,7 +78,6 @@ class DayProfile:
     noise: float = 0.0
     seed: int = 0
     start: datetime = datetime(2014, 9, 1, 0, 0, tzinfo=timezone.utc)
-    subject: SubjectMeta = field(default_factory=lambda: SubjectMeta("sim", 18))
 
 
 @dataclass
@@ -214,7 +213,6 @@ def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[Epoc
         counts,
         np.concatenate(states),
         stride,
-        profile.subject,
     )
     return series, GroundTruth(periods, change_points, mode_schedule)
 
@@ -226,10 +224,6 @@ def profile_to_dict(profile: DayProfile) -> dict:
         "seed": profile.seed,
         "noise": profile.noise,
         "start": profile.start.isoformat(),
-        "subject": {
-            "subject_id": profile.subject.subject_id,
-            "age_years": profile.subject.age_years,
-        },
         "schedule": [
             {
                 "mode": b.mode,
@@ -243,8 +237,23 @@ def profile_to_dict(profile: DayProfile) -> dict:
     }
 
 
+_PROFILE_KEYS = frozenset({"seed", "noise", "start", "schedule"})
+_BLOCK_KEYS = frozenset({"mode", "duration_min", "mean_counts", "dispersion", "mean_steps"})
+
+
+def _known_keys(item: dict, keys: frozenset, what: str) -> dict:
+    """``item``, when every one of its keys is in ``keys``."""
+    unknown = sorted(item.keys() - keys)
+    if unknown:
+        hint = "; the subject's age is set with --age" if "subject" in unknown else ""
+        raise InvalidProfile(f"unknown {what} key(s) {unknown}, expected {sorted(keys)}{hint}")
+    return item
+
+
 def profile_from_dict(payload: dict) -> DayProfile:
+    """A profile from its JSON object; any key the format lacks is an error."""
     try:
+        payload = _known_keys(payload, _PROFILE_KEYS, "profile")
         blocks = tuple(
             ActivityBlock(
                 mode=item["mode"],
@@ -253,18 +262,13 @@ def profile_from_dict(payload: dict) -> DayProfile:
                 dispersion=float(item.get("dispersion", 50.0)),
                 mean_steps=float(item["mean_steps"]) if "mean_steps" in item else None,
             )
-            for item in payload["schedule"]
+            for item in (_known_keys(b, _BLOCK_KEYS, "block") for b in payload["schedule"])
         )
-        subject = payload.get("subject", {})
         return DayProfile(
             schedule=blocks,
             noise=float(payload.get("noise", 0.0)),
             seed=_whole(payload.get("seed", 0)),
             start=datetime.fromisoformat(payload.get("start", "2014-09-01T00:00:00+00:00")),
-            subject=SubjectMeta(
-                subject_id=str(subject.get("subject_id", "sim")),
-                age_years=_whole(subject.get("age_years", 18)),
-            ),
         )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InvalidProfile(f"bad profile payload: {exc}")

@@ -15,7 +15,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from rahar.ingest import Epoch, EpochSeries, Inclinometer, SubjectMeta
+from rahar.ingest import Epoch, EpochSeries, Inclinometer
 
 from oracles import series_of
 
@@ -34,7 +34,7 @@ def make_epoch(
     return Epoch(start + timedelta(minutes=minute), axis1, axis2, axis3, steps, inclinometer)
 
 
-def make_series(rows, subject: SubjectMeta | None = None, start: datetime = T0) -> EpochSeries:
+def make_series(rows, start: datetime = T0) -> EpochSeries:
     """rows: iterable of kwargs dicts or axis1 ints, one per minute."""
     epochs = []
     for minute, row in enumerate(rows):
@@ -42,7 +42,7 @@ def make_series(rows, subject: SubjectMeta | None = None, start: datetime = T0) 
             epochs.append(make_epoch(minute, start=start, **row))
         else:
             epochs.append(make_epoch(minute, axis1=int(row), start=start))
-    return series_of(epochs, timedelta(seconds=60), subject or SubjectMeta())
+    return series_of(epochs, timedelta(seconds=60))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -36,7 +36,6 @@ from rahar.ingest import (
     EpochSeries,
     Gap,
     Inclinometer,
-    SubjectMeta,
 )
 
 _UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -257,7 +256,6 @@ def pair_count_auc(scores, y) -> float:
 class ObjectSeries:
     epochs: tuple
     epoch_length: timedelta = timedelta(seconds=60)
-    subject: SubjectMeta = field(default_factory=SubjectMeta)
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -275,9 +273,7 @@ def epochs_of(series: EpochSeries) -> tuple:
     return tuple(series[i] for i in range(len(series)))
 
 
-def series_of(
-    epochs, epoch_length: timedelta = timedelta(seconds=60), subject: SubjectMeta | None = None
-) -> EpochSeries:
+def series_of(epochs, epoch_length: timedelta = timedelta(seconds=60)) -> EpochSeries:
     """A columnar series holding the given Epoch rows, offsets included."""
     return EpochSeries(
         [(e.timestamp - _UTC_EPOCH) // _US for e in epochs],
@@ -285,7 +281,6 @@ def series_of(
         [[e.axis1, e.axis2, e.axis3, e.steps] for e in epochs],
         [int(e.inclinometer) for e in epochs],
         epoch_length,
-        subject or SubjectMeta(),
     )
 
 
@@ -429,7 +424,7 @@ def ref_aggregate(series: ObjectSeries, factor: int) -> tuple[ObjectSeries, int]
                 inclinometer=Inclinometer(tally.index(max(tally))),
             )
         )
-    out = ObjectSeries(tuple(blocks), series.epoch_length * factor, series.subject)
+    out = ObjectSeries(tuple(blocks), series.epoch_length * factor)
     return out, len(series) - n_blocks * factor
 
 

@@ -631,6 +631,15 @@ class TestBadTablesExit2:
          "parse error: line 3: frac_sed 'nan' is not a finite number"),
         (DATASET_HEADER + DATASET_ROW.replace("100.0", "inf"),
          "parse error: line 2: awake_min 'inf' is not a finite number"),
+        # fractions and efficiency lie in [0, 1], awake minutes at or above 0
+        (DATASET_HEADER + DATASET_ROW + DATASET_ROW.replace("0.7", "1e308"),
+         "parse error: line 3: frac_sed '1e308' is outside [0, 1]"),
+        (DATASET_HEADER + DATASET_ROW.replace("0.1,0.1,0.1", "-1e308,0.1,0.1"),
+         "parse error: line 2: frac_light '-1e308' is outside [0, 1]"),
+        (DATASET_HEADER + DATASET_ROW.replace("0.9", "1.5"),
+         "parse error: line 2: efficiency '1.5' is outside [0, 1]"),
+        (DATASET_HEADER + DATASET_ROW.replace("100.0", "-1"),
+         "parse error: line 2: awake_min '-1' is outside [0, inf]"),
         ("", "parse error: bad dataset header None, expected segment_id,"),
     ])
     def test_train(self, tmp_path, capsys, text, message):
@@ -797,6 +806,7 @@ class TestBadProfileExit2:
         # numpy cannot draw at so small a dispersion; JSON keeps the last key
         ("dispersion", "1e-300", "dispersion 1e-300 is too small for mean 700.0"),
         ("duration_min", "1.5", "bad profile payload: expected a whole number, got 1.5"),
+        ("dispersoin", "5", "unknown block key(s) ['dispersoin'], expected ['dispersion', "),
     ])
     def test_rejected_before_the_csv(self, tmp_path, capsys, field, value, message):
         profile = tmp_path / "p.json"
@@ -807,6 +817,18 @@ class TestBadProfileExit2:
         assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"profile error: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_subject_is_rejected_for_age(self, tmp_path, capsys):
+        # the age is a run parameter (--age): a recording cannot carry one
+        profile = tmp_path / "p.json"
+        profile.write_text('{"subject": {"age_years": 10}, '
+                           '"schedule": [{"mode": "light", "duration_min": 60}]}')
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("profile error: unknown profile key(s) ['subject']"), err
+        assert err.endswith("; the subject's age is set with --age\n") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -895,6 +917,8 @@ class TestNumbersAreAscii:
     @pytest.mark.parametrize("token", [
         "1_0", "١٢", "+5", "-0",
         pytest.param("9" * 5000, id="5000-digits"), pytest.param("-" + "9" * 5000, id="-5000-digits"),
+        # only ASCII whitespace pads a cell: no-break and ideographic spaces do not
+        pytest.param("\u00a05\u3000", id="non-ascii-padding"),
     ])
     def test_epoch_count(self, tmp_path, capsys, token):
         path = tmp_path / "day.csv"

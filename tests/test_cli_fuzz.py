@@ -1,10 +1,10 @@
 """Fuzz of the command line.
 
-Bad epoch CSVs, bad flag values, bad day profiles and bad cut-point scale
-files must end in a documented exit code with one line on stderr and no
-traceback, and a command that fails leaves no output behind.  The inputs
-hold a few hundred epochs at most and no sleep to segment, so no example
-reaches the slow stages.
+Bad epoch CSVs, bad flag values, bad day profiles, bad cut-point scale
+files, bad dataset CSVs and bad score,label CSVs must end in a documented
+exit code with one line on stderr and no traceback, and a command that
+fails leaves no output behind.  The inputs hold a few hundred epochs at
+most and no sleep to segment, so no example reaches the slow stages.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -32,8 +33,9 @@ ARG_TEXT = st.text(st.characters(blacklist_characters="\x00", blacklist_categori
                    max_size=8)
 
 
-def cli(argv: list[str], workdir: Path) -> tuple[int, str]:
-    """Exit code and stderr of ``rahar argv``; asserts the error contract."""
+def cli(argv: list[str], workdir: Path, wrote: bool = False) -> tuple[int, str]:
+    """Exit code and stderr of ``rahar argv``; asserts the error contract.
+    With ``wrote``, a success logs one or more lines, each a ``wrote …`` line."""
     before = sorted(workdir.rglob("*"))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -44,7 +46,11 @@ def cli(argv: list[str], workdir: Path) -> tuple[int, str]:
     text = err.getvalue()
     assert code in EXIT_CODES, (argv, code, text)
     assert "Traceback" not in text, (argv, text)
-    assert text.count("\n") == 1 and text.endswith("\n"), (argv, text)
+    if wrote and code == 0:
+        lines = text.splitlines()
+        assert text.endswith("\n") and all(s.startswith("wrote ") for s in lines), (argv, text)
+    else:
+        assert text.count("\n") == 1 and text.endswith("\n"), (argv, text)
     if code != 0:
         assert sorted(workdir.rglob("*")) == before, (argv, text)
     return code, text
@@ -229,6 +235,9 @@ SCALE_NUMBERS = st.one_of(
     st.integers(-10, 10**6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
+# the same digits in other scripts: Arabic-Indic, Devanagari, fullwidth
+OTHER_DIGITS = [str.maketrans("0123456789", "".join(chr(z + d) for d in range(10)))
+                for z in (0x660, 0x966, 0xFF10)]
 
 
 @st.composite
@@ -239,7 +248,7 @@ def bad_scale_files(draw) -> str:
     for _ in range(draw(st.integers(1, 3))):
         fault = draw(st.sampled_from([
             "header", "fields", "number", "order", "ages", "band", "garbage", "blank",
-            "overlong", "empty",
+            "overlong", "empty", "ascii", "ascii", "ascii",  # most runs test the ASCII rule
         ]))
         i = draw(st.integers(0, len(rows) - 1)) if rows else 0
         if fault == "empty":
@@ -268,6 +277,15 @@ def bad_scale_files(draw) -> str:
             rows[i][2:] = draw(st.permutations(rows[i][2:]))
         elif fault == "ages":
             rows[i][:2] = draw(st.sampled_from([["30", "18"], ["0", "3"], ["40", "130"]]))
+        elif fault == "ascii":
+            # a cell int() or float() would read as its own value
+            k = draw(st.integers(0, 4))
+            cell = rows[i][k]
+            digits = draw(st.sampled_from(OTHER_DIGITS))
+            rows[i][k] = draw(st.sampled_from([
+                cell[0] + "_" + (cell[1:] or "0"), cell.translate(digits), "\u00a0" + cell,
+                cell + "\u3000",
+            ]))
     return "".join(line + "\n" for line in [header, *(",".join(r) for r in rows)])
 
 
@@ -297,3 +315,111 @@ def test_bad_scale_files(text, command):
         rows = text.partition("\n")[2]
         if "_" in rows or not rows.isascii():
             assert code == 3, (text, err)
+
+
+DATASET_HEADER = "segment_id,frac_sed,frac_light,frac_mod,frac_vig,awake_min,efficiency,label"
+TABLE_NUMBERS = st.one_of(
+    st.sampled_from([
+        "0", "1", "0.5", "-0.0", "5e-324", "1e308", "-1e308", "-1", "1.5", "nan", "inf", "-inf",
+        "", "x", "0_5", "٠.٥", "\u00a00.5", "0.5\u3000", " 0.5 ",
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+def plain_number(cell: str, low: float, high: float) -> bool:
+    """True when ``cell`` is a finite ASCII number without `_`, in [low, high]."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell and math.isfinite(value) and low <= value <= high
+
+
+def dataset_row(i: int) -> list[str]:
+    """A valid dataset row; the labels alternate poor and good."""
+    efficiency, label = (("0.5", "poor"), ("0.9", "good"))[i % 2]
+    return [f"s{i}", "0.7", "0.1", "0.1", "0.1", str(30 + i), efficiency, label]
+
+
+def score_row(i: int) -> list[str]:
+    """A valid score,label row; the labels cycle through every token."""
+    return [str(i / 10), ("poor", "good", "0", "1")[i % 4]]
+
+
+@st.composite
+def table_csvs(draw, header: str, row_of, ranges: dict) -> tuple[str, bool]:
+    """Six rows of ``row_of``, one number among them drawn, then up to two
+    faults, each a new row or the header; the text, and whether it is sure
+    to be refused (exit 2).  ``ranges`` maps each number column to its range;
+    the label is the last column."""
+    rows = [row_of(i) for i in range(6)]
+    k = draw(st.sampled_from(sorted(ranges)))
+    number = rows[draw(st.integers(0, 5))][k] = draw(TABLE_NUMBERS)
+    refused = not plain_number(number, *ranges[k])
+    first = header
+    for n in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from([
+            "header", "fields", "label", "garbage", "blank", "overlong", "empty",
+        ]))
+        if fault == "empty":
+            return "", True
+        refused |= fault in ("header", "fields", "label", "overlong")
+        if fault == "header":
+            first = draw(st.sampled_from([
+                header.upper(), header.rsplit(",", 1)[0], "", "\ufeff" + header, header + ",extra",
+            ]))
+            continue
+        row = row_of(6 + n)
+        if fault == "blank":
+            row = []
+        elif fault == "garbage":
+            row = [draw(st.text(max_size=20))]
+        elif fault == "overlong":
+            row[0] = "s" * 131_073
+        elif fault == "fields":
+            row = row[:-1] if draw(st.booleans()) else [*row, "0"]
+        elif fault == "label":
+            row[-1] = draw(st.sampled_from(["", "meh", "2", "goodness"]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return "".join(line + "\n" for line in [first, *(",".join(r) for r in rows)]), refused
+
+
+# fractions and efficiency lie in [0, 1], awake minutes at or above 0
+DATASET_RANGES = {k: (0.0, math.inf if k == 5 else 1.0) for k in range(1, 7)}
+
+
+@FUZZ
+@given(case=table_csvs(DATASET_HEADER, dataset_row, DATASET_RANGES),
+       model=st.sampled_from(["logreg", "adaboost", "rf"]))
+def test_bad_dataset_csvs(case, model):
+    text, refused = case
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        dataset = workdir / "dataset.csv"
+        dataset.write_text(text, encoding="utf-8")
+        out_dir = workdir / "model"
+        code, err = cli(["train", "--in", str(dataset), "--model", model, "--folds", "2",
+                         "--out-dir", str(out_dir)], workdir, wrote=True)
+        if refused:
+            assert code == 2 and err.startswith("parse error: "), (text, err)
+        if code == 0:
+            assert (out_dir / "model_report.json").is_file()
+
+
+@FUZZ
+@given(case=table_csvs("score,label", score_row, {0: (-math.inf, math.inf)}),
+       threshold=st.sampled_from(["0.5", "0", "1", "-3"]))
+def test_bad_score_csvs(case, threshold):
+    text, refused = case
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        scored = workdir / "scored.csv"
+        scored.write_text(text, encoding="utf-8")
+        out = workdir / "eval.json"
+        code, err = cli(["eval", "--in", str(scored), "--threshold", threshold, "--out", str(out)],
+                        workdir, wrote=True)
+        if refused:
+            assert code == 2 and err.startswith("parse error: "), (text, err)
+        if code == 0:
+            assert json.loads(out.read_text())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rahar.cutpoints import (
+    DEFAULT_AGE_YEARS,
     IntensityLevel,
     builtin_troiano_scale,
     classify_series,
@@ -83,11 +84,12 @@ class TestClassifySeries:
         expected = [ref_classify_epoch(e, adult_scale, 18) for e in epochs_of(series)]
         assert labels == expected
 
-    def test_age_from_subject_meta(self, adult_scale):
-        from rahar.ingest import SubjectMeta
-
-        series = make_series([2100], subject=SubjectMeta("kid", 12))
-        assert classify_series(series, adult_scale).tolist() == [LIGHT]
+    def test_no_age_means_the_adult_band(self, adult_scale):
+        # 2100 counts/min is moderate for an adult, light for a 12-year-old
+        series = make_series([2100])
+        assert DEFAULT_AGE_YEARS == 18
+        assert classify_series(series, adult_scale).tolist() == [MOD]
+        assert classify_series(series, adult_scale, age_years=12).tolist() == [LIGHT]
 
     @given(st.lists(st.integers(0, 10000), min_size=8, max_size=8), st.permutations(range(8)))
     @settings(max_examples=40, deadline=None)

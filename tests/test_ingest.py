@@ -171,7 +171,7 @@ class TestValidate:
     def test_missing_minute_reports_gap(self):
         series = make_series([0] * 100)
         epochs = epochs_of(series)
-        broken = series_of(epochs[:50] + epochs[51:], series.epoch_length, series.subject)
+        broken = series_of(epochs[:50] + epochs[51:], series.epoch_length)
         with pytest.raises(GapDetected) as info:
             validate_series(broken)
         (gap,) = info.value.gaps
@@ -181,21 +181,21 @@ class TestValidate:
     def test_duplicate_timestamp(self):
         series = make_series([0] * 10)
         epochs = epochs_of(series)
-        broken = series_of(epochs + (epochs[-1],), series.epoch_length, series.subject)
+        broken = series_of(epochs + (epochs[-1],), series.epoch_length)
         with pytest.raises(DuplicateTimestamp):
             validate_series(broken)
 
     def test_non_monotone(self):
         series = make_series([0] * 10)
         epochs = epochs_of(series)
-        broken = series_of((epochs[5],) + epochs, series.epoch_length, series.subject)
+        broken = series_of((epochs[5],) + epochs, series.epoch_length)
         with pytest.raises(NonMonotone):
             validate_series(broken)
 
     def test_fill_gaps_restores_grid(self):
         series = make_series([3] * 100)
         epochs = epochs_of(series)
-        broken = series_of(epochs[:50] + epochs[60:], series.epoch_length, series.subject)
+        broken = series_of(epochs[:50] + epochs[60:], series.epoch_length)
         filled, inserted = fill_gaps(broken)
         assert inserted == 10
         assert validate_series(filled) is filled

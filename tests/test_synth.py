@@ -203,7 +203,6 @@ class TestProfileJson:
                           {"mode": "sedentary", "duration_min": 60}]}
         )
         assert p.seed == 0 and p.noise == 0.0
-        assert p.subject.subject_id == "sim"
 
     def test_bad_payload(self):
         with pytest.raises(InvalidProfile):
