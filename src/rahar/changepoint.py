@@ -27,13 +27,22 @@ never leaves the function, while a committed split always spends all R
 permutations and reports the exact p-value that :func:`permutation_test`
 returns.
 
-All randomness flows through per-permutation streams seeded from
-(master_seed, iteration, permutation index), so results are identical
-regardless of evaluation order, block size or early stopping.
+All randomness flows through per-permutation streams: permutation r of
+test i draws its orders from numpy's
+``Generator(PCG64(SeedSequence([master_seed, i, r])))``, where the
+pipeline's master seed is ``derive_seed(seed, recording, segment)``.  So
+results are identical regardless of evaluation order, block size or early
+stopping.  The PCG64 states of a block of streams are computed in one
+vectorized pass of numpy's own SeedSequence and PCG64 seeding recipes
+(checked against numpy 2.4.6), and one reused generator is set to each in
+turn.  NEP 19 keeps bit-generator streams stable across numpy versions,
+but not the output of ``Generator.permutation``, so the pinned digests can
+move with numpy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +56,20 @@ BLOCK_ELEMENTS = 32768
 # is decided by its first exceedance, which mostly falls in the first few
 # permutations; a committed test pays one extra kernel pass for it.
 FIRST_BLOCK = 8
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+# and of PCG64's 128-bit seeding
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# generate_state xors the k-th of its eight words with constant k, then
+# multiplies it by constant k + 1
+_GENERATE_CONSTS = np.array(
+    [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32 for k in range(9)], dtype=np.uint32
+)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -232,9 +255,94 @@ def best_split(span, params: EnergyParams | None = None) -> tuple[int, float]:
     return _split_scan(dist, params.min_segment)
 
 
-def _permutation_rng(master_seed: int, iteration_id: int, perm_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence([master_seed, iteration_id, perm_index])
-    return np.random.Generator(np.random.PCG64(seq))
+def _seed_words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an int: little-endian 32-bit words, at least one."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+@functools.cache
+def _hash_constants(n_words: int) -> tuple:
+    """The multipliers SeedSequence's hash steps through while it mixes
+    ``n_words`` words of entropy into its pool; no seed data changes them."""
+    calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, n_words - _POOL_SIZE)
+    return tuple(
+        np.uint32(_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32) for k in range(calls + 1)
+    )
+
+
+def _seeded_states(master_seed: int, iteration_id: int, first: int, stop: int) -> list[tuple]:
+    """The PCG64 ``(state, inc)`` of ``PCG64(SeedSequence([master_seed,
+    iteration_id, r]))`` for every r in ``[first, stop)``, the streams
+    computed side by side in one pass.
+
+    numpy's SeedSequence (``bit_generator.pyx``, NEP 19) runs on uint32
+    arrays over r, which wrap as its C code does: it hashes the entropy
+    words into a pool of four, mixes the pool and generates four uint64
+    words.  PCG64's seeding (O'Neill 2014) then takes ``inc = 2 * initseq + 1``
+    and ``state = ((inc + initstate) * MULT + inc) mod 2**128``.  Words that
+    do not depend on r stay scalars.
+    """
+    n_words = len(_seed_words(first))
+    high = 1 << 32 * n_words  # the first r that takes one more word
+    if stop > high:
+        return _seeded_states(master_seed, iteration_id, first, high) + _seeded_states(
+            master_seed, iteration_id, high, stop
+        )
+    r = np.arange(first, stop, dtype=np.uint64)
+    entropy = [np.uint32(w) for w in _seed_words(master_seed) + _seed_words(iteration_id)]
+    entropy += [(r >> np.uint64(32 * k)).astype(np.uint32) for k in range(n_words)]
+    entropy += [np.uint32(0)] * (_POOL_SIZE - len(entropy))
+    consts = _hash_constants(len(entropy))
+    steps = iter(zip(consts, consts[1:]))
+
+    def hashmix(value):
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ value >> _XSHIFT
+
+    with np.errstate(over="ignore"):  # uint32 scalars wrap, as the arrays do
+        pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if dst != src:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight uint32 words, cycling through the pool
+    words = np.stack(pool * 2, axis=1)
+    words ^= _GENERATE_CONSTS[:-1]
+    words *= _GENERATE_CONSTS[1:]
+    words ^= words >> _XSHIFT
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in words.astype("<u4", copy=False).view("<u8").tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _draw_orders(
+    master_seed: int, iteration_id: int, first: int, stop: int, lengths: list[int]
+) -> list[np.ndarray]:
+    """Orders of permutations ``[first, stop)``: one ``(stop - first, L)`` array
+    per segment length L, row b drawn from stream ``first + b``.  Each stream
+    draws its segments' orders in segment order, with numpy's
+    ``Generator.permutation`` on one reused generator set to its state."""
+    states = _seeded_states(master_seed, iteration_id, first, stop)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    orders = [np.empty((len(states), length), dtype=np.intp) for length in lengths]
+    for b, (state, inc) in enumerate(states):
+        # a fresh stream: no buffered half of a uint32 draw carries over
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        for o in orders:
+            o[b] = rng.permutation(o.shape[1])
+    return orders
 
 
 def permutation_test(
@@ -286,15 +394,10 @@ def _permutation_pvalue(
         starts = [0, *range(min(FIRST_BLOCK, block), n_perm, block)]
     exceed = 0
     for first, stop in zip(starts, [*starts[1:], n_perm]):
-        rngs = [
-            _permutation_rng(perm_cfg.master_seed, iteration_id, r) for r in range(first, stop)
-        ]
-        # each stream draws its segments' orders in segment order
-        orders = [np.empty((len(rngs), d.shape[0]), dtype=np.intp) for d in admissible]
-        for b, rng in enumerate(rngs):
-            for o in orders:
-                o[b] = rng.permutation(o.shape[1])
-        stat = np.full(len(rngs), -np.inf)
+        orders = _draw_orders(
+            perm_cfg.master_seed, iteration_id, first, stop, [d.shape[0] for d in admissible]
+        )
+        stat = np.full(stop - first, -np.inf)
         for dist, totals, o in zip(admissible, row_totals, orders):
             np.maximum(stat, _best_splits(dist, totals, o, params.min_segment)[1], out=stat)
         exceed += int(np.count_nonzero(stat >= observed_stat))

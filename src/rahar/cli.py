@@ -20,14 +20,13 @@ from . import __version__
 from .errors import (
     EmptyDataset,
     InvalidProfile,
-    MalformedRow,
     ModelError,
     ParseError,
     RaharError,
     ValidationError,
 )
 from .features import finite_cell, read_dataset_csv
-from .ingest import read_table, serialize_epoch_csv
+from .ingest import label_cell, read_table, serialize_epoch_csv
 from .models import evaluate
 from .pipeline import (
     CHOICES,
@@ -182,15 +181,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if not math.isfinite(args.threshold):
         raise ParseError(f"--threshold must be a finite number, got {args.threshold}")
-    token_map = {"good": 1, "poor": 0, "1": 1, "0": 0}
     scores, labels = [], []
     with open(args.input, newline="", encoding="utf-8") as fh:
         for line_number, row in read_table(fh, ["score", "label"], "eval "):
-            token = row[1].strip()
-            if token not in token_map:
-                raise MalformedRow(line_number, "label must be good/poor or 0/1")
+            label = label_cell(row[1], line_number, numeric=True)
             scores.append(finite_cell(row[0], line_number, "score"))
-            labels.append(token_map[token])
+            labels.append(label)
     report = evaluate(scores, labels, class_threshold=args.threshold)
     out = Path(args.out or "eval_report.json")
     write_json(out, {**report.summary(), "roc_points": [[f, t] for f, t in report.roc_points]})

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cutpoints import IntensityLevel
 from .errors import EmptyAwakeSpan, EmptyDataset, MalformedRow
-from .ingest import is_plain_number, read_table
+from .ingest import is_plain_number, label_cell, read_table
 from .modes import ActivityMode
 from .segments import SleepWakeSegment
 from .sleep import SleepMetrics
@@ -47,10 +47,6 @@ class Quality(IntEnum):
     @property
     def token(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_token(cls, token: str) -> "Quality":
-        return cls[token.upper()]
 
 
 @dataclass(frozen=True)
@@ -220,15 +216,12 @@ def read_dataset_csv(stream: TextIO) -> Dataset:
             finite_cell(v, line_number, name, 0.0, math.inf if name == "awake_min" else 1.0)
             for name, v in zip(DATASET_HEADER[1:7], row[1:7])
         ]
-        try:
-            label = Quality.from_token(row[7])
-        except KeyError:
-            raise MalformedRow(line_number, f"label {row[7]!r} is not good or poor") from None
+        label = label_cell(row[7], line_number)
         ids.append(row[0])
         X.append(values[:4])
         awake.append(values[4])
         effs.append(values[5])
-        y.append(int(label))
+        y.append(label)
     if not ids:
         raise EmptyDataset("dataset file has no rows")
     return Dataset(

@@ -229,6 +229,24 @@ def is_plain_number(cell: str) -> bool:
     return cell.isascii() and "_" not in cell
 
 
+# The label rule of the dataset and eval tables: lowercase, and stripped of
+# ASCII whitespace only, as epoch cells are.
+_LABELS = {"poor": 0, "good": 1}
+_EVAL_LABELS = {**_LABELS, "0": 0, "1": 1}
+
+
+def label_cell(cell: str, line_number: int, numeric: bool = False) -> int:
+    """The class in a label cell, 1 for ``good`` and 0 for ``poor`` (and with
+    ``numeric``, for ``1`` and ``0``); a :class:`MalformedRow` naming
+    ``line_number`` for any other token."""
+    labels = _EVAL_LABELS if numeric else _LABELS
+    token = cell.strip(string.whitespace)
+    if token not in labels:
+        message = "label must be good/poor or 0/1" if numeric else f"label {cell!r} is not good or poor"
+        raise MalformedRow(line_number, message)
+    return labels[token]
+
+
 def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tuple[int, list]]:
     """Each non-empty record of a CSV table headed ``header``, with the physical
     line it starts on.  A bad header is a :class:`ParseError` naming the table

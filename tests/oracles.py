@@ -133,6 +133,12 @@ def single_order_best_split(dist, order, min_segment: int):
     return int(t[k]), float(q_hat[k]), new_pair
 
 
+def ref_permutation_rng(master_seed: int, iteration: int, r: int) -> np.random.Generator:
+    """numpy's own generator for permutation r of change-point test ``iteration``."""
+    seq = np.random.SeedSequence([master_seed, iteration, r])
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def window_sleep_periods(mask, onset_run: int, awakening_gap: int):
     """Window-based sleep-period reference.
 
@@ -311,6 +317,11 @@ def ref_parse_count(token: str, name: str, line_number: int) -> int:
     return value
 
 
+# A cell is padded with ASCII whitespace only: a no-break (U+00A0) or an
+# ideographic (U+3000) space stays part of the token and makes it invalid.
+ASCII_PADDING = " \t\n\r\x0b\x0c"
+
+
 def ref_parse(text: str, epoch_length: timedelta = timedelta(seconds=60)) -> ObjectSeries:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -325,12 +336,12 @@ def ref_parse(text: str, epoch_length: timedelta = timedelta(seconds=60)) -> Obj
             continue
         if len(row) != 6:
             raise MalformedRow(line_number, f"expected 6 fields, got {len(row)}")
-        ts = ref_parse_timestamp(row[0].strip(), line_number)
-        axis1 = ref_parse_count(row[1].strip(), "axis1", line_number)
-        axis2 = ref_parse_count(row[2].strip(), "axis2", line_number)
-        axis3 = ref_parse_count(row[3].strip(), "axis3", line_number)
-        steps = ref_parse_count(row[4].strip(), "steps", line_number)
-        token = row[5].strip()
+        ts = ref_parse_timestamp(row[0].strip(ASCII_PADDING), line_number)
+        axis1 = ref_parse_count(row[1].strip(ASCII_PADDING), "axis1", line_number)
+        axis2 = ref_parse_count(row[2].strip(ASCII_PADDING), "axis2", line_number)
+        axis3 = ref_parse_count(row[3].strip(ASCII_PADDING), "axis3", line_number)
+        steps = ref_parse_count(row[4].strip(ASCII_PADDING), "steps", line_number)
+        token = row[5].strip(ASCII_PADDING)
         try:
             incl = Inclinometer[token.upper()]
         except KeyError:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import (
     energy_triple_sum,
     euclidean_distance_loop,
     exhaustive_best_split,
+    ref_permutation_rng,
     single_order_best_split,
 )
 
@@ -220,7 +222,7 @@ def permuted_stats(matrices, params, cfg, iteration):
     admissible = [m for m in matrices if m.shape[0] >= 2 * params.min_segment]
     stats = []
     for r in range(cfg.n_permutations):
-        rng = changepoint._permutation_rng(cfg.master_seed, iteration, r)
+        rng = ref_permutation_rng(cfg.master_seed, iteration, r)
         stats.append(
             max(
                 single_order_best_split(m, rng.permutation(m.shape[0]), params.min_segment)[1]
@@ -228,6 +230,40 @@ def permuted_stats(matrices, params, cfg, iteration):
             )
         )
     return stats
+
+
+# edge seeds of one and two 32-bit words, and random 63-bit seeds as derive_seed makes
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, *(random.Random(2016).getrandbits(63) for _ in range(3))]
+# a block straddling r = 2**32, where r takes a second word
+STREAM_BLOCKS = [(0, 99), (8, 99), (2**32 - 3, 2**32 + 5)]
+
+
+class TestSeededStates:
+    """numpy is the oracle for the block seeding of the permutation streams."""
+
+    @pytest.mark.parametrize("first, stop", STREAM_BLOCKS)
+    @pytest.mark.parametrize("iteration", [0, 1, 959])
+    @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+    def test_states_equal_numpy(self, master_seed, iteration, first, stop):
+        expected = [
+            np.random.PCG64(np.random.SeedSequence([master_seed, iteration, r])).state["state"]
+            for r in range(first, stop)
+        ]
+        states = changepoint._seeded_states(master_seed, iteration, first, stop)
+        assert states == [(s["state"], s["inc"]) for s in expected]
+
+    @pytest.mark.parametrize("first, stop", STREAM_BLOCKS)
+    @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+    def test_orders_equal_numpy(self, master_seed, first, stop):
+        # a 60- and a 448-long order per stream, as a test over two segments
+        # draws them; a stream must not inherit the previous one's leftover
+        # half of a uint32 draw
+        for iteration in (0, 1, 959):
+            short, long = changepoint._draw_orders(master_seed, iteration, first, stop, [60, 448])
+            for b, r in enumerate(range(first, stop)):
+                ref = ref_permutation_rng(master_seed, iteration, r)
+                assert np.array_equal(short[b], ref.permutation(60))
+                assert np.array_equal(long[b], ref.permutation(448))
 
 
 class TestBlockKernel:
@@ -342,6 +378,20 @@ def spent_by_stopped_test(exceeds, block, significance):
     return min(end, n_perm)
 
 
+def spy_streams(monkeypatch) -> list:
+    """The (master_seed, iteration, r) key of every permutation stream seeded
+    from here on, in the order the blocks seed them."""
+    streams = []
+    seeded = changepoint._seeded_states
+
+    def spy(master_seed, iteration, first, stop):
+        streams.extend((master_seed, iteration, r) for r in range(first, stop))
+        return seeded(master_seed, iteration, first, stop)
+
+    monkeypatch.setattr(changepoint, "_seeded_states", spy)
+    return streams
+
+
 class TestEarlyStop:
     def test_golden_three_regimes(self):
         # values of the one-permutation-at-a-time formula; every kernel
@@ -363,11 +413,7 @@ class TestEarlyStop:
         unpatched = e_divisive(span, params, cfg)
         if block is not None:
             monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 240 * block)
-        streams = []
-        draw = changepoint._permutation_rng
-        monkeypatch.setattr(
-            changepoint, "_permutation_rng", lambda *key: streams.append(key) or draw(*key)
-        )
+        streams = spy_streams(monkeypatch)
         cps = e_divisive(span, params, cfg)
         spent_by_e_divisive = len(streams)
         assert cps == unpatched
@@ -402,11 +448,7 @@ class TestEarlyStop:
         else:
             monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 300 * block)
         first_block = min(changepoint.FIRST_BLOCK, kernel_block([span], params))
-        streams = []
-        draw = changepoint._permutation_rng
-        monkeypatch.setattr(
-            changepoint, "_permutation_rng", lambda *key: streams.append(key) or draw(*key)
-        )
+        streams = spy_streams(monkeypatch)
         assert e_divisive(span, params, cfg) == []
         assert streams == [(3, 0, r) for r in range(first_block)]
         _, q = best_split(span, params)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import rahar
 from rahar import cli, pipeline
 from rahar.cli import _FLAGS, _config_from_args, build_parser, main
+from rahar.features import read_dataset_csv
 from rahar.pipeline import PipelineConfig
 from rahar.synth import ActivityBlock, DayProfile, save_profile
 
@@ -965,3 +967,41 @@ class TestNumbersAreAscii:
         assert err.startswith("validation failure: line 2: scale row ") and err.count("\n") == 1
         assert "is not a plain ASCII number" in err, err
         assert not out.exists()
+
+
+class TestOneLabelRule:
+    """Dataset and eval labels are lowercase, stripped of ASCII whitespace only."""
+
+    @pytest.mark.parametrize("token", ["GOOD", "Poor", "\u00a0good", "poor\u3000"])
+    def test_train_rejects(self, tmp_path, capsys, token):
+        dataset = tmp_path / "ds.csv"
+        dataset.write_text(DATASET_HEADER + DATASET_ROW.replace("good", token), encoding="utf-8")
+        out_dir = tmp_path / "models"
+        assert main(["train", "--in", str(dataset), "--model", "logreg",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"parse error: line 2: label {token!r} is not good or poor\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("token", ["GOOD", "Poor", "\u00a0good", "poor\u3000", "\u00a01"])
+    def test_eval_rejects(self, tmp_path, capsys, token):
+        scored = tmp_path / "scored.csv"
+        scored.write_text(f"score,label\n0.9,{token}\n0.2,poor\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--in", str(scored), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "parse error: line 2: label must be good/poor or 0/1\n"
+        assert not out.exists()
+
+    def test_ascii_padding_is_stripped(self, tmp_path):
+        rows = [DATASET_ROW.replace("good", " good\t"), DATASET_ROW.replace("good", "\tpoor ")]
+        dataset = read_dataset_csv(io.StringIO(DATASET_HEADER + "".join(rows)))
+        assert dataset.y.tolist() == [1, 0]
+        reports = []
+        for labels in (("good", "poor", "1"), (" good ", "\tpoor", "\v1 ")):
+            scored = tmp_path / "scored.csv"
+            scored.write_text("score,label\n" + "".join(
+                f"{s},{label}\n" for s, label in zip((0.9, 0.2, 0.7), labels)
+            ))
+            out = tmp_path / "report.json"
+            assert main(["eval", "--in", str(scored), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

@@ -48,10 +48,14 @@ OFFSETS = [timedelta(0), timedelta(hours=3), -timedelta(hours=5, minutes=30), ti
 # zeros for candidate sleep, the adult Troiano band edges, and the ceiling
 COUNTS = [0, 0, 0, 0, 1, 99, 100, 2019, 2020, 5998, 5999, MAX_COUNT]
 STATE_TOKENS = ["off", "standing", "sitting", "lying"]
-RAGGED_STATE_TOKENS = STATE_TOKENS + ["Off", " lying", "SITTING "]
+RAGGED_STATE_TOKENS = STATE_TOKENS + ["Off", " lying", "SITTING\t"]
+# a cell may be padded with ASCII whitespace; a non-ASCII space makes it a fault
+ASCII_PADS = ["", " ", "\t", "\x0b\x0c "]
+NON_ASCII_PADS = ["\u00a0", "\u3000"]
 CORRUPTIONS = [
     "fields", "timestamp", "naive", "not_integer", "negative", "ceiling", "huge",
     "inclinometer", "duplicate", "backwards", "off_grid", "unaligned", "header", "empty",
+    "padding",
 ]
 CANDIDATES = [
     CandidateConfig(),
@@ -71,8 +75,9 @@ def _stamp(utc: datetime, offset: timedelta, zulu: bool) -> str:
 @st.composite
 def epoch_files(draw, corruption: str | None = None):
     """Small epoch CSVs: Z, fixed, mixed and DST-switching offsets; gaps,
-    blank lines and padded or re-cased fields in some; ``corruption`` names
-    the fault put in one row, or in the header or the whole file."""
+    blank lines and fields padded with ASCII whitespace or re-cased in some;
+    ``corruption`` names the fault put in one row, or in the header or the
+    whole file."""
     n = draw(st.integers(0 if corruption is None else 2, 16))
     plan = draw(st.sampled_from(["zulu", "fixed", "mixed", "dst"]))
     gappy, ragged = draw(st.booleans()), draw(st.booleans())
@@ -98,7 +103,8 @@ def epoch_files(draw, corruption: str | None = None):
         if kind == "still":
             counts[3] = 0
         fields = [_stamp(utc, offset, plan == "zulu")]
-        fields += [f" {c} " if ragged and draw(st.booleans()) else str(c) for c in counts]
+        pads = [draw(st.sampled_from(ASCII_PADS)) if ragged else "" for _ in counts]
+        fields += [f"{pad}{c}{pad}" for pad, c in zip(pads, counts)]
         fields.append(draw(st.sampled_from(RAGGED_STATE_TOKENS if ragged else STATE_TOKENS)))
         instants.append((utc, offset))
         rows.append(fields)
@@ -136,6 +142,9 @@ def epoch_files(draw, corruption: str | None = None):
             row[0] = _stamp(utc + timedelta(seconds=30), offset, False)
         elif corruption == "unaligned":
             row[0] = _stamp(utc, offset + timedelta(seconds=30), False)
+        elif corruption == "padding":
+            pad, j = draw(st.sampled_from(NON_ASCII_PADS)), draw(st.integers(0, 5))
+            row[j] = draw(st.sampled_from([pad + row[j], row[j] + pad]))
     lines = []
     for fields in rows:
         if ragged and draw(st.integers(0, 3)) == 0:
@@ -228,6 +237,17 @@ class TestAgainstReference:
     @given(data=st.data(), **PIPELINE_ARGS)
     def test_faulty_files_fail_alike(self, corruption, data, **args):
         _assert_trails_match(data.draw(epoch_files(corruption)), **args)
+
+    @pytest.mark.parametrize("pad", NON_ASCII_PADS)
+    @pytest.mark.parametrize("cell", range(6))
+    def test_non_ascii_padding_is_rejected(self, cell, pad):
+        fields = ["2014-09-01T00:01:00Z", "5", "0", "0", "0", "off"]
+        fields[cell] = pad + fields[cell]
+        text = HEADER + "2014-09-01T00:00:00Z,0,0,0,0,off\n" + ",".join(fields) + "\n"
+        args = (text, MINUTE, False, 1, "axis1", CANDIDATES[0])
+        trail = _columnar_trail(*args)
+        assert trail == _reference_trail(*args)
+        assert len(trail) == 1 and "line 3" in trail[0][1], trail
 
     @given(text=epoch_files())
     @settings(max_examples=20, deadline=None)
