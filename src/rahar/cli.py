@@ -3,9 +3,9 @@
 Subcommands mirror the pipeline stages (validate, sleep, segment,
 changepoints, modes, features), plus train/eval for modeling, run for
 the whole batch pipeline, and synth for synthetic recordings.  Logs go
-to standard error; data goes to files only.  Exit codes: 2 parse
-failure or bad command line, 3 validation failure, 4 empty dataset,
-5 model failure.
+to standard error; data goes to files only.  Exit codes: 1 a worker
+process died, 2 parse failure or bad command line, 3 validation failure,
+4 empty dataset, 5 model failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     RaharError,
     ValidationError,
+    WorkerLost,
 )
 from .features import finite_cell, read_dataset_csv
 from .ingest import label_cell, read_table, serialize_epoch_csv
@@ -43,7 +44,9 @@ from .pipeline import (
 )
 from .reports import write_json
 from .synth import generate, load_profile
+from .workers import worker_map
 
+EXIT_WORKER = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_EMPTY_DATASET = 4
@@ -148,7 +151,10 @@ def _report_command(suffix: str, noun: str, sleep_only: bool):
 
     def handler(args: argparse.Namespace) -> int:
         path = _one_input(args.input)
-        [analysis] = analyze_inputs([path], _config_from_args(args), sleep_only)
+        with worker_map([path]) as map_units:
+            [analysis] = analyze_inputs(
+                [path], _config_from_args(args), sleep_only, map=map_units
+            )
         out = Path(args.out or f"{path.stem}.{suffix}")
         count = write_report(suffix, analysis, out)
         _log(f"wrote {out} ({count} {noun})")
@@ -159,7 +165,9 @@ def _report_command(suffix: str, noun: str, sleep_only: bool):
 
 def cmd_features(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    dataset = pooled_dataset(analyze_inputs(find_inputs(args.input), config), config)
+    paths = find_inputs(args.input)
+    with worker_map(paths) as map_units:
+        dataset = pooled_dataset(analyze_inputs(paths, config, map=map_units), config)
     out = Path(args.out or "dataset.csv")
     write_dataset(dataset, out)
     _log(f"wrote {out} ({len(dataset)} row(s))")
@@ -196,7 +204,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    written = run_pipeline(find_inputs(args.input), Path(args.report), config)
+    paths = find_inputs(args.input)
+    with worker_map(paths) as map_units:
+        written = run_pipeline(paths, Path(args.report), config, map=map_units)
     _log(f"wrote {len(written) - 1} output file(s) + {written[-1]}")
     return 0
 
@@ -308,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _log(f"input error: {exc}")
         return EXIT_PARSE
+    except WorkerLost as exc:
+        _log(f"worker failure: {exc}")
+        return EXIT_WORKER
     except EmptyDataset as exc:
         _log(f"empty dataset: {exc}")
         return EXIT_EMPTY_DATASET

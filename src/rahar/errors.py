@@ -11,6 +11,17 @@ from __future__ import annotations
 class RaharError(Exception):
     """Base class for all rahar domain errors."""
 
+    def __reduce__(self):
+        # Rebuilt from its args and attributes as they stand, not through
+        # __init__: a subclass that formats its message from several
+        # arguments, or whose args a caller rewrote, still unpickles as
+        # raised, so an error crosses from a worker process unchanged.
+        return (_rebuild, (type(self), self.args), self.__dict__)
+
+
+def _rebuild(cls, args):
+    return Exception.__new__(cls, *args)
+
 
 # --- ingestion -------------------------------------------------------------
 
@@ -131,3 +142,9 @@ class TooFewPerClass(ModelError):
 
 class InvalidProfile(RaharError):
     """Synthetic day profile violates a generator precondition."""
+
+
+# --- worker processes ---------------------------------------------------------
+
+class WorkerLost(RaharError):
+    """A worker process ended before it returned its task's result."""

@@ -249,7 +249,8 @@ def label_cell(cell: str, line_number: int, numeric: bool = False) -> int:
 
 def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tuple[int, list]]:
     """Each non-empty record of a CSV table headed ``header``, with the physical
-    line it starts on.  A bad header is a :class:`ParseError` naming the table
+    line it starts on.  Header fields are stripped of ASCII whitespace only, as
+    cells are.  A bad header is a :class:`ParseError` naming the table
     ``kind`` (``"eval "``: bad eval header), and a record of another width a
     :class:`MalformedRow`, as is a record the csv module cannot read."""
     reader = csv.reader(stream)
@@ -258,7 +259,7 @@ def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tu
         first = next(reader, None)
         if first is None and not kind:
             raise ParseError("empty input: missing header")
-        if first is None or [h.strip() for h in first] != header:
+        if first is None or [h.strip(string.whitespace) for h in first] != header:
             raise ParseError(f"bad {kind}header {first!r}, expected {','.join(header)}")
         next_line = reader.line_num + 1  # a quoted field can span lines
         for row in reader:

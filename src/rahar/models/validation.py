@@ -10,6 +10,7 @@ pooled confusion counts are the sum of the fold confusions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,6 +72,12 @@ def stratified_folds(y, folds: int, seed: int = 0) -> np.ndarray:
     return assignment
 
 
+def _fold_scores(kind: str, X, y, config, seed: int, held) -> np.ndarray:
+    """Train on the rows outside ``held`` and score the rows in it."""
+    model = train(kind, X[~held], y[~held], config=config, seed=seed)
+    return model.predict_scores(X[held])
+
+
 @dataclass
 class CVResult:
     fold_reports: list[EvalReport]
@@ -86,17 +93,18 @@ def cross_validate(
     folds: int = 5,
     seed: int = 0,
     class_threshold: float = 0.5,
+    map=map,
 ) -> CVResult:
-    """Train on k-1 folds, score the held-out fold, pool all held-out scores."""
+    """Train on k-1 folds, score the held-out fold, pool all held-out scores.
+    ``map`` trains and scores the folds, each independent of the others."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     assignment = stratified_folds(y, folds, seed)
+    held_out = [assignment == fold for fold in range(folds)]
     pooled_scores = np.empty(len(y), dtype=float)
     fold_reports = []
-    for fold in range(folds):
-        held = assignment == fold
-        model = train(kind, X[~held], y[~held], config=config, seed=seed)
-        scores = model.predict_scores(X[held])
+    fold_scores = map(partial(_fold_scores, kind, X, y, config, seed), held_out)
+    for held, scores in zip(held_out, fold_scores):
         pooled_scores[held] = scores
         fold_reports.append(evaluate(scores, y[held], class_threshold))
     pooled = evaluate(pooled_scores, y, class_threshold)

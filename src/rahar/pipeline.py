@@ -17,6 +17,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -218,49 +219,99 @@ def analyze_recording(
     """Run all per-recording stages on an already-validated series: the sleep
     stage, then change points and modes for each awake span."""
     analysis = analyze_sleep(name, series, config)
+    add_change_points([analysis], config)
+    return analysis
+
+
+def _load_and_sleep(config: PipelineConfig, path: Path) -> RecordingAnalysis | Exception:
+    """Load one epoch CSV and run its sleep stage.  A load failure names the
+    file and is raised; a failure of the sleep stage is returned instead, so
+    the caller raises it only once every file has loaded."""
+    try:
+        series = load_series(path, config)
+    except (ParseError, ValidationError) as exc:
+        exc.args = (f"{path.name}: {exc}",)  # str(exc), the one-line message
+        raise
+    try:
+        return analyze_sleep(path.stem, series, config)
+    except Exception as exc:  # e.g. a bad scale file or age; analyze_inputs raises it
+        return exc
+
+
+def _span_change_points(energy: EnergyParams, task: tuple) -> ChangePointSet:
+    span, perm_cfg = task
+    return e_divisive(span, energy, perm_cfg)
+
+
+def add_change_points(
+    analyses: list[RecordingAnalysis], config: PipelineConfig, map=map
+) -> None:
+    """Fill the change points and modes of every awake span of ``analyses``.
+
+    ``map`` runs ``e_divisive`` once per span long enough to split, across all
+    recordings; the observations are built and the modes labelled here.
+    """
     energy = config.energy_params()
-    for k, seg in enumerate(analysis.segments):
-        if seg.empty_awake:
-            analysis.change_points.append([])
-            analysis.modes.append([])
-            continue
+
+    def task(a: RecordingAnalysis, k: int, seg: SleepWakeSegment) -> tuple:
         span = cp_observations(
-            series, seg.awake_start_index, seg.awake_end_index, config.cp_signal
+            a.series, seg.awake_start_index, seg.awake_end_index, config.cp_signal
         )
         perm_cfg = PermutationConfig(
             n_permutations=config.n_permutations,
             significance=config.significance,
-            master_seed=derive_seed(config.seed, name, k),
+            master_seed=derive_seed(config.seed, a.name, k),
         )
-        cps = e_divisive(span, energy, perm_cfg)
-        analysis.change_points.append(cps)
-        span_labels = analysis.intensity[seg.awake_start_index : seg.awake_end_index]
-        analysis.modes.append(label_intervals(span_labels, cps, tie_break=config.mode_tie_break))
-    return analysis
+        return span, perm_cfg
+
+    def splittable(seg: SleepWakeSegment) -> bool:
+        return not seg.empty_awake and seg.awake_epochs >= 2 * energy.min_segment
+
+    work = [
+        task(a, k, seg) for a in analyses for k, seg in enumerate(a.segments) if splittable(seg)
+    ]
+    found = iter(map(partial(_span_change_points, energy), work))
+    for a in analyses:
+        for k, seg in enumerate(a.segments):
+            if seg.empty_awake:
+                a.change_points.append([])
+                a.modes.append([])
+                continue
+            # a span too short to split is one mode: e_divisive returns at once
+            cps = next(found) if splittable(seg) else _span_change_points(energy, task(a, k, seg))
+            a.change_points.append(cps)
+            span_labels = a.intensity[seg.awake_start_index : seg.awake_end_index]
+            a.modes.append(label_intervals(span_labels, cps, tie_break=config.mode_tie_break))
 
 
 def analyze_inputs(
-    paths: list[Path], config: PipelineConfig, sleep_only: bool = False, timings: dict | None = None
+    paths: list[Path],
+    config: PipelineConfig,
+    sleep_only: bool = False,
+    timings: dict | None = None,
+    map=map,
 ) -> list[RecordingAnalysis]:
-    """Load every file in the order given, then run the sleep stage
-    (``sleep_only``) or every per-recording stage on each.  A file that fails
-    to load is named and fails the call before any analysis; ``timings`` gets
-    the seconds spent loading (``ingest``) and analyzing (``analyze``)."""
+    """Load every file and run its sleep stage, then (unless ``sleep_only``)
+    the change points and modes of every recording, in the order given.
+
+    ``map`` runs the independent units: one file each, then one awake span
+    each (see :mod:`rahar.workers`).  A file that fails to load is named, and
+    the first such file in the order given fails the call; only when every
+    file has loaded does a failed sleep stage fail it.  ``timings`` gets
+    the seconds spent loading and sleep-scoring (``ingest``) and on change
+    points and modes (``analyze``).
+    """
     timings = {} if timings is None else timings
     t0 = time.perf_counter()
-    loaded = []
-    for path in paths:
-        try:
-            loaded.append((path.stem, load_series(path, config)))
-        except (ParseError, ValidationError) as exc:
-            exc.args = (f"{path.name}: {exc}",)  # str(exc), the one-line message
-            raise
+    analyses = list(map(partial(_load_and_sleep, config), paths))
+    for result in analyses:
+        if isinstance(result, Exception):
+            raise result
     timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # looked up per call, so a stage replaced on this module is the one run
-    stage = analyze_sleep if sleep_only else analyze_recording
-    analyses = [stage(name, series, config) for name, series in loaded]
+    if not sleep_only:
+        add_change_points(analyses, config, map)
     timings["analyze"] = time.perf_counter() - t0
     return analyses
 
@@ -335,20 +386,24 @@ def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) ->
     )
 
 
-def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> list[Path]:
+def run_pipeline(
+    inputs: list[Path], out_dir: Path, config: PipelineConfig, map=map
+) -> list[Path]:
     """Full batch run over one or more epoch CSVs, in the order given; writes
-    reports + manifest and returns the paths written, ``manifest.json`` last."""
+    reports + manifest and returns the paths written, ``manifest.json`` last.
+    ``map`` runs the independent units of the analysis and of the model's
+    cross-validation (see :mod:`rahar.workers`)."""
     out_dir = Path(out_dir)
     timings: dict[str, float] = {}
     outputs: list[Path] = []
-    analyses = analyze_inputs(inputs, config, timings=timings)
+    analyses = analyze_inputs(inputs, config, timings=timings, map=map)
     t0 = time.perf_counter()
     dataset = pooled_dataset(analyses, config)
     pool_s = time.perf_counter() - t0
     model_outputs: list[Path] = []
     if config.model:
         t0 = time.perf_counter()
-        model_outputs = train_and_report(dataset, out_dir, config)
+        model_outputs = train_and_report(dataset, out_dir, config, map)
         model_s = time.perf_counter() - t0
     # created only once every recording is analysed, the dataset has rows and
     # the model has cross-validated, so a bad input, scale file or age, an
@@ -387,17 +442,20 @@ def run_pipeline(inputs: list[Path], out_dir: Path, config: PipelineConfig) -> l
     return [*outputs, manifest_path]
 
 
-def train_and_report(dataset: Dataset, out_dir: Path, config: PipelineConfig) -> list[Path]:
+def train_and_report(
+    dataset: Dataset, out_dir: Path, config: PipelineConfig, map=map
+) -> list[Path]:
     """Cross-validate the configured model on the four fractions, plus awake
-    minutes with ``include_awake_feature``; only then create ``out_dir`` and
-    write report + ROC files into it."""
+    minutes with ``include_awake_feature``, with ``map`` running the folds;
+    only then create ``out_dir`` and write report + ROC files into it."""
     out_dir = Path(out_dir)
     X = dataset.X
     if config.include_awake_feature:
         X = np.hstack([X, dataset.awake_minutes[:, None]])
     model_cfg = make_config(config.model, seed=config.seed)
     result = cross_validate(
-        X, dataset.y, config.model, config=model_cfg, folds=config.folds, seed=config.seed
+        X, dataset.y, config.model, config=model_cfg, folds=config.folds, seed=config.seed,
+        map=map,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {

@@ -317,8 +317,9 @@ def ref_parse_count(token: str, name: str, line_number: int) -> int:
     return value
 
 
-# A cell is padded with ASCII whitespace only: a no-break (U+00A0) or an
-# ideographic (U+3000) space stays part of the token and makes it invalid.
+# A cell or header field is padded with ASCII whitespace only: a no-break
+# (U+00A0) or an ideographic (U+3000) space stays part of the token and makes
+# it invalid.
 ASCII_PADDING = " \t\n\r\x0b\x0c"
 
 
@@ -328,7 +329,7 @@ def ref_parse(text: str, epoch_length: timedelta = timedelta(seconds=60)) -> Obj
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input: missing header")
-    if [h.strip() for h in header] != CSV_HEADER:
+    if [h.strip(ASCII_PADDING) for h in header] != CSV_HEADER:
         raise ParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
     epochs = []
     for line_number, row in enumerate(reader, start=2):

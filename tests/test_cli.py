@@ -969,6 +969,36 @@ class TestNumbersAreAscii:
         assert not out.exists()
 
 
+class TestHeaderPadding:
+    """A header field is stripped of ASCII whitespace only, as a cell is."""
+
+    EPOCH_ROW = "2014-09-01T22:00:00+00:00,0,0,0,0,off\n"
+
+    @pytest.mark.parametrize("pad", ["\u00a0", "\u3000"])
+    def test_epoch_header(self, tmp_path, capsys, pad):
+        path = tmp_path / "day.csv"
+        path.write_text(f"timestamp{pad},axis1,axis2,axis3,steps,inclinometer\n" + self.EPOCH_ROW,
+                        encoding="utf-8")
+        assert main(["validate", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: bad header ") and err.count("\n") == 1
+
+    def test_eval_header(self, tmp_path, capsys):
+        scored = tmp_path / "scored.csv"
+        scored.write_text("score\u00a0,label\n0.9,good\n0.2,poor\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--in", str(scored), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: bad eval header ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_ascii_padding_is_stripped(self, tmp_path):
+        path = tmp_path / "day.csv"
+        path.write_text(" timestamp\t,axis1 ,axis2,axis3,steps,\x0binclinometer\n" + self.EPOCH_ROW,
+                        encoding="utf-8")
+        assert main(["validate", "--in", str(path)]) == 0
+
+
 class TestOneLabelRule:
     """Dataset and eval labels are lowercase, stripped of ASCII whitespace only."""
 

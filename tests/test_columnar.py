@@ -112,7 +112,11 @@ def epoch_files(draw, corruption: str | None = None):
     if corruption == "empty":
         return ""
     if corruption == "header":
-        header = "time,ax1\n"
+        # a header field is padded by the same rule as a cell
+        names = HEADER.strip().split(",")
+        pad, j = draw(st.sampled_from(NON_ASCII_PADS)), draw(st.integers(0, 5))
+        names[j] = draw(st.sampled_from([pad + names[j], names[j] + pad]))
+        header = draw(st.sampled_from(["time,ax1\n", ",".join(names) + "\n"]))
     elif corruption:
         r = draw(st.integers(1, n - 1))
         utc, offset = instants[r]
