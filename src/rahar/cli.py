@@ -26,8 +26,8 @@ from .errors import (
     ValidationError,
     WorkerLost,
 )
-from .features import finite_cell, read_dataset_csv
-from .ingest import label_cell, read_table, serialize_epoch_csv
+from .features import read_dataset_csv
+from .ingest import label_cell, number_cell, read_table, serialize_epoch_csv
 from .models import evaluate
 from .pipeline import (
     CHOICES,
@@ -193,7 +193,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with open(args.input, newline="", encoding="utf-8") as fh:
         for line_number, row in read_table(fh, ["score", "label"], "eval "):
             label = label_cell(row[1], line_number, numeric=True)
-            scores.append(finite_cell(row[0], line_number, "score"))
+            scores.append(number_cell(row[0], line_number, "score"))
             labels.append(label)
     report = evaluate(scores, labels, class_threshold=args.threshold)
     out = Path(args.out or "eval_report.json")

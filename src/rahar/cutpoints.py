@@ -8,8 +8,8 @@ adults use 100 / 2020 / 5999 counts-per-minute boundaries, youths aged
 6-17 use the age-specific moderate and vigorous thresholds from the same
 publication.  Custom scales can be loaded from a CSV file with rows
 ``age_min,age_max,sedentary_max,light_max,moderate_max`` (inclusive
-upper bounds in counts/min); ages are ASCII digits and bounds ASCII
-numbers without ``_``.
+upper bounds in counts/min); ages are counts and bounds numbers, as
+``ingest.count_cell`` and ``ingest.number_cell`` read every input table.
 
 The scale is defined on vertical-axis (axis1) counts.  A vector-magnitude
 signal option exists for devices calibrated that way, but the bundled
@@ -19,7 +19,6 @@ thresholds were published for axis1.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidScale, ParseError
-from .ingest import EpochSeries, is_count, is_plain_number, read_table, vm3
+from .ingest import EpochSeries, count_cell, number_cell, read_table, vm3
 
 SCALE_HEADER = ["age_min", "age_max", "sedentary_max", "light_max", "moderate_max"]
 DEFAULT_AGE_YEARS = 18  # the adult band
@@ -116,21 +115,13 @@ def load_scale_file(path: str | Path, name: str | None = None) -> CutPointScale:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            table = list(read_table(fh, SCALE_HEADER, "scale "))
+            rows = [
+                (count_cell(row[0], n, "age_min"), count_cell(row[1], n, "age_max"),
+                 *(number_cell(cell, n, field) for field, cell in zip(SCALE_HEADER[2:], row[2:])))
+                for n, row in read_table(fh, SCALE_HEADER, "scale ")
+            ]
         except ParseError as exc:
             raise InvalidScale(str(exc)) from None
-    rows = []
-    for line_number, row in table:
-        try:
-            rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4])))
-        except ValueError as exc:
-            raise InvalidScale(f"line {line_number}: scale row {row!r}: {exc}") from None
-        plain = [is_count(c.strip(string.whitespace)) for c in row[:2]] + [is_plain_number(c) for c in row[2:]]
-        if not all(plain):
-            bad = row[plain.index(False)]
-            raise InvalidScale(
-                f"line {line_number}: scale row {row!r}: {bad!r} is not a plain ASCII number"
-            )
     if not rows:
         raise InvalidScale("scale file has no bands")
     return make_scale(name or path.stem, rows)

@@ -18,8 +18,8 @@ from typing import TextIO
 import numpy as np
 
 from .cutpoints import IntensityLevel
-from .errors import EmptyAwakeSpan, EmptyDataset, MalformedRow
-from .ingest import is_plain_number, label_cell, read_table
+from .errors import EmptyAwakeSpan, EmptyDataset
+from .ingest import label_cell, number_cell, read_table
 from .modes import ActivityMode
 from .segments import SleepWakeSegment
 from .sleep import SleepMetrics
@@ -187,22 +187,6 @@ def write_dataset_csv(dataset: Dataset, stream: TextIO) -> None:
         )
 
 
-def finite_cell(text: str, line_number: int, name: str, low=-math.inf, high=math.inf) -> float:
-    """The number in the table cell ``name``; a :class:`MalformedRow` naming
-    ``line_number`` when it is not a finite number in plain ASCII in [low, high]."""
-    try:
-        if not is_plain_number(text):
-            raise ValueError
-        value = float(text)
-    except ValueError:
-        raise MalformedRow(line_number, f"bad {name} {text!r}") from None
-    if not math.isfinite(value):
-        raise MalformedRow(line_number, f"{name} {text!r} is not a finite number")
-    if not low <= value <= high:
-        raise MalformedRow(line_number, f"{name} {text!r} is outside [{low:g}, {high:g}]")
-    return value
-
-
 def read_dataset_csv(stream: TextIO) -> Dataset:
     """Read a dataset CSV produced by :func:`write_dataset_csv`.
 
@@ -213,7 +197,7 @@ def read_dataset_csv(stream: TextIO) -> Dataset:
     ids, X, y, effs, awake = [], [], [], [], []
     for line_number, row in read_table(stream, DATASET_HEADER, "dataset "):
         values = [
-            finite_cell(v, line_number, name, 0.0, math.inf if name == "awake_min" else 1.0)
+            number_cell(v, line_number, name, 0.0, math.inf if name == "awake_min" else 1.0)
             for name, v in zip(DATASET_HEADER[1:7], row[1:7])
         ]
         label = label_cell(row[7], line_number)

@@ -199,38 +199,50 @@ def _parse_timestamp(token: str, line_number: int) -> datetime:
     return value
 
 
-def _parse_count(token: str, name: str, line_number: int) -> int:
+# The cell rules of every input table, whose cells are padded with ASCII
+# whitespace only.  ``int()`` and ``float()`` alone also read a sign on a count,
+# ``_`` separators (``1_0`` is 10) and other scripts' digits (``١٢`` is 12).
+PADDING = string.whitespace
+
+
+def count_cell(cell: str, line_number: int, name: str, high: int = MAX_COUNT) -> int:
+    """The count in the table cell ``name``, ASCII digits for an integer in [0, ``high``];
+    a :class:`NegativeCount` or :class:`MalformedRow` naming ``line_number`` otherwise."""
+    token = cell.strip(PADDING)
     try:
-        # a "-" before ASCII digits is a negative count, unless they are zero
-        if not is_count(token) and not (
-            token[:1] == "-" and is_count(token[1:]) and token[1:].strip("0")
-        ):
-            raise ValueError
+        if not (token.isascii() and token.isdigit()):  # the common case first
+            # a "-" before ASCII digits is a negative count, unless they are zero
+            digits = token[1:]
+            if token[:1] != "-" or not (digits.isascii() and digits.isdigit() and digits.strip("0")):
+                raise ValueError
         value = int(token)  # a ValueError too past int()'s 4,300-digit limit
     except ValueError:
         raise MalformedRow(line_number, f"{name} {token!r} is not an integer") from None
     if value < 0:
         raise NegativeCount(line_number, name, value)
-    if value > MAX_COUNT:
-        raise MalformedRow(line_number, f"{name} {value} exceeds the ceiling of {MAX_COUNT}")
+    if value > high:
+        raise MalformedRow(line_number, f"{name} {value} exceeds the ceiling of {high}")
     return value
 
 
-# The number rule of every input table.  ``int()`` and ``float()`` alone
-# also read a sign on a count, ``_`` separators (``1_0`` is 10) and the
-# digits of other scripts (Arabic-Indic ``١٢`` is 12).
-def is_count(cell: str) -> bool:
-    """True when ``cell`` is one or more ASCII digits."""
-    return cell.isascii() and cell.isdigit()
-
-
-def is_plain_number(cell: str) -> bool:
-    """True when ``cell`` may be read by ``float()``: ASCII, without ``_``."""
-    return cell.isascii() and "_" not in cell
+def number_cell(cell: str, line_number: int, name: str, low=-math.inf, high=math.inf) -> float:
+    """The number in the table cell ``name``, ASCII without ``_`` read by ``float()``, finite
+    and in [``low``, ``high``]; a :class:`MalformedRow` naming ``line_number`` otherwise."""
+    try:
+        if not cell.isascii() or "_" in cell:
+            raise ValueError
+        value = float(cell)
+    except ValueError:
+        raise MalformedRow(line_number, f"bad {name} {cell!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(line_number, f"{name} {cell!r} is not a finite number")
+    if not low <= value <= high:
+        raise MalformedRow(line_number, f"{name} {cell!r} is outside [{low:g}, {high:g}]")
+    return value
 
 
 # The label rule of the dataset and eval tables: lowercase, and stripped of
-# ASCII whitespace only, as epoch cells are.
+# ASCII whitespace only, as every cell is.
 _LABELS = {"poor": 0, "good": 1}
 _EVAL_LABELS = {**_LABELS, "0": 0, "1": 1}
 
@@ -240,7 +252,7 @@ def label_cell(cell: str, line_number: int, numeric: bool = False) -> int:
     ``numeric``, for ``1`` and ``0``); a :class:`MalformedRow` naming
     ``line_number`` for any other token."""
     labels = _EVAL_LABELS if numeric else _LABELS
-    token = cell.strip(string.whitespace)
+    token = cell.strip(PADDING)
     if token not in labels:
         message = "label must be good/poor or 0/1" if numeric else f"label {cell!r} is not good or poor"
         raise MalformedRow(line_number, message)
@@ -259,7 +271,7 @@ def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tu
         first = next(reader, None)
         if first is None and not kind:
             raise ParseError("empty input: missing header")
-        if first is None or [h.strip(string.whitespace) for h in first] != header:
+        if first is None or [h.strip(PADDING) for h in first] != header:
             raise ParseError(f"bad {kind}header {first!r}, expected {','.join(header)}")
         next_line = reader.line_num + 1  # a quoted field can span lines
         for row in reader:
@@ -286,16 +298,15 @@ def parse_epoch_csv(
     text = io.StringIO(source) if isinstance(source, str) else source
     utc_us, offset_us, counts = array("q"), array("q"), array("q")
     states = bytearray()
-    space = string.whitespace
     for line_number, row in read_table(text, CSV_HEADER):
-        instant, offset = split_instant(_parse_timestamp(row[0].strip(space), line_number))
+        instant, offset = split_instant(_parse_timestamp(row[0].strip(PADDING), line_number))
         utc_us.append(instant)
         offset_us.append(offset)
-        counts.append(_parse_count(row[1].strip(space), "axis1", line_number))
-        counts.append(_parse_count(row[2].strip(space), "axis2", line_number))
-        counts.append(_parse_count(row[3].strip(space), "axis3", line_number))
-        counts.append(_parse_count(row[4].strip(space), "steps", line_number))
-        token = row[5].strip(space)
+        counts.append(count_cell(row[1], line_number, "axis1"))
+        counts.append(count_cell(row[2], line_number, "axis2"))
+        counts.append(count_cell(row[3], line_number, "axis3"))
+        counts.append(count_cell(row[4], line_number, "steps"))
+        token = row[5].strip(PADDING)
         code = _INCLINOMETER_CODES.get(token.upper())
         if code is None:
             raise UnknownInclinometer(line_number, token)

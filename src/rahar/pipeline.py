@@ -68,10 +68,10 @@ class PipelineConfig:
     scale_file: str | None = None
     cut_axis: str = "axis1"  # cut-point signal
     cp_signal: str = "triaxial"  # change-point observations
-    alpha_exp: float = 1.0
-    min_segment: int = 30
-    n_permutations: int = 99
-    significance: float = 0.01
+    alpha_exp: float = EnergyParams.alpha_exp
+    min_segment: int = EnergyParams.min_segment
+    n_permutations: int = PermutationConfig.n_permutations
+    significance: float = PermutationConfig.significance
     seed: int = 0
     efficiency_threshold: float = EFFICIENCY_THRESHOLD
     folds: int = 5
@@ -79,7 +79,7 @@ class PipelineConfig:
     fill_gaps: str | None = None  # None -> gaps are a validation failure
     features_mode: str = "modes"
     min_awake_min: float = 0.0
-    min_sleep_min: int = 0
+    min_sleep_min: int = SleepRules.min_sleep_min
     include_first_segment: bool = False
     aggregate: int = 1
     mode_tie_break: str = "lower"
@@ -277,7 +277,10 @@ def add_change_points(
                 a.change_points.append([])
                 a.modes.append([])
                 continue
-            # a span too short to split is one mode: e_divisive returns at once
+            # A span too short to split is one mode: e_divisive returns at once.
+            # It is called anyway, in process, as perfbench/run.py --trace 1 reads
+            # these calls: its spans_skipped count, and probe()'s observations,
+            # the only ones on a study of short spans (else probe() indexes []).
             cps = next(found) if splittable(seg) else _span_change_points(energy, task(a, k, seg))
             a.change_points.append(cps)
             span_labels = a.intensity[seg.awake_start_index : seg.awake_end_index]

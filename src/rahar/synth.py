@@ -259,14 +259,14 @@ def profile_from_dict(payload: dict) -> DayProfile:
                 mode=item["mode"],
                 duration_min=_whole(item["duration_min"]),
                 mean_counts=_numbers(item["mean_counts"]) if "mean_counts" in item else None,
-                dispersion=float(item.get("dispersion", 50.0)),
-                mean_steps=float(item["mean_steps"]) if "mean_steps" in item else None,
+                dispersion=float(_number(item.get("dispersion", 50.0))),
+                mean_steps=float(_number(item["mean_steps"])) if "mean_steps" in item else None,
             )
             for item in (_known_keys(b, _BLOCK_KEYS, "block") for b in payload["schedule"])
         )
         return DayProfile(
             schedule=blocks,
-            noise=float(payload.get("noise", 0.0)),
+            noise=float(_number(payload.get("noise", 0.0))),
             seed=_whole(payload.get("seed", 0)),
             start=datetime.fromisoformat(payload.get("start", "2014-09-01T00:00:00+00:00")),
         )
@@ -274,8 +274,15 @@ def profile_from_dict(payload: dict) -> DayProfile:
         raise InvalidProfile(f"bad profile payload: {exc}")
 
 
+def _number(value) -> int | float:
+    """``value`` when it is a JSON number; int() and float() also take a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def _whole(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(value), float) and not value.is_integer():
         raise ValueError(f"expected a whole number, got {value}")
     return int(value)
 
@@ -283,7 +290,7 @@ def _whole(value) -> int:
 def _numbers(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(float(_number(v)) for v in value)
 
 
 def load_profile(path: str | Path) -> DayProfile:

@@ -949,11 +949,21 @@ class TestNumbersAreAscii:
         assert capsys.readouterr().err == f"parse error: line 2: bad score {token!r}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("row", [
-        "1_0,130,99,2019,5998", "٠,130,99,2019,5998", "+0,130,99,2019,5998",
-        "0,130,9_9,2019,5998", "0,130,99,٢٠١٩,5998", "\u00a00,130,99,2019,5998",
-        "0,130,\u00a099,2019,5998",
-    ])
+    # each scale row and the one line its cell reader gives for it
+    SCALE_FAULTS = {
+        "1_0,130,99,2019,5998": "age_min '1_0' is not an integer",
+        "٠,130,99,2019,5998": "age_min '٠' is not an integer",
+        "+0,130,99,2019,5998": "age_min '+0' is not an integer",
+        "0,130,9_9,2019,5998": "bad sedentary_max '9_9'",
+        "0,130,99,٢٠١٩,5998": "bad light_max '٢٠١٩'",
+        "\u00a00,130,99,2019,5998": "age_min '\\xa00' is not an integer",
+        "0,130,\u00a099,2019,5998": "bad sedentary_max '\\xa099'",
+        "-5,130,99,2019,5998": "age_min = -5 is negative",
+        "0,130,inf,2019,5998": "sedentary_max 'inf' is not a finite number",
+        "0,1000000001,99,2019,5998": "age_max 1000000001 exceeds the ceiling of 1000000000",
+    }
+
+    @pytest.mark.parametrize("row", list(SCALE_FAULTS))
     def test_scale_number(self, study_dir, tmp_path, capsys, row):
         scale = tmp_path / "scale.csv"
         scale.write_text(
@@ -963,9 +973,8 @@ class TestNumbersAreAscii:
         out = tmp_path / "sleep.json"
         assert main(["sleep", "--in", str(recording), "--scale-file", str(scale),
                      "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("validation failure: line 2: scale row ") and err.count("\n") == 1
-        assert "is not a plain ASCII number" in err, err
+        message = self.SCALE_FAULTS[row]
+        assert capsys.readouterr().err == f"validation failure: line 2: {message}\n"
         assert not out.exists()
 
 

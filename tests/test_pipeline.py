@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from rahar.ingest import MAX_COUNT, EpochSeries, aggregate_epochs, vm3
+import rahar.pipeline
 from rahar.pipeline import (
     PipelineConfig,
+    add_change_points,
     analyze_recording,
+    analyze_sleep,
     cp_observations,
     derive_seed,
     pooled_dataset,
@@ -73,6 +76,49 @@ class TestAnalyzeRecording:
         levels = [m.level.token for m in analysis.modes[1]]
         assert levels[0] == "light"
         assert "moderate" in levels
+
+
+class TestShortSpans:
+    """A span too short to split never reaches the worker map, but its
+    observations are still built in process, once per non-empty span."""
+
+    def test_short_spans_stay_in_process(self, monkeypatch):
+        schedules = [
+            # an empty awake span (sleep from the first epoch), then one of 45 epochs
+            (ActivityBlock("sleep", 100), ActivityBlock("light", 45), ActivityBlock("sleep", 100),
+             ActivityBlock("sedentary", 40)),
+            (ActivityBlock("sedentary", 40), ActivityBlock("sleep", 100),
+             ActivityBlock("moderate", 50), ActivityBlock("sleep", 100), ActivityBlock("light", 40)),
+        ]
+        config = PipelineConfig()
+        analyses = [
+            analyze_sleep(f"r{i}", generate(DayProfile(schedule=s, seed=i))[0], config)
+            for i, s in enumerate(schedules)
+        ]
+        spans = [seg for a in analyses for seg in a.segments if not seg.empty_awake]
+        assert len(spans) == 3 and len(spans) < sum(len(a.segments) for a in analyses)
+        assert all(seg.awake_epochs < 2 * config.min_segment for seg in spans)
+
+        built = []
+
+        def counting(*args):
+            built.append(args[1:3])
+            return cp_observations(*args)
+
+        mapped = []
+
+        def recording_map(fn, items):
+            items = list(items)
+            mapped.extend(items)
+            return map(fn, items)
+
+        monkeypatch.setattr(rahar.pipeline, "cp_observations", counting)
+        add_change_points(analyses, config, map=recording_map)
+        assert built == [(seg.awake_start_index, seg.awake_end_index) for seg in spans]
+        assert mapped == []
+        for a in analyses:
+            for seg, cps, modes in zip(a.segments, a.change_points, a.modes):
+                assert list(cps) == [] and len(modes) == (0 if seg.empty_awake else 1)
 
 
 class TestPooledDataset:

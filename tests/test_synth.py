@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from rahar.cli import main
 from rahar.errors import InvalidProfile
 from rahar.ingest import Inclinometer, parse_epoch_csv, serialize_epoch_csv, validate_series
 from rahar.sleep import candidate_mask, compute_waso, detect_sleep_periods
@@ -211,3 +212,24 @@ class TestProfileJson:
     def test_dict_form_is_json_serializable(self):
         payload = profile_to_dict(day_profile())
         json.dumps(payload)
+
+    # `int()` and `float()` would read each of these as a number
+    @pytest.mark.parametrize("top, block", [
+        ({"seed": "1_0"}, {}), ({"seed": True}, {}), ({"noise": "0.1"}, {}),
+        ({}, {"duration_min": "٦٠"}), ({}, {"duration_min": "60"}), ({}, {"duration_min": True}),
+        ({}, {"dispersion": "5_0"}), ({}, {"mean_steps": "40"}),
+        ({}, {"mean_counts": ["1_0", 2, 3]}), ({}, {"mean_counts": [True, 2, 3]}),
+    ])
+    def test_numbers_are_json_numbers(self, tmp_path, capsys, top, block):
+        payload = {**top, "schedule": [{"mode": "light", "duration_min": 60, **block}]}
+        with pytest.raises(InvalidProfile, match="expected a number"):
+            profile_from_dict(payload)
+        path, out = tmp_path / "p.json", tmp_path / "p.csv"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["synth", "--profile", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_whole_valued_float_is_a_whole_number(self):
+        p = profile_from_dict({"seed": 7.0, "schedule": [{"mode": "light", "duration_min": 60.0}]})
+        assert (p.seed, p.schedule[0].duration_min) == (7, 60)
