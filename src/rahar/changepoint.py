@@ -153,40 +153,48 @@ def _alpha_distance_matrix(obs: np.ndarray, alpha_exp: float) -> np.ndarray:
 
     Squared differences are added in axis order before the square root,
     the order a pairwise Euclidean distance loop uses, so the entries are
-    the same bit for bit; two L x L arrays are live at most."""
-    sq = np.zeros((obs.shape[0], obs.shape[0]))
-    diff = np.empty_like(sq)
-    for k in range(obs.shape[1]):
-        np.subtract.outer(obs[:, k], obs[:, k], out=diff)
-        sq += np.square(diff, out=diff)
-    np.sqrt(sq, out=sq)
-    sq **= alpha_exp  # the same scalar fast paths (sqrt, copy, square) as `**`
-    return sq
+    the same bit for bit.  The output is filled a block of about
+    ``BLOCK_ELEMENTS`` elements of rows at a time, so besides the one L x L
+    result only a (block, L) difference buffer is live."""
+    length = obs.shape[0]
+    out = np.empty((length, length))
+    rows = max(1, BLOCK_ELEMENTS // max(length, 1))
+    diff = np.empty((min(rows, length), length))
+    for first in range(0, length, rows):
+        sq = out[first : first + rows]
+        d = diff[: sq.shape[0]]
+        sq.fill(0.0)
+        for k in range(obs.shape[1]):
+            np.subtract.outer(obs[first : first + rows, k], obs[:, k], out=d)
+            sq += np.square(d, out=d)
+        np.sqrt(sq, out=sq)
+        sq **= alpha_exp  # the same scalar fast paths (sqrt, copy, square) as `**`
+    return out
 
 
-def _pair_increments(dist: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """new_pair[s, b] = sum over i < s of dist[orders[b, i], orders[b, s]].
+def _pair_increments(dist: np.ndarray, orders: np.ndarray, new_pair: np.ndarray) -> np.ndarray:
+    """new_pair[s, b] = sum over i < s of dist[orders[i, b], orders[s, b]],
+    written into the C-contiguous (L, block) buffer ``new_pair``.
 
-    ``dist`` must be C-contiguous (a strided view would be copied by every
-    row gather) and the orderings at least two long.  A running (block, L)
-    sum takes one gathered distance row per ordering and step, so each
-    entry is summed in increasing i exactly as a column-wise cumulative
-    sum of the row-gathered matrix would.
+    ``dist`` and the (L, block) ``orders``, one ordering per column, must be
+    C-contiguous (a strided view would be copied by every gather) and the
+    orderings at least two long.  A running (block, L) sum takes one
+    gathered distance row per ordering and step, so each entry is summed in
+    increasing i exactly as a column-wise cumulative sum of the row-gathered
+    matrix would.
     """
-    block, length = orders.shape
-    rows = np.ascontiguousarray(orders.T)
-    # flat index of acc[b, orders[b, s]], laid out step by step
-    cells = rows + np.arange(0, block * length, length)
+    length, block = orders.shape
+    # flat index of acc[b, orders[s, b]], laid out step by step
+    cells = orders + np.arange(0, block * length, length)
     acc = np.empty((block, length))
     buf = np.empty_like(acc)
-    new_pair = np.empty((length, block))
     # bound methods keep the per-step overhead low; indices are always in
     # range, and "clip" spares take() the buffered copy of its "raise" mode
     take_row, take_cell = dist.take, acc.reshape(-1).take
     new_pair[0] = 0.0
-    take_row(rows[0], 0, acc, "clip")
+    take_row(orders[0], 0, acc, "clip")
     take_cell(cells[1], None, new_pair[1], "clip")
-    for row, cell, out in zip(rows[1:-1], cells[2:], new_pair[2:]):
+    for row, cell, out in zip(orders[1:-1], cells[2:], new_pair[2:]):
         take_row(row, 0, buf, "clip")
         np.add(acc, buf, out=acc)
         take_cell(cell, None, out, "clip")
@@ -198,30 +206,39 @@ def _best_splits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (t, Q) of each ordering of the segment; ties go to the smallest t.
 
-    Under ordering ``orders[b]`` the left side of split t holds the
-    observations ``orders[b, :t]``.  Row sums are order-invariant, so only
+    Under ordering ``orders[:, b]`` the left side of split t holds the
+    observations ``orders[:t, b]``.  Row sums are order-invariant, so only
     the pair-prefix increments need the kernel; the doubly permuted
-    distance matrix is never materialized.
+    distance matrix is never materialized.  The prefix sums are taken in
+    place and Q is computed in their buffers, operation by operation as
+    ``(nl nr / (nl + nr)) * (2 cross / (nl nr) - lw / C(nl, 2) - rw / C(nr, 2))``
+    reads, so only a few (L, block) buffers are live.
     """
-    length = orders.shape[1]
-    left_within = np.zeros((length + 1, orders.shape[0]))
-    np.cumsum(_pair_increments(dist, orders), axis=0, out=left_within[1:])
-    row_cum = np.zeros_like(left_within)
-    np.cumsum(row_totals[orders.T], axis=0, out=row_cum[1:])
+    length = orders.shape[0]
+    # row s of each prefix sum covers the first s + 1 observations
+    left_within = _pair_increments(dist, orders, np.empty(orders.shape))
+    np.cumsum(left_within, axis=0, out=left_within)
+    row_cum = row_totals.take(orders, None, np.empty(orders.shape), "clip")
+    np.cumsum(row_cum, axis=0, out=row_cum)
 
-    total_within = left_within[length]
+    total_within = left_within[-1]
     t = np.arange(min_segment, length - min_segment + 1)
     n_left = t.astype(float)[:, None]
     n_right = (length - t).astype(float)[:, None]
-    lw = left_within[t]
-    cross = row_cum[t] - 2.0 * lw
-    rw = total_within - lw - cross
-    e_hat = (
-        2.0 * cross / (n_left * n_right)
-        - lw / (n_left * (n_left - 1.0) / 2.0)
-        - rw / (n_right * (n_right - 1.0) / 2.0)
-    )
-    q_hat = (n_left * n_right / (n_left + n_right)) * e_hat
+    lw = left_within[t[0] - 1 : t[-1]]
+    cross = row_cum[t[0] - 1 : t[-1]]
+    rw = np.multiply(lw, 2.0)
+    cross -= rw  # cross = row_cum - 2 lw
+    np.subtract(total_within, lw, out=rw)
+    rw -= cross  # rw = total - lw - cross
+    q_hat = cross
+    q_hat *= 2.0
+    q_hat /= n_left * n_right
+    lw /= n_left * (n_left - 1.0) / 2.0
+    q_hat -= lw
+    rw /= n_right * (n_right - 1.0) / 2.0
+    q_hat -= rw
+    q_hat *= n_left * n_right / (n_left + n_right)
     k = np.argmax(q_hat, axis=0)  # first maximum = smallest split index
     return t[k], q_hat[k, np.arange(q_hat.shape[1])]
 
@@ -234,7 +251,7 @@ def _split_scan(dist: np.ndarray, min_segment: int) -> tuple[int, float]:
     prefix sums.
     """
     dist = np.ascontiguousarray(dist)
-    identity = np.arange(dist.shape[0])[None, :]
+    identity = np.arange(dist.shape[0])[:, None]
     t, q = _best_splits(dist, dist.sum(axis=1), identity, min_segment)
     return int(t[0]), float(q[0])
 
@@ -328,20 +345,20 @@ def _seeded_states(master_seed: int, iteration_id: int, first: int, stop: int) -
 def _draw_orders(
     master_seed: int, iteration_id: int, first: int, stop: int, lengths: list[int]
 ) -> list[np.ndarray]:
-    """Orders of permutations ``[first, stop)``: one ``(stop - first, L)`` array
-    per segment length L, row b drawn from stream ``first + b``.  Each stream
+    """Orders of permutations ``[first, stop)``: one ``(L, stop - first)`` array
+    per segment length L, column b drawn from stream ``first + b``.  Each stream
     draws its segments' orders in segment order, with numpy's
     ``Generator.permutation`` on one reused generator set to its state."""
     states = _seeded_states(master_seed, iteration_id, first, stop)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    orders = [np.empty((len(states), length), dtype=np.intp) for length in lengths]
+    orders = [np.empty((length, len(states)), dtype=np.intp) for length in lengths]
     for b, (state, inc) in enumerate(states):
         # a fresh stream: no buffered half of a uint32 draw carries over
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         for o in orders:
-            o[b] = rng.permutation(o.shape[1])
+            o[:, b] = rng.permutation(o.shape[0])
     return orders
 
 
@@ -406,12 +423,35 @@ def _permutation_pvalue(
     return (1 + exceed) / (n_perm + 1)
 
 
+def _split_in_place(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The children ``dist[:t, :t]`` and ``dist[t:, t:]`` of a C-contiguous
+    matrix, moved into its own buffer as C-contiguous views: the left child
+    at offset 0, then the right one at offset t**2.  The parent is lost.
+
+    Each child moves in ascending chunks of rows of about ``BLOCK_ELEMENTS``
+    elements.  Every row lands at or before the place it is read from, and a
+    chunk's writes end before the next chunk's reads begin, so no entry is
+    overwritten before it moves; within a chunk, numpy copies a source that
+    overlaps its target out before it writes.
+    """
+    flat = dist.reshape(-1)
+    children = []
+    for lo, hi in ((0, t), (t, dist.shape[0])):
+        size = hi - lo
+        child = flat[lo * lo : lo * lo + size * size].reshape(size, size)
+        rows = max(1, BLOCK_ELEMENTS // size)
+        for first in range(lo, hi, rows):
+            stop = min(first + rows, hi)
+            child[first - lo : stop - lo] = dist[first:stop, lo:hi]
+        children.append(child)
+    return tuple(children)
+
+
 def _open(start: int, dist: np.ndarray, min_segment: int) -> list:
-    """``[(start, own C-contiguous dist, best local split t, Q)]`` for a segment
-    long enough to split (a child's slice is copied here, once), else ``[]``."""
+    """``[(start, C-contiguous dist, best local split t, Q)]`` for a segment
+    long enough to split, else ``[]``."""
     if dist.shape[0] < 2 * min_segment:
         return []
-    dist = np.ascontiguousarray(dist)
     return [(start, dist, *_split_scan(dist, min_segment))]
 
 
@@ -426,7 +466,9 @@ def e_divisive(
     segments, test it by within-segment permutation, commit it if
     p <= significance, stop otherwise.  Spans too short to split return an
     empty set (the whole span is one mode).  Committed indices are offsets
-    within the span, reported in increasing order.
+    within the span, reported in increasing order.  The span's one L x L
+    distance matrix is its only buffer of order L^2: a commit moves the
+    split segment's children into the segment's own part of it.
     """
     params = params or EnergyParams()
     perm_cfg = perm_cfg or PermutationConfig()
@@ -455,9 +497,10 @@ def e_divisive(
 
         start, dist, t, _ = segments[best]
         committed.append(ChangePoint(index=start + t, statistic=best_q, p_value=p_value))
-        left = _open(start, dist[:t, :t], params.min_segment)
-        segments[best : best + 1] = left + _open(start + t, dist[t:, t:], params.min_segment)
-        del dist  # the parent matrix goes before the next test
+        left, right = _split_in_place(dist, t)
+        segments[best : best + 1] = _open(start, left, params.min_segment) + _open(
+            start + t, right, params.min_segment
+        )
 
     committed.sort(key=lambda cp: cp.index)
     return committed

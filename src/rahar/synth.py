@@ -241,8 +241,13 @@ _PROFILE_KEYS = frozenset({"seed", "noise", "start", "schedule"})
 _BLOCK_KEYS = frozenset({"mode", "duration_min", "mean_counts", "dispersion", "mean_steps"})
 
 
-def _known_keys(item: dict, keys: frozenset, what: str) -> dict:
-    """``item``, when every one of its keys is in ``keys``."""
+_ABSENT = object()
+
+
+def _known_keys(item, keys: frozenset, what: str, place: str) -> dict:
+    """``item``, when it is a JSON object and every one of its keys is in ``keys``."""
+    if not isinstance(item, dict):
+        raise InvalidProfile(f"{place}: expected an object, got {item!r}")
     unknown = sorted(item.keys() - keys)
     if unknown:
         hint = "; the subject's age is set with --age" if "subject" in unknown else ""
@@ -250,28 +255,40 @@ def _known_keys(item: dict, keys: frozenset, what: str) -> dict:
     return item
 
 
+def _field(item: dict, key: str, convert, place: str = "", default=_ABSENT):
+    """``convert(item[key])``, or ``default`` when the key is absent; a bad or
+    missing value is named by its place, such as ``schedule[2].dispersion``."""
+    name = f"{place}.{key}" if place else key
+    if key not in item:
+        if default is _ABSENT:
+            raise InvalidProfile(f"{name}: missing")
+        return default
+    try:
+        return convert(item[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidProfile(f"{name}: {exc}") from None
+
+
 def profile_from_dict(payload: dict) -> DayProfile:
     """A profile from its JSON object; any key the format lacks is an error."""
-    try:
-        payload = _known_keys(payload, _PROFILE_KEYS, "profile")
-        blocks = tuple(
-            ActivityBlock(
-                mode=item["mode"],
-                duration_min=_whole(item["duration_min"]),
-                mean_counts=_numbers(item["mean_counts"]) if "mean_counts" in item else None,
-                dispersion=float(_number(item.get("dispersion", 50.0))),
-                mean_steps=float(_number(item["mean_steps"])) if "mean_steps" in item else None,
-            )
-            for item in (_known_keys(b, _BLOCK_KEYS, "block") for b in payload["schedule"])
-        )
-        return DayProfile(
-            schedule=blocks,
-            noise=float(_number(payload.get("noise", 0.0))),
-            seed=_whole(payload.get("seed", 0)),
-            start=datetime.fromisoformat(payload.get("start", "2014-09-01T00:00:00+00:00")),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise InvalidProfile(f"bad profile payload: {exc}")
+    payload = _known_keys(payload, _PROFILE_KEYS, "profile", "profile")
+    blocks = []
+    for i, item in enumerate(_field(payload, "schedule", _list)):
+        place = f"schedule[{i}]"
+        item = _known_keys(item, _BLOCK_KEYS, "block", place)
+        blocks.append(ActivityBlock(
+            mode=_field(item, "mode", lambda mode: mode, place),
+            duration_min=_field(item, "duration_min", _whole, place),
+            mean_counts=_field(item, "mean_counts", _numbers, place, None),
+            dispersion=_field(item, "dispersion", _real, place, 50.0),
+            mean_steps=_field(item, "mean_steps", _real, place, None),
+        ))
+    return DayProfile(
+        schedule=tuple(blocks),
+        noise=_field(payload, "noise", _real, default=0.0),
+        seed=_field(payload, "seed", _whole, default=0),
+        start=_field(payload, "start", datetime.fromisoformat, default=DayProfile.start),
+    )
 
 
 def _number(value) -> int | float:
@@ -279,6 +296,10 @@ def _number(value) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     return value
+
+
+def _real(value) -> float:
+    return float(_number(value))
 
 
 def _whole(value) -> int:
@@ -290,7 +311,13 @@ def _whole(value) -> int:
 def _numbers(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(float(_number(v)) for v in value)
+    return tuple(_real(v) for v in value)
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of blocks, got {value!r}")
+    return value
 
 
 def load_profile(path: str | Path) -> DayProfile:

@@ -262,18 +262,28 @@ class TestSeededStates:
             short, long = changepoint._draw_orders(master_seed, iteration, first, stop, [60, 448])
             for b, r in enumerate(range(first, stop)):
                 ref = ref_permutation_rng(master_seed, iteration, r)
-                assert np.array_equal(short[b], ref.permutation(60))
-                assert np.array_equal(long[b], ref.permutation(448))
+                assert np.array_equal(short[:, b], ref.permutation(60))
+                assert np.array_equal(long[:, b], ref.permutation(448))
 
 
 class TestBlockKernel:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    def test_distance_matrix_matches_loop(self, d):
+    def test_distance_matrix_matches_loop(self, monkeypatch, d):
+        # the build fills a block of BLOCK_ELEMENTS // L rows at a time: 25
+        # rows fit in one block, a block of 600 elements holds 25 rows of a
+        # 24-long span and 24 of a 25-long one, and one of 104 holds 4 of 26
         rng = np.random.default_rng(d)
-        for obs in (rng.poisson(12.0, (25, d)).astype(float), rng.normal(0.0, 3.0, (25, d))):
-            assert np.array_equal(
-                changepoint._alpha_distance_matrix(obs, 1.0), euclidean_distance_loop(obs)
-            )
+        cases = [(25, changepoint.BLOCK_ELEMENTS), (24, 600), (25, 600), (26, 104)]
+        for length, block_elements in cases:
+            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
+            for obs in (
+                rng.poisson(12.0, (length, d)).astype(float), rng.normal(0.0, 3.0, (length, d))
+            ):
+                loop = euclidean_distance_loop(obs)
+                for alpha_exp in (1.0, 1.5):
+                    assert np.array_equal(
+                        changepoint._alpha_distance_matrix(obs, alpha_exp), loop**alpha_exp
+                    )
 
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_matches_single_order_reference(self, length):
@@ -282,10 +292,10 @@ class TestBlockKernel:
         view = full[11 : 11 + length, 11 : 11 + length]  # a strided slice, as a caller may pass
         assert not view.flags.c_contiguous
         dist = np.ascontiguousarray(view)
-        orders = np.stack([rng.permutation(length) for _ in range(37)])
-        new_pair = changepoint._pair_increments(dist, orders)
+        orders = np.stack([rng.permutation(length) for _ in range(37)], axis=1)
+        new_pair = changepoint._pair_increments(dist, orders, np.empty(orders.shape))
         t, q = changepoint._best_splits(dist, dist.sum(axis=1), orders, 30)
-        for b, order in enumerate(orders):
+        for b, order in enumerate(orders.T):
             t_ref, q_ref, new_pair_ref = single_order_best_split(view, order, 30)
             assert np.array_equal(new_pair[:, b], new_pair_ref)
             assert (t[b], q[b]) == (t_ref, q_ref)
@@ -328,6 +338,52 @@ class TestBlockKernel:
                 matrices, observed, params, cfg, 2, stop_above=level
             )
             assert level < stopped <= expected
+
+
+def split_in_place_checked(dist, t):
+    """``_split_in_place(dist, t)``, checked against copies of the two blocks
+    taken before it: equal bit for bit, C-contiguous, inside ``dist``'s buffer
+    and apart from each other."""
+    expected = dist[:t, :t].copy(), dist[t:, t:].copy()
+    children = changepoint._split_in_place(dist, t)
+    for child, want in zip(children, expected):
+        assert np.array_equal(child, want)
+        assert child.flags.c_contiguous
+        assert np.shares_memory(child, dist)
+    assert not np.shares_memory(*children)
+    return children
+
+
+class TestSplitInPlace:
+    """A commit moves both children into their parent's buffer, row chunk by
+    row chunk; numpy must copy a chunk that overlaps its target out first."""
+
+    @pytest.mark.parametrize("block_elements", [None, 100, 1000])
+    @pytest.mark.parametrize("length", [60, 61, 257])
+    def test_children_are_compacted_views(self, monkeypatch, length, block_elements):
+        # 100 and 1000 elements give chunks of a few rows, most of which do
+        # not divide the child (at L = 257, t = 128 the right child of 129
+        # rows moves in chunks of 7)
+        if block_elements is not None:
+            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(length)
+        obs = count_span(rng, length)
+        min_segment = 10
+        for t in (min_segment, length // 2, length - min_segment):
+            split_in_place_checked(changepoint._alpha_distance_matrix(obs, 1.0), t)
+
+    @pytest.mark.parametrize("block_elements", [None, 100])
+    def test_nested_split_of_a_right_child(self, monkeypatch, block_elements):
+        if block_elements is not None:
+            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
+        dist = changepoint._alpha_distance_matrix(count_span(np.random.default_rng(9), 151), 1.5)
+        full = dist.copy()
+        left, right = split_in_place_checked(dist, 40)
+        grand = split_in_place_checked(right, 47)
+        for child, (a, b) in zip(grand, [(40, 87), (87, 151)]):
+            assert np.array_equal(child, full[a:b, a:b])
+            assert np.shares_memory(child, dist)
+        assert np.array_equal(left, full[:40, :40])  # untouched by the nested move
 
 
 def replayed_tests(span, params, cps):
@@ -458,26 +514,54 @@ class TestEarlyStop:
         assert permutation_test([span], q, params, cfg, 0) > cfg.significance
 
 
+def traced_e_divisive(span, alpha_exp):
+    """Committed indices of ``e_divisive`` on the span and its traced peak
+    in bytes.  numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        cps = e_divisive(
+            span, EnergyParams(alpha_exp=alpha_exp, min_segment=30),
+            PermutationConfig(master_seed=7),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return [cp.index for cp in cps], peak
+
+
+def planted_span(seed, regimes):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.poisson(lam, (n, 3)) for lam, n in regimes]).astype(float)
+
+
+# L = 600 with commits at 200 and 380
+MEMORY_SHAPE_SPAN = ((4.0, 200), (30.0, 180), (12.0, 220))
+
+
 class TestMemoryShape:
     @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
     def test_traced_peak_is_about_two_distance_matrices(self, alpha_exp):
-        # numpy reports its buffers to tracemalloc.  At L = 600 one L x L
-        # matrix (2.9 MB) dwarfs the 256 KiB kernel blocks, so the peak counts
-        # the live matrices: two while the distances are built, then a parent
-        # and its children at a commit, L^2 + t^2 + (L - t)^2 <= 2 L^2
-        rng = np.random.default_rng(2016)
-        span = np.concatenate(
-            [rng.poisson(lam, (n, 3)) for lam, n in ((4.0, 200), (30.0, 180), (12.0, 220))]
-        ).astype(float)
-        length = len(span)
-        tracemalloc.start()
-        try:
-            cps = e_divisive(
-                span, EnergyParams(alpha_exp=alpha_exp, min_segment=30),
-                PermutationConfig(master_seed=7),
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [cp.index for cp in cps] == [200, 380]  # both commits copied children
-        assert peak <= 2.25 * 8 * length**2
+        # At L = 600 one L x L matrix (2.9 MB) dwarfs the 256 KiB kernel
+        # blocks, so the peak is about the one matrix the distances are built
+        # in, which each commit splits in place, plus a few kernel blocks
+        span = planted_span(2016, MEMORY_SHAPE_SPAN)
+        indices, peak = traced_e_divisive(span, alpha_exp)
+        assert indices == [200, 380]  # both commits moved children
+        assert peak <= 2.25 * 8 * len(span) ** 2
+
+    @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
+    def test_traced_peak_is_one_distance_matrix_and_kernel_blocks(self, alpha_exp):
+        # one L x L matrix, and the kernel's (block, L) buffers of about
+        # 256 KiB each: a few of them are 0.09 L^2 at L = 600
+        span = planted_span(2016, MEMORY_SHAPE_SPAN)
+        indices, peak = traced_e_divisive(span, alpha_exp)
+        assert indices == [200, 380]
+        assert peak <= 1.6 * 8 * len(span) ** 2
+
+    def test_traced_peak_at_the_fortnight_span_length(self):
+        # L = 960, as each awake span of the criterion-10 fortnight: the
+        # kernel blocks are 0.035 L^2 each
+        span = planted_span(960, ((5.0, 300), (25.0, 330), (10.0, 330)))
+        indices, peak = traced_e_divisive(span, 1.0)
+        assert indices == [300, 630]
+        assert peak <= 1.4 * 8 * len(span) ** 2

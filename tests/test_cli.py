@@ -807,7 +807,7 @@ class TestBadProfileExit2:
         ("mean_counts", "[1, 1, 1, 1]", MEAN_COUNTS_RULE),
         # numpy cannot draw at so small a dispersion; JSON keeps the last key
         ("dispersion", "1e-300", "dispersion 1e-300 is too small for mean 700.0"),
-        ("duration_min", "1.5", "bad profile payload: expected a whole number, got 1.5"),
+        ("duration_min", "1.5", "schedule[0].duration_min: expected a whole number, got 1.5"),
         ("dispersoin", "5", "unknown block key(s) ['dispersoin'], expected ['dispersion', "),
     ])
     def test_rejected_before_the_csv(self, tmp_path, capsys, field, value, message):

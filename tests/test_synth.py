@@ -230,6 +230,38 @@ class TestProfileJson:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("top, block, place", [
+        ({}, {"dispersion": "5_0"}, "schedule[2].dispersion"),
+        ({"noise": "5_0"}, {}, "noise"),
+    ])
+    def test_bad_value_names_its_place(self, tmp_path, capsys, top, block, place):
+        schedule = [{"mode": "sleep", "duration_min": 100}, {"mode": "light", "duration_min": 60}]
+        payload = {**top, "schedule": [*schedule, {"mode": "light", "duration_min": 60, **block}]}
+        message = f"{place}: expected a number, got '5_0'"
+        with pytest.raises(InvalidProfile) as caught:
+            profile_from_dict(payload)
+        assert str(caught.value) == message
+        path, out = tmp_path / "p.json", tmp_path / "p.csv"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["synth", "--profile", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"profile error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ([], "profile: expected an object, got []"),
+        ({}, "schedule: missing"),
+        ({"schedule": {}}, "schedule: expected a list of blocks, got {}"),
+        ({"schedule": [{"mode": "sleep", "duration_min": 9}, 5]},
+         "schedule[1]: expected an object, got 5"),
+        ({"schedule": [{"mode": "sleep"}]}, "schedule[0].duration_min: missing"),
+        ({"schedule": [{"duration_min": 9}]}, "schedule[0].mode: missing"),
+        ({"start": 5, "schedule": []}, "start: fromisoformat: argument must be str"),
+    ])
+    def test_bad_shape_names_its_place(self, payload, message):
+        with pytest.raises(InvalidProfile) as caught:
+            profile_from_dict(payload)
+        assert str(caught.value) == message
+
     def test_whole_valued_float_is_a_whole_number(self):
         p = profile_from_dict({"seed": 7.0, "schedule": [{"mode": "light", "duration_min": 60.0}]})
         assert (p.seed, p.schedule[0].duration_min) == (7, 60)
