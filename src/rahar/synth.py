@@ -100,34 +100,40 @@ def validate_profile(profile: DayProfile, rules: SleepRules | None = None) -> No
         raise InvalidProfile("start must carry a UTC offset; epoch CSVs require one")
     awake_since_sleep = None  # None until the first sleep block is seen
     for i, block in enumerate(profile.schedule):
+        place = f"schedule[{i}]"
         if block.mode != SLEEP and block.mode not in AWAKE_MODES:
-            raise InvalidProfile(f"unknown block mode {block.mode!r}")
+            raise InvalidProfile(f"{place}: unknown block mode {block.mode!r}")
         if block.duration_min <= 0:
-            raise InvalidProfile("block durations must be positive")
+            raise InvalidProfile(
+                f"{place}.duration_min must be positive, got {block.duration_min}"
+            )
         if not 0.0 < block.dispersion < math.inf:
-            raise InvalidProfile(f"dispersion must be finite and positive, got {block.dispersion}")
+            raise InvalidProfile(
+                f"{place}.dispersion must be finite and positive, got {block.dispersion}"
+            )
         if block.mean_counts is not None and (
             len(block.mean_counts) != 3 or not all(0 <= m <= MAX_COUNT for m in block.mean_counts)
         ):
             raise InvalidProfile(
-                f"mean_counts must be three numbers from 0 to the count ceiling of {MAX_COUNT}, "
-                f"got {list(block.mean_counts)}"
+                f"{place}.mean_counts must be three numbers from 0 to the count ceiling of "
+                f"{MAX_COUNT}, got {list(block.mean_counts)}"
             )
         if block.mean_steps is not None and not 0 <= block.mean_steps <= MAX_COUNT:  # NaN too
             raise InvalidProfile(
-                f"mean_steps must be from 0 to the count ceiling of {MAX_COUNT}, "
+                f"{place}.mean_steps must be from 0 to the count ceiling of {MAX_COUNT}, "
                 f"got {block.mean_steps}"
             )
         if block.mode == SLEEP:
             if block.duration_min <= rules.onset_run:
                 raise InvalidProfile(
-                    f"sleep blocks must exceed {rules.onset_run} minutes to be detectable"
+                    f"{place}: sleep blocks must exceed {rules.onset_run} minutes to be detectable"
                 )
             if i > 0 and profile.schedule[i - 1].mode == SLEEP:
-                raise InvalidProfile("adjacent sleep blocks are ambiguous; merge them")
+                raise InvalidProfile(f"{place}: adjacent sleep blocks are ambiguous; merge them")
             if awake_since_sleep is not None and awake_since_sleep < rules.awakening_gap:
                 raise InvalidProfile(
-                    f"awake span between sleep blocks must be >= {rules.awakening_gap} minutes"
+                    f"{place}: awake span between sleep blocks must be >= "
+                    f"{rules.awakening_gap} minutes"
                 )
             awake_since_sleep = 0
         elif awake_since_sleep is not None:
@@ -138,14 +144,18 @@ def validate_profile(profile: DayProfile, rules: SleepRules | None = None) -> No
         raise InvalidProfile("the schedule runs past the year 9999") from None
 
 
-def _draw_counts(rng: np.random.Generator, mean: float, dispersion: float, size: int) -> np.ndarray:
+def _draw_counts(
+    rng: np.random.Generator, mean: float, dispersion: float, size: int, place: str
+) -> np.ndarray:
     if mean <= 0:
         return np.zeros(size, dtype=np.int64)
     p = dispersion / (dispersion + mean)
     try:
         return rng.negative_binomial(dispersion, p, size=size).astype(np.int64)
     except ValueError as exc:  # numpy refuses a p this close to 0
-        raise InvalidProfile(f"dispersion {dispersion} is too small for mean {mean}: {exc}")
+        raise InvalidProfile(
+            f"{place}.dispersion {dispersion} is too small for mean {mean}: {exc}"
+        )
 
 
 def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[EpochSeries, GroundTruth]:
@@ -164,6 +174,7 @@ def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[Epoc
     total = sum(b.duration_min for b in profile.schedule)
 
     for i, block in enumerate(profile.schedule):
+        place = f"schedule[{i}]"
         start, end = cursor, cursor + block.duration_min
         mode_schedule.append((start, end, block.mode))
         means = block.resolved_means()
@@ -180,8 +191,8 @@ def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[Epoc
                     if k < rules.onset_run or k >= block.duration_min - 1:
                         continue
                     if flips[k] and not prev_flipped:
-                        axis[k, 0] = max(int(_draw_counts(rng, 150.0, 5.0, 1)[0]), 1)
-                        axis[k, 1] = int(_draw_counts(rng, 90.0, 5.0, 1)[0])
+                        axis[k, 0] = max(int(_draw_counts(rng, 150.0, 5.0, 1, place)[0]), 1)
+                        axis[k, 1] = int(_draw_counts(rng, 90.0, 5.0, 1, place)[0])
                         prev_flipped = True
                     else:
                         prev_flipped = False
@@ -191,7 +202,7 @@ def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[Epoc
             periods.append(SleepPeriod(start, end - 1, truncated=truncated))
         else:
             axis = np.column_stack(
-                [_draw_counts(rng, m, block.dispersion, block.duration_min) for m in means]
+                [_draw_counts(rng, m, block.dispersion, block.duration_min, place) for m in means]
             )
             # an awake epoch must never satisfy the candidate-sleep predicate
             axis[:, 0] = np.maximum(axis[:, 0], 1)
@@ -244,14 +255,14 @@ _BLOCK_KEYS = frozenset({"mode", "duration_min", "mean_counts", "dispersion", "m
 _ABSENT = object()
 
 
-def _known_keys(item, keys: frozenset, what: str, place: str) -> dict:
+def _known_keys(item, keys: frozenset, place: str) -> dict:
     """``item``, when it is a JSON object and every one of its keys is in ``keys``."""
     if not isinstance(item, dict):
         raise InvalidProfile(f"{place}: expected an object, got {item!r}")
     unknown = sorted(item.keys() - keys)
     if unknown:
         hint = "; the subject's age is set with --age" if "subject" in unknown else ""
-        raise InvalidProfile(f"unknown {what} key(s) {unknown}, expected {sorted(keys)}{hint}")
+        raise InvalidProfile(f"{place}: unknown key(s) {unknown}, expected {sorted(keys)}{hint}")
     return item
 
 
@@ -271,11 +282,11 @@ def _field(item: dict, key: str, convert, place: str = "", default=_ABSENT):
 
 def profile_from_dict(payload: dict) -> DayProfile:
     """A profile from its JSON object; any key the format lacks is an error."""
-    payload = _known_keys(payload, _PROFILE_KEYS, "profile", "profile")
+    payload = _known_keys(payload, _PROFILE_KEYS, "profile")
     blocks = []
     for i, item in enumerate(_field(payload, "schedule", _list)):
         place = f"schedule[{i}]"
-        item = _known_keys(item, _BLOCK_KEYS, "block", place)
+        item = _known_keys(item, _BLOCK_KEYS, place)
         blocks.append(ActivityBlock(
             mode=_field(item, "mode", lambda mode: mode, place),
             duration_min=_field(item, "duration_min", _whole, place),

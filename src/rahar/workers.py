@@ -1,4 +1,4 @@
-"""An ordered map over spawn worker processes, for the independent units of a run.
+"""An ordered map over forked worker processes, for the independent units of a run.
 
 A run splits into units whose results depend neither on each other nor on
 the order they run in: the load and sleep stage of each input file, the
@@ -8,6 +8,17 @@ cross-validation.  The pipeline takes the ``map`` it runs those units with
 as an argument.  The default, the built-in ``map``, runs them in this
 process; :class:`Workers` runs them in worker processes and returns the
 results in the order of the units, so the outputs are the same either way.
+
+Workers are started with the ``fork`` method, so each begins with the
+modules this process has already imported and runs its first task about
+10 ms after the call that starts it.  Forking is unsafe on macOS and
+missing on Windows, so a run uses a pool only where ``os.sched_getaffinity``
+exists (Linux); on macOS and Windows it stays in one process.  numpy's
+OpenBLAS starts a thread of its own at import and registers
+``pthread_atfork`` handlers for the fork.  Python 3.12 and later emit a
+``DeprecationWarning`` from ``os.fork`` in any process with more than one OS
+thread, so a pooled run there may show it once per worker; it is not
+filtered, since a thread that holds a lock at the fork is what it warns of.
 """
 
 from __future__ import annotations
@@ -18,24 +29,31 @@ from pathlib import Path
 
 from .errors import WorkerLost
 
-# Epoch CSV bytes from which a run starts worker processes.  A spawn worker
-# pays about 0.35 s of imports before its first task, which a small run does
-# not win back.  Measured with `rahar run` on the first n days of the
-# criterion-10 fortnight, on 2 CPUs: the pool lost at 1-6 days (64-387 KB;
-# 0.39 -> 0.52 s at one day), broke even at 8 (516 KB) and won from 10
-# (645 KB; 2.2 -> 1.9 s).  The whole fortnight (907 KB) runs on workers.
-POOL_MIN_BYTES = 512 * 1024
+# Epoch CSV bytes from which a run starts worker processes.  A forked worker
+# starts in milliseconds, but starting the pool, pickling tasks and results
+# and sharing the CPUs still cost a small run more than it saves.  Measured
+# with `rahar run` on the first n days of the criterion-10 fortnight, on 2
+# CPUs, the pool forced against `taskset -c 0` (medians of 14 alternating
+# pairs at 2-5 days, of 6 elsewhere): the pool lost at 1-2 days (64-129 KB;
+# 0.31 -> 0.38 s at one day), broke even at 3 (194 KB; 0.67 -> 0.61 s, won
+# 9 of 14) and won from 4 (258 KB; 0.78 -> 0.68 s, won 13 of 14; 5 days,
+# 322 KB, 1.18 -> 0.91 s).  The gate sits between 4 and 5 days, a little
+# above the break-even, because perfbench's per-layer trace sees only this
+# process (ROADMAP item 1) and its tests trace a 261 KiB two-recording
+# study, which must run here; a 3-4 day input pays about 0.1 s for it.
+POOL_MIN_BYTES = 288 * 1024
 
 
 class Workers:
-    """Ordered map over ``processes`` spawn worker processes.
+    """Ordered map over ``processes`` forked worker processes.
 
     Call it as the built-in ``map``: ``workers(fn, items)`` returns
     ``[fn(item) for item in items]``, with ``fn`` and each item pickled to a
     worker and each result or exception pickled back.  When several items
-    fail, the first in item order is raised, as in-process.  A worker starts
-    on the first call that has work for it, so no more workers start than a
-    call has items; fewer than two items run in this process.
+    fail, the first in item order is raised, as in-process.  Every worker is
+    forked at the first call with two or more items, however many items it
+    has (an idle worker costs one fork); fewer than two items run in this
+    process.
     """
 
     def __init__(self, processes: int):
@@ -46,7 +64,7 @@ class Workers:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        self._executor = ProcessPoolExecutor(processes, mp_context=get_context("spawn"))
+        self._executor = ProcessPoolExecutor(processes, mp_context=get_context("fork"))
 
     def __call__(self, fn, items) -> list:
         from concurrent.futures.process import BrokenProcessPool
@@ -77,11 +95,12 @@ class Workers:
 def pool_processes(paths: list[Path]) -> int:
     """How many workers a run over the epoch CSVs ``paths`` may use: one per CPU
     this process may run on (``taskset`` and cpusets set that), or 0 (run in
-    process) when that is one CPU or the files total under ``POOL_MIN_BYTES``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on macOS or Windows
-        cpus = os.cpu_count() or 1
+    process) when that is one CPU, when the files total under
+    ``POOL_MIN_BYTES``, or where there is no ``os.sched_getaffinity`` (macOS
+    and Windows, where forking a worker is not safe or not possible)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 0
+    cpus = len(os.sched_getaffinity(0))
     if cpus < 2 or sum(p.stat().st_size for p in paths) < POOL_MIN_BYTES:
         return 0
     return cpus

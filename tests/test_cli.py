@@ -808,12 +808,45 @@ class TestBadProfileExit2:
         # numpy cannot draw at so small a dispersion; JSON keeps the last key
         ("dispersion", "1e-300", "dispersion 1e-300 is too small for mean 700.0"),
         ("duration_min", "1.5", "schedule[0].duration_min: expected a whole number, got 1.5"),
-        ("dispersoin", "5", "unknown block key(s) ['dispersoin'], expected ['dispersion', "),
+        ("dispersoin", "5",
+         "schedule[0]: unknown key(s) ['dispersoin'], expected ['dispersion', "),
     ])
     def test_rejected_before_the_csv(self, tmp_path, capsys, field, value, message):
         profile = tmp_path / "p.json"
         profile.write_text(
             f'{{"schedule": [{{"mode": "light", "duration_min": 60, "{field}": {value}}}]}}'
+        )
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # a rule on one field is named by the field's place in the profile
+        expected = message if message.startswith("schedule[") else f"schedule[0].{message}"
+        assert err.startswith(f"profile error: {expected}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block,message", [
+        ('"mode": "light", "duration_min": 60, "dispersoin": 5',
+         "schedule[2]: unknown key(s) ['dispersoin'], expected ['dispersion', "),
+        ('"mode": "napping", "duration_min": 60', "schedule[2]: unknown block mode 'napping'"),
+        ('"mode": "light", "duration_min": 0', "schedule[2].duration_min must be positive, got 0"),
+        ('"mode": "light", "duration_min": 60, "dispersion": 1e400',
+         "schedule[2].dispersion must be finite and positive, got inf"),
+        ('"mode": "light", "duration_min": 60, "dispersion": 1e-300',
+         "schedule[2].dispersion 1e-300 is too small for mean 700.0"),
+        ('"mode": "light", "duration_min": 60, "mean_counts": [1, 1]',
+         f"schedule[2].{MEAN_COUNTS_RULE}, got [1.0, 1.0]"),
+        ('"mode": "light", "duration_min": 60, "mean_steps": -5',
+         "schedule[2].mean_steps must be from 0 to the count ceiling of 1000000000, got -5.0"),
+        ('"mode": "sleep", "duration_min": 15',
+         "schedule[2]: sleep blocks must exceed 15 minutes to be detectable"),
+        ('"mode": "sleep", "duration_min": 100',
+         "schedule[2]: awake span between sleep blocks must be >= 30 minutes"),
+    ])
+    def test_a_bad_third_block_is_named(self, tmp_path, capsys, block, message):
+        profile = tmp_path / "p.json"
+        profile.write_text(
+            '{"schedule": [{"mode": "sleep", "duration_min": 100}, '
+            f'{{"mode": "sedentary", "duration_min": 20}}, {{{block}}}]}}'
         )
         out = tmp_path / "s.csv"
         assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 2
@@ -829,7 +862,7 @@ class TestBadProfileExit2:
         out = tmp_path / "s.csv"
         assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("profile error: unknown profile key(s) ['subject']"), err
+        assert err.startswith("profile error: profile: unknown key(s) ['subject']"), err
         assert err.endswith("; the subject's age is set with --age\n") and err.count("\n") == 1
         assert not out.exists()
 

@@ -280,7 +280,7 @@ def bad_scale_files(draw) -> str:
         elif fault == "ascii":
             # a cell int() or float() would read as its own value
             k = draw(st.integers(0, 4))
-            cell = rows[i][k]
+            cell = rows[i][k] or "0"  # an earlier "number" fault may have emptied it
             digits = draw(st.sampled_from(OTHER_DIGITS))
             rows[i][k] = draw(st.sampled_from([
                 cell[0] + "_" + (cell[1:] or "0"), cell.translate(digits), "\u00a0" + cell,

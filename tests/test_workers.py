@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,6 +27,7 @@ from rahar.pipeline import PipelineConfig, analyze_inputs, find_inputs, run_pipe
 from rahar.synth import ActivityBlock, DayProfile, generate
 from rahar.workers import POOL_MIN_BYTES, Workers, pool_processes
 
+from test_cli import run_cli_subprocess
 from test_run_pins import PINS, STUDIES
 
 TIMEOUT_S = 120.0
@@ -86,7 +88,27 @@ def always_workers(processes: int):
     return worker_map
 
 
+_PARENT_STATE = "as imported"
+
+
+def _pid_and_parent_state(item):
+    return os.getpid(), _PARENT_STATE
+
+
 class TestWorkers:
+    def test_workers_start_with_the_parents_modules(self, monkeypatch):
+        # a forked worker starts from this process's modules as they stand; a
+        # spawned one would import this module afresh and read "as imported"
+        monkeypatch.setattr(sys.modules[__name__], "_PARENT_STATE", "set in the parent")
+
+        def call():
+            with Workers(2) as pool:
+                return pool(_pid_and_parent_state, [0, 1, 2])
+
+        results = bounded(call)
+        assert [state for _, state in results] == ["set in the parent"] * 3
+        assert os.getpid() not in {pid for pid, _ in results}
+
     def test_results_come_back_in_item_order(self):
         def call():
             with Workers(2) as pool:
@@ -189,6 +211,40 @@ class TestPooledRuns:
         assert err.startswith("worker failure: a worker process ended") and err.count("\n") == 1
         assert not report.exists()
 
+    def test_each_output_line_is_written_once(self, tmp_path, monkeypatch):
+        # a worker forks with a copy of every buffer this process holds: none
+        # may reach stdout or stderr a second time
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # so stdout holds a buffer
+        study = write_study(tmp_path / "naps")
+        outputs = {}
+        for side, worker_map in (("serial", "in_process"), ("pooled", "always_workers")):
+            report = tmp_path / side
+            proc = run_cli_subprocess("run", "--in", str(study), "--report", str(report),
+                                      prelude=f"{MAPS}\ncli.worker_map = {worker_map}\n{BEFORE}")
+            assert proc.returncode == 0, proc.stderr
+            outputs[side] = (proc.stdout, proc.stderr.replace(str(report), "<report>"))
+        assert outputs["pooled"] == outputs["serial"]
+        stdout, stderr = outputs["pooled"]
+        assert stdout == "before the run\n"
+        assert stderr == "wrote 13 output file(s) + <report>/manifest.json\n"
+
+
+# stand-ins for `cli.worker_map` in a fresh interpreter, whatever the size of the input
+MAPS = """
+from contextlib import contextmanager, nullcontext
+from rahar import cli
+from rahar.workers import Workers
+
+def in_process(paths):
+    return nullcontext(map)
+
+@contextmanager
+def always_workers(paths):
+    with Workers(2) as pool:
+        yield pool
+"""
+BEFORE = 'print("before the run")  # left in the stdout buffer when the workers fork'
+
 
 class TestGate:
     """Which side of ``POOL_MIN_BYTES`` a recording falls on, by size alone."""
@@ -234,6 +290,11 @@ class TestGate:
 
     def test_one_cpu_is_in_process(self, recordings, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert pool_processes([recordings["fortnight"]]) == 0
+
+    def test_no_cpu_affinity_is_in_process(self, recordings, monkeypatch):
+        # macOS and Windows, where a worker cannot safely be forked
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert pool_processes([recordings["fortnight"]]) == 0
 
     def test_in_process_map_below_the_gate(self, recordings):
