@@ -215,27 +215,34 @@ def cmd_synth(args: argparse.Namespace) -> int:
     profile = load_profile(args.profile)
     series, truth = generate(profile)
     out = Path(args.out)
+    if args.truth and Path(args.truth).resolve() == out.resolve():
+        raise ParseError(f"--truth and --out both name {args.out}")
     with open(out, "w", newline="", encoding="utf-8") as fh:
         serialize_epoch_csv(series, fh)
+    if args.truth:
+        try:
+            write_json(
+                Path(args.truth),
+                {
+                    "periods": [
+                        {
+                            "onset_index": p.onset_index,
+                            "awakening_index": p.awakening_index,
+                            "truncated": p.truncated,
+                        }
+                        for p in truth.periods
+                    ],
+                    "change_points": truth.change_points,
+                    "mode_schedule": [
+                        {"start": s, "end": e, "mode": m} for s, e, m in truth.mode_schedule
+                    ],
+                },
+            )
+        except OSError:
+            out.unlink()  # a synth that fails writes no file
+            raise
     _log(f"wrote {out} ({len(series)} epochs)")
     if args.truth:
-        write_json(
-            Path(args.truth),
-            {
-                "periods": [
-                    {
-                        "onset_index": p.onset_index,
-                        "awakening_index": p.awakening_index,
-                        "truncated": p.truncated,
-                    }
-                    for p in truth.periods
-                ],
-                "change_points": truth.change_points,
-                "mode_schedule": [
-                    {"start": s, "end": e, "mode": m} for s, e, m in truth.mode_schedule
-                ],
-            },
-        )
         _log(f"wrote {args.truth}")
     return 0
 

@@ -540,22 +540,13 @@ MEMORY_SHAPE_SPAN = ((4.0, 200), (30.0, 180), (12.0, 220))
 
 class TestMemoryShape:
     @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
-    def test_traced_peak_is_about_two_distance_matrices(self, alpha_exp):
-        # At L = 600 one L x L matrix (2.9 MB) dwarfs the 256 KiB kernel
-        # blocks, so the peak is about the one matrix the distances are built
-        # in, which each commit splits in place, plus a few kernel blocks
+    def test_traced_peak_is_one_distance_matrix_and_kernel_blocks(self, alpha_exp):
+        # one L x L matrix, which each commit splits in place, and the
+        # kernel's (block, L) buffers of about 256 KiB each: a few of them
+        # are 0.09 L^2 at L = 600
         span = planted_span(2016, MEMORY_SHAPE_SPAN)
         indices, peak = traced_e_divisive(span, alpha_exp)
         assert indices == [200, 380]  # both commits moved children
-        assert peak <= 2.25 * 8 * len(span) ** 2
-
-    @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
-    def test_traced_peak_is_one_distance_matrix_and_kernel_blocks(self, alpha_exp):
-        # one L x L matrix, and the kernel's (block, L) buffers of about
-        # 256 KiB each: a few of them are 0.09 L^2 at L = 600
-        span = planted_span(2016, MEMORY_SHAPE_SPAN)
-        indices, peak = traced_e_divisive(span, alpha_exp)
-        assert indices == [200, 380]
         assert peak <= 1.6 * 8 * len(span) ** 2
 
     def test_traced_peak_at_the_fortnight_span_length(self):
