@@ -11,8 +11,10 @@ process died, 2 parse failure or bad command line, 3 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -30,13 +32,14 @@ from .features import read_dataset_csv
 from .ingest import label_cell, number_cell, read_table, serialize_epoch_csv
 from .models import evaluate
 from .pipeline import (
-    CHOICES,
-    STAGE_FIELDS,
+    MODEL_REPORTS,
+    PARAMETERS,
     PipelineConfig,
     analyze_inputs,
     find_inputs,
     load_series,
     pooled_dataset,
+    run_outputs,
     run_pipeline,
     train_and_report,
     write_dataset,
@@ -82,54 +85,35 @@ def _checked(cast, name: str):
     return parse
 
 
-# One flag per PipelineConfig field but ``candidate``, keyed by the field,
-# which is also the flag's dest, and in --help order.  A subcommand adds the
-# flags of the fields its stages read (``STAGE_FIELDS``), so a flag no stage
-# of it reads is a bad command line.  PipelineConfig checks every value:
-# ``CHOICES`` gives an enumerated flag its choices, and a typed flag's value
-# goes through ``_checked``.
-_FLAGS: dict[str, tuple[str, dict]] = {
-    "age_years": ("--age", dict(type=int, metavar="AGE", help="subject age in years")),
-    "scale_file": ("--scale-file", dict(help="custom cut-point scale CSV")),
-    "cut_axis": ("--cut-axis", dict(help="counts signal for cut points (default: vertical axis)")),
-    "cp_signal": ("--signal", dict(help="observation signal for change-point detection")),
-    "alpha_exp": ("--alpha-exp", dict(type=float)),
-    "min_segment": ("--min-segment", dict(type=int)),
-    "n_permutations": ("--permutations", dict(metavar="PERMUTATIONS", type=int)),
-    "significance": ("--significance", dict(type=float)),
-    "seed": ("--seed", dict(type=int)),
-    "efficiency_threshold": ("--efficiency-threshold", dict(type=float)),
-    "folds": ("--folds", dict(type=int)),
-    "model": ("--model", dict()),
-    "fill_gaps": ("--fill-gaps", dict(
-        help="impute recording gaps with zero-count epochs (opt-in)")),
-    "features_mode": ("--features", dict(
-        help="fraction source: smoothed mode intervals or raw epoch labels")),
-    "min_awake_min": ("--min-awake-min", dict(type=float)),
-    "min_sleep_min": ("--min-sleep-min", dict(type=int)),
-    "include_first_segment": ("--include-first-segment", dict(action="store_true")),
-    "aggregate": ("--aggregate", dict(type=int, metavar="FACTOR")),
-    "mode_tie_break": ("--mode-tie-break", dict(help="mode histogram ties go to this intensity")),
-    "include_awake_feature": ("--awake-feature", dict(
-        action="store_true", help="append awake minutes as a fifth model feature")),
-}
-
-
 def _add_stage_options(parser: argparse.ArgumentParser, stages: tuple[str, ...]) -> None:
-    fields = {name for stage in stages for name in STAGE_FIELDS[stage]}
-    for name, (flag, kwargs) in _FLAGS.items():
-        if name not in fields:
+    """Add the flags of the fields ``stages`` read; PipelineConfig checks every value."""
+    for param in PARAMETERS:
+        meta = param.metadata
+        if set(stages).isdisjoint(meta["stages"]):
             continue
-        if name in CHOICES:
-            kwargs = dict(kwargs, choices=CHOICES[name])
+        kwargs = meta["argparse"]
         if "type" in kwargs:
-            kwargs = dict(kwargs, type=_checked(kwargs["type"], name))
+            kwargs = dict(kwargs, type=_checked(kwargs["type"], param.name))
         # an absent flag sets nothing, so PipelineConfig alone holds the defaults
-        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
+        parser.add_argument(meta["flag"], dest=param.name, default=argparse.SUPPRESS, **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in _FLAGS})
+    return PipelineConfig(**{p.name: getattr(args, p.name) for p in PARAMETERS if p.name in args})
+
+
+def _no_overwrite(inputs: list[tuple[str, object]], outputs: list[tuple[str, object]]) -> None:
+    """Refuse, before any work, an output that names the same file as an input
+    or an earlier output.  Each entry is a flag and its path, or None.
+    ``realpath``, unlike ``Path.resolve``, raises no error on a symlink loop."""
+    named = {os.path.realpath(path): flag for flag, path in inputs if path}
+    for flag, path in outputs:
+        if not path:
+            continue
+        resolved = os.path.realpath(path)
+        if resolved in named:
+            raise ParseError(f"{named[resolved]} and {flag} both name {path}")
+        named[resolved] = flag
 
 
 def _one_input(path: str) -> Path:
@@ -150,12 +134,12 @@ def _report_command(suffix: str, noun: str, sleep_only: bool):
     """Handler that analyzes one recording and writes its ``suffix`` report."""
 
     def handler(args: argparse.Namespace) -> int:
+        config = _config_from_args(args)
         path = _one_input(args.input)
-        with worker_map([path]) as map_units:
-            [analysis] = analyze_inputs(
-                [path], _config_from_args(args), sleep_only, map=map_units
-            )
         out = Path(args.out or f"{path.stem}.{suffix}")
+        _no_overwrite([("--in", path), ("--scale-file", config.scale_file)], [("--out", out)])
+        with worker_map([path]) as map_units:
+            [analysis] = analyze_inputs([path], config, sleep_only, map=map_units)
         count = write_report(suffix, analysis, out)
         _log(f"wrote {out} ({count} {noun})")
         return 0
@@ -166,9 +150,11 @@ def _report_command(suffix: str, noun: str, sleep_only: bool):
 def cmd_features(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     paths = find_inputs(args.input)
+    out = Path(args.out or "dataset.csv")
+    reads = [*(("--in", p) for p in paths), ("--scale-file", config.scale_file)]
+    _no_overwrite(reads, [("--out", out)])
     with worker_map(paths) as map_units:
         dataset = pooled_dataset(analyze_inputs(paths, config, map=map_units), config)
-    out = Path(args.out or "dataset.csv")
     write_dataset(dataset, out)
     _log(f"wrote {out} ({len(dataset)} row(s))")
     return 0
@@ -178,9 +164,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if not config.model:
         raise ModelError("train requires --model")
+    out_dir = Path(args.out_dir)
+    _no_overwrite([("--in", args.input)], [("--out-dir", out_dir / n) for n in MODEL_REPORTS])
     with open(args.input, encoding="utf-8") as fh:
         dataset = read_dataset_csv(fh)
-    paths = train_and_report(dataset, Path(args.out_dir), config)
+    paths = train_and_report(dataset, out_dir, config)
     for p in paths:
         _log(f"wrote {p}")
     return 0
@@ -189,6 +177,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if not math.isfinite(args.threshold):
         raise ParseError(f"--threshold must be a finite number, got {args.threshold}")
+    out = Path(args.out or "eval_report.json")
+    _no_overwrite([("--in", args.input)], [("--out", out)])
     scores, labels = [], []
     with open(args.input, newline="", encoding="utf-8") as fh:
         for line_number, row in read_table(fh, ["score", "label"], "eval "):
@@ -196,7 +186,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             scores.append(number_cell(row[0], line_number, "score"))
             labels.append(label)
     report = evaluate(scores, labels, class_threshold=args.threshold)
-    out = Path(args.out or "eval_report.json")
     write_json(out, {**report.summary(), "roc_points": [[f, t] for f, t in report.roc_points]})
     _log(f"wrote {out}")
     return 0
@@ -205,39 +194,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     paths = find_inputs(args.input)
+    report = Path(args.report)
+    reads = [*(("--in", p) for p in paths), ("--scale-file", config.scale_file)]
+    _no_overwrite(reads, [("--report", report / name) for name in run_outputs(paths, config)])
     with worker_map(paths) as map_units:
-        written = run_pipeline(paths, Path(args.report), config, map=map_units)
+        written = run_pipeline(paths, report, config, map=map_units)
     _log(f"wrote {len(written) - 1} output file(s) + {written[-1]}")
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    profile = load_profile(args.profile)
-    series, truth = generate(profile)
     out = Path(args.out)
-    if args.truth and Path(args.truth).resolve() == out.resolve():
-        raise ParseError(f"--truth and --out both name {args.out}")
+    _no_overwrite([("--profile", args.profile)], [("--truth", args.truth), ("--out", args.out)])
+    series, truth = generate(load_profile(args.profile))
     with open(out, "w", newline="", encoding="utf-8") as fh:
         serialize_epoch_csv(series, fh)
     if args.truth:
+        schedule = [{"start": s, "end": e, "mode": m} for s, e, m in truth.mode_schedule]
         try:
-            write_json(
-                Path(args.truth),
-                {
-                    "periods": [
-                        {
-                            "onset_index": p.onset_index,
-                            "awakening_index": p.awakening_index,
-                            "truncated": p.truncated,
-                        }
-                        for p in truth.periods
-                    ],
-                    "change_points": truth.change_points,
-                    "mode_schedule": [
-                        {"start": s, "end": e, "mode": m} for s, e, m in truth.mode_schedule
-                    ],
-                },
-            )
+            write_json(args.truth, {**dataclasses.asdict(truth), "mode_schedule": schedule})
         except OSError:
             out.unlink()  # a synth that fails writes no file
             raise
@@ -297,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--threshold", type=float, default=0.5)
 
-    p = add("run", cmd_run, "run the full pipeline and write all reports", tuple(STAGE_FIELDS))
+    every_stage = tuple({stage for param in PARAMETERS for stage in param.metadata["stages"]})
+    p = add("run", cmd_run, "run the full pipeline and write all reports", every_stage)
     p.add_argument("--in", dest="input", required=True, help="epoch CSV or directory of CSVs")
     p.add_argument("--report", required=True, help="output directory")
 

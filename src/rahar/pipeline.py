@@ -50,40 +50,52 @@ from .sleep import (
 )
 
 
-# The allowed values of each enumerated PipelineConfig field, which are the
-# CLI flags' choices; the field's default (None for model and fill_gaps) is too.
-CHOICES = {
-    "cut_axis": ("axis1", "vm3"),
-    "cp_signal": ("triaxial", "vm3"),
-    "model": MODEL_KINDS,
-    "fill_gaps": ("sedentary-zero",),
-    "features_mode": ("modes", "raw"),
-    "mode_tie_break": TIE_BREAKS,
-}
+def _param(default, stages: str, flag: str, **argparse_keywords):
+    """A PipelineConfig field declared whole: its default, the stages that read
+    it (space-separated), its CLI flag and the flag's argparse keywords.  A
+    subcommand takes the flags of its stages; ``choices`` or the default bound the value."""
+    metadata = {"stages": tuple(stages.split()), "flag": flag, "argparse": argparse_keywords}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class PipelineConfig:
-    age_years: int | None = None  # None -> cutpoints.DEFAULT_AGE_YEARS
-    scale_file: str | None = None
-    cut_axis: str = "axis1"  # cut-point signal
-    cp_signal: str = "triaxial"  # change-point observations
-    alpha_exp: float = EnergyParams.alpha_exp
-    min_segment: int = EnergyParams.min_segment
-    n_permutations: int = PermutationConfig.n_permutations
-    significance: float = PermutationConfig.significance
-    seed: int = 0
-    efficiency_threshold: float = EFFICIENCY_THRESHOLD
-    folds: int = 5
-    model: str | None = None  # None -> no model stage
-    fill_gaps: str | None = None  # None -> gaps are a validation failure
-    features_mode: str = "modes"
-    min_awake_min: float = 0.0
-    min_sleep_min: int = SleepRules.min_sleep_min
-    include_first_segment: bool = False
-    aggregate: int = 1
-    mode_tie_break: str = "lower"
-    include_awake_feature: bool = False
+    age_years: int | None = _param(  # None -> cutpoints.DEFAULT_AGE_YEARS
+        None, "sleep", "--age", type=int, metavar="AGE", help="subject age in years")
+    scale_file: str | None = _param(
+        None, "sleep", "--scale-file", help="custom cut-point scale CSV")
+    cut_axis: str = _param("axis1", "sleep", "--cut-axis", choices=("axis1", "vm3"),
+                           help="counts signal for cut points (default: vertical axis)")
+    cp_signal: str = _param("triaxial", "changepoints", "--signal", choices=("triaxial", "vm3"),
+                            help="observation signal for change-point detection")
+    alpha_exp: float = _param(EnergyParams.alpha_exp, "changepoints", "--alpha-exp", type=float)
+    min_segment: int = _param(EnergyParams.min_segment, "changepoints", "--min-segment", type=int)
+    n_permutations: int = _param(PermutationConfig.n_permutations, "changepoints",
+                                 "--permutations", metavar="PERMUTATIONS", type=int)
+    significance: float = _param(
+        PermutationConfig.significance, "changepoints", "--significance", type=float)
+    seed: int = _param(0, "changepoints model", "--seed", type=int)
+    efficiency_threshold: float = _param(
+        EFFICIENCY_THRESHOLD, "dataset", "--efficiency-threshold", type=float)
+    folds: int = _param(5, "model", "--folds", type=int)
+    model: str | None = _param(  # None -> no model stage
+        None, "model", "--model", choices=MODEL_KINDS)
+    fill_gaps: str | None = _param(  # None -> gaps are a validation failure
+        None, "ingest", "--fill-gaps", choices=("sedentary-zero",),
+        help="impute recording gaps with zero-count epochs (opt-in)")
+    features_mode: str = _param(
+        "modes", "dataset", "--features", choices=("modes", "raw"),
+        help="fraction source: smoothed mode intervals or raw epoch labels")
+    min_awake_min: float = _param(0.0, "dataset", "--min-awake-min", type=float)
+    min_sleep_min: int = _param(SleepRules.min_sleep_min, "sleep", "--min-sleep-min", type=int)
+    include_first_segment: bool = _param(
+        False, "dataset", "--include-first-segment", action="store_true")
+    aggregate: int = _param(1, "ingest", "--aggregate", type=int, metavar="FACTOR")
+    mode_tie_break: str = _param("lower", "changepoints", "--mode-tie-break", choices=TIE_BREAKS,
+                                 help="mode histogram ties go to this intensity")
+    include_awake_feature: bool = _param(
+        False, "model", "--awake-feature", action="store_true",
+        help="append awake minutes as a fifth model feature")
     candidate: CandidateConfig = field(default_factory=CandidateConfig)
 
     def __post_init__(self):
@@ -102,9 +114,10 @@ class PipelineConfig:
         most = timedelta.max // timedelta(minutes=1)  # the longest aggregated minute epoch
         if not 1 <= self.aggregate <= most:
             raise ValueError(f"aggregate must be in [1, {most}], got {self.aggregate}")
-        for name, choices in CHOICES.items():
-            if getattr(self, name) not in (*choices, getattr(PipelineConfig, name)):
-                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        for param in PARAMETERS:
+            choices, value = param.metadata["argparse"].get("choices"), getattr(self, param.name)
+            if choices and value not in (*choices, param.default):
+                raise ValueError(f"{param.name} must be one of {choices}, got {value!r}")
 
     def sleep_rules(self) -> SleepRules:
         return SleepRules(min_sleep_min=self.min_sleep_min)
@@ -126,18 +139,8 @@ class PipelineConfig:
         return params
 
 
-# The PipelineConfig fields each stage reads, ``candidate`` aside; a CLI
-# subcommand takes the flags of the stages it runs and no others.
-STAGE_FIELDS = {
-    "ingest": ("fill_gaps", "aggregate"),
-    "sleep": ("age_years", "scale_file", "cut_axis", "min_sleep_min"),
-    "changepoints": (
-        "cp_signal", "alpha_exp", "min_segment", "n_permutations", "significance", "seed",
-        "mode_tie_break",
-    ),
-    "dataset": ("features_mode", "efficiency_threshold", "include_first_segment", "min_awake_min"),
-    "model": ("model", "folds", "seed", "include_awake_feature"),
-}
+# the fields declared with ``_param``: every one but ``candidate``, in --help order
+PARAMETERS = tuple(f for f in dataclasses.fields(PipelineConfig) if f.metadata)
 
 
 def derive_seed(*parts) -> int:
@@ -173,14 +176,26 @@ def find_inputs(path: str | Path) -> list[Path]:
 
 
 def load_series(path: str | Path, config: PipelineConfig) -> EpochSeries:
-    with open(path, encoding="utf-8") as fh:
-        series = parse_epoch_csv(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            series = parse_epoch_csv(fh)
+    except UnicodeDecodeError:
+        raise ParseError(f"line {_first_line_not_utf8(path)}: not UTF-8") from None
     if config.fill_gaps == "sedentary-zero":
         series, _ = fill_gaps(series)
     series = validate_series(series)
     if config.aggregate > 1:
         series, _ = aggregate_epochs(series, config.aggregate)
     return series
+
+
+def _first_line_not_utf8(path: str | Path) -> int:
+    with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
 
 
 def cp_observations(series: EpochSeries, start: int, stop: int, cp_signal: str) -> np.ndarray:
@@ -387,6 +402,16 @@ def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) ->
         threshold=config.efficiency_threshold,
         segment_ids=ids,
     )
+
+
+# the files train_and_report writes, and run_pipeline with a model
+MODEL_REPORTS = ("model_report.json", "roc.csv", "roc.svg")
+
+
+def run_outputs(inputs: list[Path], config: PipelineConfig) -> list[str]:
+    """The names of the files run_pipeline writes into its report directory."""
+    names = [f"{p.stem}.{suffix}" for p in inputs for suffix in RECORDING_REPORTS]
+    return [*names, "dataset.csv", *(MODEL_REPORTS if config.model else ()), "manifest.json"]
 
 
 def run_pipeline(

@@ -152,10 +152,8 @@ def _draw_counts(
     p = dispersion / (dispersion + mean)
     try:
         return rng.negative_binomial(dispersion, p, size=size).astype(np.int64)
-    except ValueError as exc:  # numpy refuses a p this close to 0
-        raise InvalidProfile(
-            f"{place}.dispersion {dispersion} is too small for mean {mean}: {exc}"
-        )
+    except ValueError:  # numpy refuses a p this close to 0
+        raise InvalidProfile(f"{place}.dispersion {dispersion} is too small for mean {mean}")
 
 
 def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[EpochSeries, GroundTruth]:

@@ -13,7 +13,7 @@ import pytest
 
 import rahar
 from rahar import cli, pipeline
-from rahar.cli import _FLAGS, _config_from_args, build_parser, main
+from rahar.cli import PARAMETERS, _config_from_args, build_parser, main
 from rahar.features import read_dataset_csv
 from rahar.pipeline import PipelineConfig
 from rahar.synth import ActivityBlock, DayProfile, save_profile
@@ -162,6 +162,9 @@ class TestRun:
             for suffix in (".sleep.json", ".segments.csv", ".changepoints.csv", ".modes.csv"):
                 assert f"{stem}{suffix}" in names
         assert {"dataset.csv", "model_report.json", "roc.csv", "roc.svg", "manifest.json"} <= names
+        # what `run` refuses to write over before any work
+        inputs = sorted(study_dir.glob("*.csv"))
+        assert set(pipeline.run_outputs(inputs, PipelineConfig(model="logreg"))) == names
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 7
         assert set(manifest["outputs"]) == names - {"manifest.json"}
@@ -265,6 +268,25 @@ def test_fault_case(case, recording, tmp_path, monkeypatch, capsys):
     assert cli_faults.problems(case, code, err, before, cli_faults.snapshot(tmp_path)) == []
 
 
+@pytest.mark.parametrize("argv", [
+    "sleep --in rec.csv --out loop",
+    "synth --profile p.json --out s.csv --truth loop",
+])
+def test_output_in_a_symlink_loop_exits_2_with_one_line(argv, recording, tmp_path, monkeypatch,
+                                                         capsys):
+    """The overwrite check resolves an output path that loops without failing."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rec.csv").write_bytes(recording)
+    (tmp_path / "p.json").write_text(json.dumps(cli_faults.DAY_PROFILE))
+    os.symlink("loop", tmp_path / "loop")
+    capsys.readouterr()
+    assert main(argv.split(" ")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: [Errno ") and err.count("\n") == 1, err
+    assert "symbolic links: 'loop'" in err
+    assert sorted(os.listdir(tmp_path)) == ["loop", "p.json", "rec.csv"]
+
+
 def test_cli_imports_without_scipy():
     proc = run_cli_subprocess("--version", prelude="import sys\nsys.modules['scipy'] = None")
     assert proc.returncode == 0, proc.stderr
@@ -315,8 +337,8 @@ class TestParameterSource:
         fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"candidate"}
         assert set(flags_by_field) == fields
         assert all(len(flags) == 1 for flags in flags_by_field.values())
-        # and the flag table holds no flag outside that list
-        flags = {flag for flag, _ in _FLAGS.values()}
+        # and the declarations hold no flag outside that list
+        flags = {param.metadata["flag"] for param in PARAMETERS}
         assert flags == {argv[0] for argv, _, _ in NON_DEFAULT_FLAGS}
 
 
@@ -400,6 +422,7 @@ def accepted_fields(command: str, tmp_path: Path) -> set[str]:
 def fields_read(monkeypatch, argv: list[str]) -> set[str]:
     """The PipelineConfig fields ``main(argv)`` reads after building its config."""
     reads: set[str] = set()
+    names = {param.name for param in PARAMETERS}
 
     class ReadRecorder(PipelineConfig):
         def __post_init__(self):
@@ -407,7 +430,7 @@ def fields_read(monkeypatch, argv: list[str]) -> set[str]:
             self._recording = True
 
         def __getattribute__(self, name):
-            if name in _FLAGS and object.__getattribute__(self, "__dict__").get("_recording"):
+            if name in names and object.__getattribute__(self, "__dict__").get("_recording"):
                 reads.add(name)
             return object.__getattribute__(self, name)
 

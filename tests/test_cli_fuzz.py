@@ -20,7 +20,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rahar.cli import _FLAGS, main
+from rahar.cli import PARAMETERS, main
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 HEADER = "timestamp,axis1,axis2,axis3,steps,inclinometer"
@@ -146,7 +146,7 @@ FLAG_VALUES = st.one_of(
 @given(
     command=st.sampled_from(["validate", "changepoints", "features", "run", "eval", "synth"]),
     flags=st.lists(
-        st.tuples(st.sampled_from([flag for flag, _ in _FLAGS.values()] + ["--threshold"]),
+        st.tuples(st.sampled_from([p.metadata["flag"] for p in PARAMETERS] + ["--threshold"]),
                   FLAG_VALUES),
         min_size=1, max_size=2,
     ),
