@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     WorkerLost,
 )
 from .features import read_dataset_csv
-from .ingest import label_cell, number_cell, read_table, serialize_epoch_csv
+from .ingest import label_cell, number_cell, read_input, read_table, serialize_epoch_csv
 from .models import evaluate
 from .pipeline import (
     MODEL_REPORTS,
@@ -103,13 +103,18 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _no_overwrite(inputs: list[tuple[str, object]], outputs: list[tuple[str, object]]) -> None:
-    """Refuse, before any work, an output that names the same file as an input
-    or an earlier output.  Each entry is a flag and its path, or None.
-    ``realpath``, unlike ``Path.resolve``, raises no error on a symlink loop."""
+    """Refuse, before any work, an output that names a directory, lies in a file,
+    or names the same file as an input or an earlier output.  Each entry is a
+    flag and its path, or None.  ``realpath``, unlike ``Path.resolve``, raises
+    no error on a symlink loop."""
     named = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if not path:
             continue
+        if os.path.isdir(path):
+            raise ParseError(f"{flag} {path} is a directory")
+        if os.path.isfile(os.path.dirname(path)):
+            raise ParseError(f"{flag} {path}: {os.path.dirname(path)} is not a directory")
         resolved = os.path.realpath(path)
         if resolved in named:
             raise ParseError(f"{named[resolved]} and {flag} both name {path}")
@@ -166,12 +171,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ModelError("train requires --model")
     out_dir = Path(args.out_dir)
     _no_overwrite([("--in", args.input)], [("--out-dir", out_dir / n) for n in MODEL_REPORTS])
-    with open(args.input, encoding="utf-8") as fh:
-        dataset = read_dataset_csv(fh)
+    dataset = read_input(args.input, read_dataset_csv)
     paths = train_and_report(dataset, out_dir, config)
     for p in paths:
         _log(f"wrote {p}")
     return 0
+
+
+def _read_scored(stream: TextIO) -> tuple[list[float], list[int]]:
+    """The scores and labels of a score,label table; a row's label is checked first."""
+    rows = [(label_cell(row[1], n, numeric=True), number_cell(row[0], n, "score"))
+            for n, row in read_table(stream, ["score", "label"], "eval ")]
+    return [score for _, score in rows], [label for label, _ in rows]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -179,14 +190,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ParseError(f"--threshold must be a finite number, got {args.threshold}")
     out = Path(args.out or "eval_report.json")
     _no_overwrite([("--in", args.input)], [("--out", out)])
-    scores, labels = [], []
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        for line_number, row in read_table(fh, ["score", "label"], "eval "):
-            label = label_cell(row[1], line_number, numeric=True)
-            scores.append(number_cell(row[0], line_number, "score"))
-            labels.append(label)
+    scores, labels = read_input(args.input, _read_scored)
     report = evaluate(scores, labels, class_threshold=args.threshold)
-    write_json(out, {**report.summary(), "roc_points": [[f, t] for f, t in report.roc_points]})
+    write_json(out, dataclasses.asdict(report))
     _log(f"wrote {out}")
     return 0
 
@@ -298,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidProfile as exc:
         _log(f"profile error: {exc}")
         return EXIT_PARSE
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        _log(f"input error: {exc}")
+    except OSError as exc:  # ingest.read_input reports every input's faults
+        _log(f"output error: {exc}")
         return EXIT_PARSE
     except WorkerLost as exc:
         _log(f"worker failure: {exc}")

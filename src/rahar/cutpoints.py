@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .errors import InvalidScale, ParseError
-from .ingest import EpochSeries, count_cell, number_cell, read_table, vm3
+from .errors import InvalidScale
+from .ingest import EpochSeries, count_cell, number_cell, read_input, read_table, vm3
 
 SCALE_HEADER = ["age_min", "age_max", "sedentary_max", "light_max", "moderate_max"]
 DEFAULT_AGE_YEARS = 18  # the adult band
@@ -107,21 +108,22 @@ def make_scale(name: str, rows: list[tuple[int, int, float, float, float]]) -> C
     return CutPointScale(name, tuple(bands))
 
 
+def _scale_rows(stream: TextIO) -> list[tuple]:
+    return [
+        (count_cell(row[0], n, "age_min"), count_cell(row[1], n, "age_max"),
+         *(number_cell(cell, n, field) for field, cell in zip(SCALE_HEADER[2:], row[2:])))
+        for n, row in read_table(stream, SCALE_HEADER, "scale ")
+    ]
+
+
 def load_scale_file(path: str | Path, name: str | None = None) -> CutPointScale:
     """Load a cut-point scale from a CSV file (see module docstring for format).
 
     Every fault in its contents, from the header to a field the csv module
-    cannot read, is an :class:`InvalidScale`."""
+    cannot read or a byte that is not UTF-8, is an :class:`InvalidScale`; a
+    file that cannot be opened is a :class:`ParseError`."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            rows = [
-                (count_cell(row[0], n, "age_min"), count_cell(row[1], n, "age_max"),
-                 *(number_cell(cell, n, field) for field, cell in zip(SCALE_HEADER[2:], row[2:])))
-                for n, row in read_table(fh, SCALE_HEADER, "scale ")
-            ]
-        except ParseError as exc:
-            raise InvalidScale(str(exc)) from None
+    rows = read_input(path, _scale_rows, InvalidScale)
     if not rows:
         raise InvalidScale("scale file has no bands")
     return make_scale(name or path.stem, rows)

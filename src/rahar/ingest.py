@@ -24,7 +24,8 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from typing import Iterator, TextIO
+from pathlib import Path
+from typing import Callable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
@@ -283,6 +284,39 @@ def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tu
             yield line_number, row
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise MalformedRow(next_line, str(exc)) from None
+
+
+T = TypeVar("T")
+
+
+def read_input(path: str | Path, parse: Callable[[TextIO], T], fault: type = ParseError) -> T:
+    """``parse(stream)`` of the input file ``path``, opened as UTF-8 with the csv
+    module's ``newline=""``: the one place an input file is opened as text.  A
+    file that cannot be opened is a :class:`ParseError` naming it.  A fault in
+    its contents (a byte that is not UTF-8, named by its line, or a
+    :class:`ParseError` of ``parse``) is raised as its format's ``fault``."""
+    try:
+        stream = open(path, encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise ParseError(f"input {path} does not exist") from None
+    except OSError as exc:
+        raise ParseError(f"input {path}: {exc.strerror}") from None
+    with stream:
+        try:
+            return parse(stream)
+        except UnicodeDecodeError:
+            raise fault(f"line {_first_line_not_utf8(path)}: not UTF-8") from None
+        except ParseError as exc:
+            raise exc if isinstance(exc, fault) else fault(str(exc)) from None
+
+
+def _first_line_not_utf8(path: str | Path) -> int:
+    with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
 
 
 def parse_epoch_csv(

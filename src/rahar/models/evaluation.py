@@ -8,7 +8,7 @@ P(score+ > score-) + 0.5 * P(tie).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,21 +36,8 @@ class EvalReport:
     roc_points: list[tuple[float, float]] = field(default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "auc": self.auc,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fp": self.confusion.fp,
-                "tn": self.confusion.tn,
-                "fn": self.confusion.fn,
-            },
-        }
+        """Every field but ``roc_points``, as JSON values."""
+        return {k: v for k, v in asdict(self).items() if k != "roc_points"}
 
 
 def f1_score(precision: float, recall: float) -> float:

@@ -35,7 +35,8 @@ from .features import (
     raw_fractions,
     write_dataset_csv,
 )
-from .ingest import EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, validate_series, vm3
+from .ingest import (EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, read_input,
+                     validate_series, vm3)
 from .modes import TIE_BREAKS, ActivityMode, label_intervals, mode_report_rows
 from .models import MODEL_KINDS, cross_validate, make_config
 from .reports import sha256_file, write_csv, write_json, write_roc_outputs
@@ -176,26 +177,13 @@ def find_inputs(path: str | Path) -> list[Path]:
 
 
 def load_series(path: str | Path, config: PipelineConfig) -> EpochSeries:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            series = parse_epoch_csv(fh)
-    except UnicodeDecodeError:
-        raise ParseError(f"line {_first_line_not_utf8(path)}: not UTF-8") from None
+    series = read_input(path, parse_epoch_csv)
     if config.fill_gaps == "sedentary-zero":
         series, _ = fill_gaps(series)
     series = validate_series(series)
     if config.aggregate > 1:
         series, _ = aggregate_epochs(series, config.aggregate)
     return series
-
-
-def _first_line_not_utf8(path: str | Path) -> int:
-    with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte
-        for number, line in enumerate(fh, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return number
 
 
 def cp_observations(series: EpochSeries, start: int, stop: int, cp_signal: str) -> np.ndarray:
@@ -496,7 +484,7 @@ def train_and_report(
         "n_rows": len(dataset),
         "per_fold": [r.summary() for r in result.fold_reports],
         "pooled": result.pooled.summary(),
-        "roc_points": [[f, t] for f, t in result.pooled.roc_points],
+        "roc_points": result.pooled.roc_points,
     }
     report_path = out_dir / "model_report.json"
     write_json(report_path, report)

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from .errors import InvalidProfile
-from .ingest import MAX_COUNT, EpochSeries, Inclinometer, split_instant
+from .ingest import MAX_COUNT, EpochSeries, Inclinometer, read_input, split_instant
 from .sleep import SleepPeriod, SleepRules
 
 SLEEP = "sleep"
@@ -49,13 +50,50 @@ _DEFAULT_INCLINOMETER = {
 }
 
 
+# --- profile JSON: each field's converters from and to its JSON value ---------
+
+def _number(value) -> int | float:
+    """``value`` when it is a JSON number; int() and float() also take a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    return float(_number(value))
+
+
+def _whole(value) -> int:
+    if isinstance(_number(value), float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value}")
+    return int(value)
+
+
+def _numbers(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(_real(v) for v in value)
+
+
+def _blocks(value) -> tuple[ActivityBlock, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of blocks, got {value!r}")
+    return tuple(_from_json(ActivityBlock, item, f"schedule[{i}]") for i, item in enumerate(value))
+
+
+def _json(read, write=lambda value: value, **default):
+    """A profile field read from JSON by ``read`` and written by ``write``; its key
+    may be absent when it has a default, and is not written when it holds None."""
+    return field(metadata={"read": read, "write": write}, **default)
+
+
 @dataclass(frozen=True)
 class ActivityBlock:
-    mode: str
-    duration_min: int
-    mean_counts: tuple[float, float, float] | None = None
-    dispersion: float = 50.0
-    mean_steps: float | None = None
+    mode: str = _json(lambda mode: mode)
+    duration_min: int = _json(_whole)
+    mean_counts: tuple[float, float, float] | None = _json(_numbers, list, default=None)
+    dispersion: float = _json(_real, default=50.0)
+    mean_steps: float | None = _json(_real, default=None)
 
     def resolved_means(self) -> tuple[float, float, float]:
         if self.mean_counts is not None:
@@ -74,10 +112,11 @@ class ActivityBlock:
 
 @dataclass(frozen=True)
 class DayProfile:
-    schedule: tuple[ActivityBlock, ...]
-    noise: float = 0.0
-    seed: int = 0
-    start: datetime = datetime(2014, 9, 1, 0, 0, tzinfo=timezone.utc)
+    schedule: tuple[ActivityBlock, ...] = _json(_blocks, lambda b: [*map(profile_to_dict, b)])
+    noise: float = _json(_real, default=0.0)
+    seed: int = _json(_whole, default=0)
+    start: datetime = _json(datetime.fromisoformat, datetime.isoformat,
+                            default=datetime(2014, 9, 1, 0, 0, tzinfo=timezone.utc))
 
 
 @dataclass
@@ -226,112 +265,55 @@ def generate(profile: DayProfile, rules: SleepRules | None = None) -> tuple[Epoc
     return series, GroundTruth(periods, change_points, mode_schedule)
 
 
-# --- profile JSON ------------------------------------------------------------
-
-def profile_to_dict(profile: DayProfile) -> dict:
-    return {
-        "seed": profile.seed,
-        "noise": profile.noise,
-        "start": profile.start.isoformat(),
-        "schedule": [
-            {
-                "mode": b.mode,
-                "duration_min": b.duration_min,
-                **({"mean_counts": list(b.mean_counts)} if b.mean_counts else {}),
-                "dispersion": b.dispersion,
-                **({"mean_steps": b.mean_steps} if b.mean_steps is not None else {}),
-            }
-            for b in profile.schedule
-        ],
-    }
-
-
-_PROFILE_KEYS = frozenset({"seed", "noise", "start", "schedule"})
-_BLOCK_KEYS = frozenset({"mode", "duration_min", "mean_counts", "dispersion", "mean_steps"})
-
-
-_ABSENT = object()
-
-
-def _known_keys(item, keys: frozenset, place: str) -> dict:
-    """``item``, when it is a JSON object and every one of its keys is in ``keys``."""
+def _from_json(cls, item, place: str):
+    """A ``cls`` from its JSON object ``item``, at ``place`` in the profile ("" for
+    the profile itself); a key ``cls`` lacks, or a bad or missing value, is named
+    by its place, such as ``schedule[2].dispersion``."""
+    where = place or "profile"
     if not isinstance(item, dict):
-        raise InvalidProfile(f"{place}: expected an object, got {item!r}")
-    unknown = sorted(item.keys() - keys)
+        raise InvalidProfile(f"{where}: expected an object, got {item!r}")
+    keys = sorted(f.name for f in fields(cls))
+    unknown = sorted(item.keys() - set(keys))
     if unknown:
         hint = "; the subject's age is set with --age" if "subject" in unknown else ""
-        raise InvalidProfile(f"{place}: unknown key(s) {unknown}, expected {sorted(keys)}{hint}")
-    return item
-
-
-def _field(item: dict, key: str, convert, place: str = "", default=_ABSENT):
-    """``convert(item[key])``, or ``default`` when the key is absent; a bad or
-    missing value is named by its place, such as ``schedule[2].dispersion``."""
-    name = f"{place}.{key}" if place else key
-    if key not in item:
-        if default is _ABSENT:
+        raise InvalidProfile(f"{where}: unknown key(s) {unknown}, expected {keys}{hint}")
+    values = {}
+    for f in fields(cls):
+        name = f"{place}.{f.name}" if place else f.name
+        if f.name not in item and f.default is MISSING:
             raise InvalidProfile(f"{name}: missing")
-        return default
-    try:
-        return convert(item[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidProfile(f"{name}: {exc}") from None
+        try:
+            if f.name in item:
+                values[f.name] = f.metadata["read"](item[f.name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidProfile(f"{name}: {exc}") from None
+    return cls(**values)
+
+
+def profile_to_dict(obj: DayProfile | ActivityBlock) -> dict:
+    """A profile, or one of its blocks, as its JSON object."""
+    return {
+        f.name: f.metadata["write"](value)
+        for f in fields(obj)
+        if (value := getattr(obj, f.name)) is not None
+    }
 
 
 def profile_from_dict(payload: dict) -> DayProfile:
     """A profile from its JSON object; any key the format lacks is an error."""
-    payload = _known_keys(payload, _PROFILE_KEYS, "profile")
-    blocks = []
-    for i, item in enumerate(_field(payload, "schedule", _list)):
-        place = f"schedule[{i}]"
-        item = _known_keys(item, _BLOCK_KEYS, place)
-        blocks.append(ActivityBlock(
-            mode=_field(item, "mode", lambda mode: mode, place),
-            duration_min=_field(item, "duration_min", _whole, place),
-            mean_counts=_field(item, "mean_counts", _numbers, place, None),
-            dispersion=_field(item, "dispersion", _real, place, 50.0),
-            mean_steps=_field(item, "mean_steps", _real, place, None),
-        ))
-    return DayProfile(
-        schedule=tuple(blocks),
-        noise=_field(payload, "noise", _real, default=0.0),
-        seed=_field(payload, "seed", _whole, default=0),
-        start=_field(payload, "start", datetime.fromisoformat, default=DayProfile.start),
-    )
+    return _from_json(DayProfile, payload, "")
 
 
-def _number(value) -> int | float:
-    """``value`` when it is a JSON number; int() and float() also take a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
-def _real(value) -> float:
-    return float(_number(value))
-
-
-def _whole(value) -> int:
-    if isinstance(_number(value), float) and not value.is_integer():
-        raise ValueError(f"expected a whole number, got {value}")
-    return int(value)
-
-
-def _numbers(value) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(_real(v) for v in value)
-
-
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of blocks, got {value!r}")
-    return value
+def _parse_profile(stream: TextIO) -> DayProfile:
+    try:
+        payload = json.load(stream)
+    except json.JSONDecodeError as exc:
+        raise InvalidProfile(f"not JSON: {exc}") from None
+    return profile_from_dict(payload)
 
 
 def load_profile(path: str | Path) -> DayProfile:
-    with open(path, encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))
+    return read_input(path, _parse_profile, InvalidProfile)
 
 
 def save_profile(profile: DayProfile, path: str | Path) -> None:

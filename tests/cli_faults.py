@@ -61,6 +61,7 @@ DATASET_COLUMNS = "segment_id,frac_sed,frac_light,frac_mod,frac_vig,awake_min,ef
 DATASET_HEADER = DATASET_COLUMNS + "\n"
 DATASET_ROW = "s0,0.7,0.1,0.1,0.1,100.0,0.9,good\n"
 GOOD_ROWS = [DATASET_ROW.replace("s0", f"s{i}") for i in range(10)]
+LATIN1_RECORDING = EPOCH_HEADER.encode() + b"2014-09-01T22:00:00+03:00,0,0,0,0,\xe9t\xe9\n"
 GAPPY = EPOCH_HEADER + EPOCH_ROW + "2014-09-01T22:31:00+00:00,0,0,0,0,off\n"  # 30 missing
 SCALE_HEADER = "age_min,age_max,sedentary_max,light_max,moderate_max\n"
 MEAN_COUNTS_RULE = "mean_counts must be three numbers from 0 to the count ceiling of 1000000000"
@@ -166,8 +167,7 @@ CASES = [
            epochs("0,0,0,0,off", "99999999999999999999999,0,0,0,off"), PARSE,
            "parse error: {at}line 3: axis1 99999999999999999999999 exceeds the ceiling of"
            " 1000000000"),
-          ("latin1", "latin1.csv", "",
-           EPOCH_HEADER.encode() + b"2014-09-01T22:00:00+03:00,0,0,0,0,\xe9t\xe9\n", PARSE,
+          ("latin1", "latin1.csv", "", LATIN1_RECORDING, PARSE,
            "parse error: {at}line 2: not UTF-8"),
           ("century-gap-fill", "century.csv", " --fill-gaps sedentary-zero",
            EPOCH_HEADER + "1914-09-01T22:00:00+03:00,0,0,0,0,off\n"
@@ -229,7 +229,7 @@ CASES = [
          "validation failure: bounds must be strictly increasing, got (501.0, 101.0, 2001.0, inf)",
          scale("0,130,500,100,2000")),
     case("run-scale-missing", f"{RUN} --scale-file missing.csv", PARSE,
-         "input error: [Errno 2] No such file or directory: 'missing.csv'", REC),
+         "parse error: input missing.csv does not exist", REC),
     case("run-age-3", f"{RUN} --age 3", VALIDATION,
          "validation failure: scale 'troiano-2008' has no band for age 3", REC),
     # fields over csv.field_size_limit(), 131,072 characters by default
@@ -395,15 +395,58 @@ CASES = [
          profile('{"subject": {"age_years": 10}, '
                  '"schedule": [{"mode": "light", "duration_min": 60}]}')),
     case("synth-profile-not-json", SYNTH, PARSE,
-         "input error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+         "profile error: not JSON: Expecting property name enclosed in double quotes:"
+         " line 1 column 2 (char 1)",
          profile("{schedule")),
     # an output `synth` cannot write, or two outputs on one path: no file is written
     case("synth-truth-no-dir", f"{SYNTH} --truth nodir/t.json", PARSE,
-         "input error: [Errno 2] No such file or directory: 'nodir/t.json'",
+         "output error: [Errno 2] No such file or directory: 'nodir/t.json'",
          profile(json.dumps(DAY_PROFILE))),
     case("synth-truth-is-out", f"{SYNTH} --truth s.csv", PARSE,
          "parse error: --truth and --out both name s.csv", profile(json.dumps(DAY_PROFILE))),
 
+    # an input that cannot be opened is a parse failure naming it, whatever its
+    # format; a byte that is not UTF-8 is a fault in its contents, named by line
+    *(case(f"{command}-missing-input", argv, PARSE, f"parse error: input {file} does not exist",
+           files)
+      for command, argv, file, files in [
+          ("train", TRAIN, "ds.csv", {}), ("eval", EVAL, "scored.csv", {}),
+          ("sleep-scale", SCALE_SLEEP, "scale.csv", REC), ("synth", SYNTH, "p.json", {}),
+      ]),
+    case("train-in-a-directory", "train --in study --model logreg --out-dir models", PARSE,
+         "parse error: input study: Is a directory", STUDY),
+    *(case(f"{name}-latin1", argv, code, line, files)
+      for name, argv, code, line, files in [
+          ("train", TRAIN, PARSE, "parse error: line 3: not UTF-8",
+           {"ds.csv": (DATASET_HEADER + DATASET_ROW + DATASET_ROW.replace("good", "g\xe9"))
+            .encode("latin-1")}),
+          ("eval", EVAL, PARSE, "parse error: line 2: not UTF-8",
+           {"scored.csv": "score,label\n0.9,g\xe9\n".encode("latin-1")}),
+          ("sleep-scale", SCALE_SLEEP, VALIDATION, "validation failure: line 2: not UTF-8",
+           {**REC, "scale.csv": (SCALE_HEADER + "0,130,99,2019,5998\xe9\n").encode("latin-1")}),
+          ("synth", SYNTH, PARSE, "profile error: line 1: not UTF-8",
+           {"p.json": '{"schedule": [{"mode": "l\xe9ger"}]}'.encode("latin-1")}),
+          ("features-study", "features --in study --out dataset.csv", PARSE,
+           "parse error: b.csv: line 2: not UTF-8",
+           {"study/a.csv": RECORDING, "study/b.csv": LATIN1_RECORDING}),
+      ]),
+
+    # an output that cannot be written as asked exits before any work
+    *(case(name, argv, PARSE, f"parse error: {line}", files)
+      for name, argv, line, files in [
+          ("features-out-is-a-directory", "features --in rec.csv --out .", "--out . is a directory",
+           REC),
+          ("sleep-out-is-a-directory", "sleep --in rec.csv --out report",
+           "--out report is a directory", {**REC, "report/x": ""}),
+          ("synth-out-is-a-directory", "synth --profile p.json --out .", "--out . is a directory",
+           profile(json.dumps(DAY_PROFILE))),
+          ("run-report-is-a-file", "run --in rec.csv --report rec.csv",
+           "--report rec.csv/rec.sleep.json: rec.csv is not a directory", REC),
+          ("train-out-dir-is-a-file", "train --in ds.csv --model logreg --out-dir ds.csv",
+           "--out-dir ds.csv/model_report.json: ds.csv is not a directory", dataset(*GOOD_ROWS)),
+          ("sleep-out-in-a-file", "sleep --in rec.csv --out rec.csv/sleep.json",
+           "--out rec.csv/sleep.json: rec.csv is not a directory", REC),
+      ]),
     # an output that names an input (or another output) exits before any work
     *(case(f"{command}-out-is-in", f"{command} --in rec.csv --out rec.csv", PARSE,
            "parse error: --in and --out both name rec.csv", REC)

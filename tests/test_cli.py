@@ -282,7 +282,7 @@ def test_output_in_a_symlink_loop_exits_2_with_one_line(argv, recording, tmp_pat
     capsys.readouterr()
     assert main(argv.split(" ")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: [Errno ") and err.count("\n") == 1, err
+    assert err.startswith("output error: [Errno ") and err.count("\n") == 1, err
     assert "symbolic links: 'loop'" in err
     assert sorted(os.listdir(tmp_path)) == ["loop", "p.json", "rec.csv"]
 

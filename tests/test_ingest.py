@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rahar.cli import _read_scored
 from rahar.errors import (
     DuplicateTimestamp,
     GapDetected,
     GapFillTooLarge,
+    InvalidScale,
     MalformedRow,
     NegativeCount,
     NonMonotone,
@@ -21,7 +23,8 @@ from rahar.errors import (
     ValidationError,
     ZeroFactor,
 )
-from rahar.cutpoints import builtin_troiano_scale, classify_series, make_scale
+from rahar.cutpoints import builtin_troiano_scale, classify_series, load_scale_file, make_scale
+from rahar.features import DATASET_HEADER, read_dataset_csv
 from rahar.ingest import (
     MAX_COUNT,
     MAX_FILLED_EPOCHS,
@@ -31,6 +34,7 @@ from rahar.ingest import (
     fill_gaps,
     find_gaps,
     parse_epoch_csv,
+    read_input,
     serialize_epoch_csv,
     validate_series,
 )
@@ -272,3 +276,46 @@ class TestAggregate:
         assert sum(e.axis1 for e in epochs_of(out)) == sum(counts[:kept])
         if len(out):
             assert validate_series(out) is out
+
+
+# Every CSV reader reads through read_input with newline="", as the csv module asks:
+# a table with CRLF line ends reads as with LF, and a fault names the same line.
+CSV_TABLES = {
+    "epoch": ("timestamp,axis1,axis2,axis3,steps,inclinometer\n"
+              "2014-09-01T22:00:00+00:00,5,0,1,2,sitting\n2014-09-01T22:01:00+00:00,0,0,0,0,off\n",
+              "2014-09-01T22:02:00+00:00,x,0,0,0,off\n"),
+    "dataset": (",".join(DATASET_HEADER) + "\ns0,0.7,0.1,0.1,0.1,100.0,0.9,good\n"
+                "s1,0.1,0.7,0.1,0.1,50.0,0.5,poor\n", "s2,x,0.1,0.1,0.1,1.0,0.5,poor\n"),
+    "scale": ("age_min,age_max,sedentary_max,light_max,moderate_max\n0,17,99,1999,4999\n"
+              "18,130,99,2019,5998\n", "131,x,99,2019,5998\n"),
+    "eval": ("score,label\n0.9,good\n0.2,poor\n0.4,1\n", "x,good\n"),
+}
+
+
+def _read_table_file(kind: str, path):
+    """What the ``kind`` reader makes of the file ``path``, in comparable form."""
+    if kind == "epoch":
+        series = read_input(path, parse_epoch_csv)
+        return series.utc_us.tolist(), series.counts.tolist(), series.inclinometer.tolist()
+    if kind == "dataset":
+        ds = read_input(path, read_dataset_csv)
+        return ds.segment_ids, ds.X.tolist(), ds.y.tolist(), ds.awake_minutes.tolist()
+    if kind == "scale":
+        return load_scale_file(path, "scale")
+    return read_input(path, _read_scored)
+
+
+@pytest.mark.parametrize("kind", CSV_TABLES)
+def test_crlf_line_ends_read_as_lf(kind, tmp_path):
+    good, bad_row = CSV_TABLES[kind]
+    results, faults = [], []
+    for end in ("\n", "\r\n"):
+        path = tmp_path / f"{len(end)}.csv"
+        path.write_bytes(good.replace("\n", end).encode())
+        results.append(_read_table_file(kind, path))
+        path.write_bytes((good + bad_row).replace("\n", end).encode())
+        with pytest.raises((ParseError, InvalidScale)) as caught:
+            _read_table_file(kind, path)
+        faults.append(str(caught.value))
+    assert results[0] == results[1]
+    assert faults[0] == faults[1] and faults[0].startswith(f"line {good.count(chr(10)) + 1}: ")
