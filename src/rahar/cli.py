@@ -15,37 +15,19 @@ import dataclasses
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TextIO
 
 from . import __version__
-from .errors import (
-    EmptyDataset,
-    InvalidProfile,
-    ModelError,
-    ParseError,
-    RaharError,
-    ValidationError,
-    WorkerLost,
-)
-from .features import read_dataset_csv
+from .errors import EmptyDataset, InvalidProfile, ModelError, ParseError, RaharError, WorkerLost
+from .features import read_dataset_csv, write_dataset_csv
 from .ingest import label_cell, number_cell, read_input, read_table, serialize_epoch_csv
 from .models import evaluate
-from .pipeline import (
-    MODEL_REPORTS,
-    PARAMETERS,
-    PipelineConfig,
-    analyze_inputs,
-    find_inputs,
-    load_series,
-    pooled_dataset,
-    run_outputs,
-    run_pipeline,
-    train_and_report,
-    write_dataset,
-    write_report,
-)
-from .reports import write_json
+from .pipeline import (DATASET_CSV, PARAMETERS, PipelineConfig, analyze_inputs, find_inputs,
+                       load_series, model_outputs, pooled_dataset, report_name, run_outputs,
+                       run_pipeline, train_and_report, write_report)
+from .reports import write_json, write_outputs
 from .synth import generate, load_profile
 from .workers import worker_map
 
@@ -54,6 +36,16 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_EMPTY_DATASET = 4
 EXIT_MODEL = 5
+# how main reports each fault, tried in order: the message's prefix and the exit code
+FAULTS = [
+    (ParseError, "parse error", EXIT_PARSE),
+    (InvalidProfile, "profile error", EXIT_PARSE),
+    (OSError, "output error", EXIT_PARSE),  # ingest.read_input reports every input's faults
+    (WorkerLost, "worker failure", EXIT_WORKER),
+    (EmptyDataset, "empty dataset", EXIT_EMPTY_DATASET),
+    (ModelError, "model failure", EXIT_MODEL),
+    (RaharError, "validation failure", EXIT_VALIDATION),
+]
 
 
 def _log(message: str) -> None:
@@ -103,18 +95,19 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _no_overwrite(inputs: list[tuple[str, object]], outputs: list[tuple[str, object]]) -> None:
-    """Refuse, before any work, an output that names a directory, lies in a file,
-    or names the same file as an input or an earlier output.  Each entry is a
-    flag and its path, or None.  ``realpath``, unlike ``Path.resolve``, raises
-    no error on a symlink loop."""
+    """Refuse, before any work, an output that names a directory, has an existing
+    non-directory on its path, or names the same file as an input or an earlier
+    output.  Each entry is a flag and its path, or None.  ``realpath``, unlike
+    ``Path.resolve``, raises no error on a symlink loop."""
     named = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if not path:
             continue
         if os.path.isdir(path):
             raise ParseError(f"{flag} {path} is a directory")
-        if os.path.isfile(os.path.dirname(path)):
-            raise ParseError(f"{flag} {path}: {os.path.dirname(path)} is not a directory")
+        for parent in Path(path).parents:
+            if os.path.lexists(parent) and not os.path.isdir(parent):
+                raise ParseError(f"{flag} {path}: {parent} is not a directory")
         resolved = os.path.realpath(path)
         if resolved in named:
             raise ParseError(f"{named[resolved]} and {flag} both name {path}")
@@ -141,11 +134,12 @@ def _report_command(suffix: str, noun: str, sleep_only: bool):
     def handler(args: argparse.Namespace) -> int:
         config = _config_from_args(args)
         path = _one_input(args.input)
-        out = Path(args.out or f"{path.stem}.{suffix}")
-        _no_overwrite([("--in", path), ("--scale-file", config.scale_file)], [("--out", out)])
+        outputs = {Path(args.out or report_name(path.stem, suffix)): partial(write_report, suffix)}
+        _no_overwrite([("--in", path), ("--scale-file", config.scale_file)],
+                      [("--out", out) for out in outputs])
         with worker_map([path]) as map_units:
             [analysis] = analyze_inputs([path], config, sleep_only, map=map_units)
-        count = write_report(suffix, analysis, out)
+        [(out, count)] = write_outputs(outputs, analysis).items()
         _log(f"wrote {out} ({count} {noun})")
         return 0
 
@@ -155,12 +149,12 @@ def _report_command(suffix: str, noun: str, sleep_only: bool):
 def cmd_features(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     paths = find_inputs(args.input)
-    out = Path(args.out or "dataset.csv")
+    outputs = {Path(args.out or DATASET_CSV): write_dataset_csv}
     reads = [*(("--in", p) for p in paths), ("--scale-file", config.scale_file)]
-    _no_overwrite(reads, [("--out", out)])
+    _no_overwrite(reads, [("--out", out) for out in outputs])
     with worker_map(paths) as map_units:
         dataset = pooled_dataset(analyze_inputs(paths, config, map=map_units), config)
-    write_dataset(dataset, out)
+    [out] = write_outputs(outputs, dataset)
     _log(f"wrote {out} ({len(dataset)} row(s))")
     return 0
 
@@ -169,12 +163,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if not config.model:
         raise ModelError("train requires --model")
-    out_dir = Path(args.out_dir)
-    _no_overwrite([("--in", args.input)], [("--out-dir", out_dir / n) for n in MODEL_REPORTS])
+    outputs = model_outputs(args.out_dir)
+    _no_overwrite([("--in", args.input)], [("--out-dir", out) for out in outputs])
     dataset = read_input(args.input, read_dataset_csv)
-    paths = train_and_report(dataset, out_dir, config)
-    for p in paths:
-        _log(f"wrote {p}")
+    for out in write_outputs(outputs, train_and_report(dataset, config)):
+        _log(f"wrote {out}")
     return 0
 
 
@@ -188,11 +181,11 @@ def _read_scored(stream: TextIO) -> tuple[list[float], list[int]]:
 def cmd_eval(args: argparse.Namespace) -> int:
     if not math.isfinite(args.threshold):
         raise ParseError(f"--threshold must be a finite number, got {args.threshold}")
-    out = Path(args.out or "eval_report.json")
-    _no_overwrite([("--in", args.input)], [("--out", out)])
+    outputs = {Path(args.out or "eval_report.json"): write_json}
+    _no_overwrite([("--in", args.input)], [("--out", out) for out in outputs])
     scores, labels = read_input(args.input, _read_scored)
     report = evaluate(scores, labels, class_threshold=args.threshold)
-    write_json(out, dataclasses.asdict(report))
+    [out] = write_outputs(outputs, dataclasses.asdict(report))
     _log(f"wrote {out}")
     return 0
 
@@ -200,29 +193,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     paths = find_inputs(args.input)
-    report = Path(args.report)
     reads = [*(("--in", p) for p in paths), ("--scale-file", config.scale_file)]
-    _no_overwrite(reads, [("--report", report / name) for name in run_outputs(paths, config)])
+    _no_overwrite(reads, [("--report", out) for out in run_outputs(paths, config, args.report)])
     with worker_map(paths) as map_units:
-        written = run_pipeline(paths, report, config, map=map_units)
+        written = run_pipeline(paths, Path(args.report), config, map=map_units)
     _log(f"wrote {len(written) - 1} output file(s) + {written[-1]}")
     return 0
 
 
+def _write_truth(synthesized: tuple, stream: TextIO) -> None:
+    truth = synthesized[1]
+    schedule = [{"start": s, "end": e, "mode": m} for s, e, m in truth.mode_schedule]
+    write_json({**dataclasses.asdict(truth), "mode_schedule": schedule}, stream)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     _no_overwrite([("--profile", args.profile)], [("--truth", args.truth), ("--out", args.out)])
-    series, truth = generate(load_profile(args.profile))
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        serialize_epoch_csv(series, fh)
+    outputs = {args.out: lambda synthesized, stream: serialize_epoch_csv(synthesized[0], stream)}
     if args.truth:
-        schedule = [{"start": s, "end": e, "mode": m} for s, e, m in truth.mode_schedule]
-        try:
-            write_json(args.truth, {**dataclasses.asdict(truth), "mode_schedule": schedule})
-        except OSError:
-            out.unlink()  # a synth that fails writes no file
-            raise
-    _log(f"wrote {out} ({len(series)} epochs)")
+        outputs[args.truth] = _write_truth
+    series, truth = generate(load_profile(args.profile))
+    write_outputs(outputs, (series, truth))
+    _log(f"wrote {Path(args.out)} ({len(series)} epochs)")
     if args.truth:
         _log(f"wrote {args.truth}")
     return 0
@@ -298,27 +290,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("an option was given '--' as its value")
     try:
         return args.handler(args)
-    except ParseError as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
-    except InvalidProfile as exc:
-        _log(f"profile error: {exc}")
-        return EXIT_PARSE
-    except OSError as exc:  # ingest.read_input reports every input's faults
-        _log(f"output error: {exc}")
-        return EXIT_PARSE
-    except WorkerLost as exc:
-        _log(f"worker failure: {exc}")
-        return EXIT_WORKER
-    except EmptyDataset as exc:
-        _log(f"empty dataset: {exc}")
-        return EXIT_EMPTY_DATASET
-    except ModelError as exc:
-        _log(f"model failure: {exc}")
-        return EXIT_MODEL
-    except (ValidationError, RaharError) as exc:
-        _log(f"validation failure: {exc}")
-        return EXIT_VALIDATION
+    except (RaharError, OSError) as exc:
+        prefix, code = next(fault[1:] for fault in FAULTS if isinstance(exc, fault[0]))
+        _log(f"{prefix}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

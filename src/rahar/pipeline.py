@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from functools import partial
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .ingest import (EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, 
                      validate_series, vm3)
 from .modes import TIE_BREAKS, ActivityMode, label_intervals, mode_report_rows
 from .models import MODEL_KINDS, cross_validate, make_config
-from .reports import sha256_file, write_csv, write_json, write_roc_outputs
+from .reports import Writer, roc_svg, sha256_file, write_csv, write_json, write_outputs
 from .segments import SleepWakeSegment, segment_id, segment_manifest_rows, segment_sleep_wake
 from .sleep import (
     CandidateConfig,
@@ -166,11 +167,12 @@ class RecordingAnalysis:
 
 
 def find_inputs(path: str | Path) -> list[Path]:
-    """The epoch CSV ``path``, or the ``*.csv`` files in directory ``path``, sorted."""
+    """The epoch CSV ``path``, or the ``*.csv`` files in directory ``path``, sorted;
+    a directory's ``*.csv`` entry that is not a file is not an input."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"input {p} does not exist")
-    files = sorted(p.glob("*.csv")) if p.is_dir() else [p]
+    files = sorted(f for f in p.glob("*.csv") if f.is_file()) if p.is_dir() else [p]
     if not files:
         raise ParseError(f"no .csv files in {p}")
     return files
@@ -350,20 +352,23 @@ RECORDING_REPORTS = {
 }
 
 
-def write_report(suffix: str, analysis: RecordingAnalysis, path: str | Path) -> int:
+def write_report(suffix: str, analysis: RecordingAnalysis, stream: TextIO) -> int:
     """Write the ``suffix`` report of one recording; returns its row count."""
     header, build_rows = RECORDING_REPORTS[suffix]
     rows = build_rows(analysis)
     if header is None:
-        write_json(path, rows)
+        write_json(rows, stream)
     else:
-        write_csv(path, header, rows)
+        write_csv(header, rows, stream)
     return len(rows)
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_dataset_csv(dataset, fh)
+def report_name(stem: str, suffix: str) -> str:
+    """The file name of recording ``stem``'s ``suffix`` report."""
+    return f"{stem}.{suffix}"
+
+
+DATASET_CSV = "dataset.csv"  # the pooled dataset of `features` and `run`
 
 
 def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) -> Dataset:
@@ -392,93 +397,101 @@ def pooled_dataset(analyses: list[RecordingAnalysis], config: PipelineConfig) ->
     )
 
 
-# the files train_and_report writes, and run_pipeline with a model
-MODEL_REPORTS = ("model_report.json", "roc.csv", "roc.svg")
+def model_outputs(out_dir: str | Path) -> dict[str, Writer]:
+    """The files in ``out_dir`` that a train_and_report model report is written
+    to, each with its writer of the report: by `train`, and by `run` with a model."""
+    writers = {
+        "model_report.json": write_json,
+        "roc.csv": lambda report, stream: write_csv(
+            ["fpr", "tpr"], [[repr(f), repr(t)] for f, t in report["roc_points"]], stream),
+        "roc.svg": lambda report, stream: stream.write(
+            roc_svg(report["roc_points"], f"{report['model_kind']} pooled CV")),
+    }
+    return {str(Path(out_dir, name)): write for name, write in writers.items()}
 
 
-def run_outputs(inputs: list[Path], config: PipelineConfig) -> list[str]:
-    """The names of the files run_pipeline writes into its report directory."""
-    names = [f"{p.stem}.{suffix}" for p in inputs for suffix in RECORDING_REPORTS]
-    return [*names, "dataset.csv", *(MODEL_REPORTS if config.model else ()), "manifest.json"]
+@dataclass
+class RunResult:
+    """What run_pipeline writes: each recording's analysis, the pooled dataset,
+    the model report (None without a model) and the stage timings."""
+
+    analyses: list[RecordingAnalysis]
+    dataset: Dataset
+    model_report: dict | None
+    timings: dict[str, float]
+    writing_since: float  # time.perf_counter() as the first output is opened
+
+
+def run_outputs(
+    inputs: list[Path], config: PipelineConfig, out_dir: str | Path = ""
+) -> dict[str, Writer]:
+    """The files run_pipeline writes into ``out_dir``, in order, each with its
+    writer of the RunResult; ``manifest.json``, last, records the others."""
+
+    def report(k: int, suffix: str) -> Writer:
+        return lambda run, stream: write_report(suffix, run.analyses[k], stream)
+
+    names = {report_name(p.stem, suffix): report(k, suffix)
+             for k, p in enumerate(inputs) for suffix in RECORDING_REPORTS}
+    names[DATASET_CSV] = lambda run, stream: write_dataset_csv(run.dataset, stream)
+    outputs = {str(Path(out_dir, name)): write for name, write in names.items()}
+    if config.model:
+        for path, write in model_outputs(out_dir).items():
+            outputs[path] = lambda run, stream, write=write: write(run.model_report, stream)
+    written = list(outputs)
+
+    def manifest(run: RunResult, stream: TextIO) -> None:
+        timings = {**run.timings, "reports": time.perf_counter() - run.writing_since}
+        write_json({
+            "tool": "rahar",
+            "version": __version__,
+            "parameters": config.manifest_parameters(),
+            "inputs": {p.name: sha256_file(p) for p in inputs},
+            "outputs": {Path(p).name: sha256_file(p) for p in written},
+            "timings_s": {k: round(v, 6) for k, v in timings.items()},
+        }, stream)
+
+    outputs[str(Path(out_dir, "manifest.json"))] = manifest
+    return outputs
 
 
 def run_pipeline(
     inputs: list[Path], out_dir: Path, config: PipelineConfig, map=map
 ) -> list[Path]:
-    """Full batch run over one or more epoch CSVs, in the order given; writes
-    reports + manifest and returns the paths written, ``manifest.json`` last.
-    ``map`` runs the independent units of the analysis and of the model's
-    cross-validation (see :mod:`rahar.workers`)."""
-    out_dir = Path(out_dir)
+    """Full batch run over one or more epoch CSVs, in the order given; returns the
+    paths of its run_outputs, ``manifest.json`` last.  They are written once every
+    recording is analysed, the dataset has rows and the model has cross-validated,
+    so a bad input, scale file or age, an empty dataset or a model failure (exit
+    codes 4 and 5 at the CLI) leaves nothing behind.  ``map`` runs the independent
+    units of the analysis and of the cross-validation (see :mod:`rahar.workers`)."""
+    outputs = run_outputs(inputs, config, out_dir)
     timings: dict[str, float] = {}
-    outputs: list[Path] = []
     analyses = analyze_inputs(inputs, config, timings=timings, map=map)
     t0 = time.perf_counter()
     dataset = pooled_dataset(analyses, config)
-    pool_s = time.perf_counter() - t0
-    model_outputs: list[Path] = []
+    timings["features"] = time.perf_counter() - t0
+    model_report = None
     if config.model:
         t0 = time.perf_counter()
-        model_outputs = train_and_report(dataset, out_dir, config, map)
-        model_s = time.perf_counter() - t0
-    # created only once every recording is analysed, the dataset has rows and
-    # the model has cross-validated, so a bad input, scale file or age, an
-    # empty dataset or a model failure (exit codes 4 and 5 at the CLI) leaves
-    # nothing behind
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    for a in analyses:
-        for suffix in RECORDING_REPORTS:
-            path = out_dir / f"{a.name}.{suffix}"
-            write_report(suffix, a, path)
-            outputs.append(path)
-    timings["reports"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    dataset_path = out_dir / "dataset.csv"
-    write_dataset(dataset, dataset_path)
-    outputs.append(dataset_path)
-    timings["features"] = pool_s + time.perf_counter() - t0
-
-    outputs.extend(model_outputs)
-    if config.model:
-        timings["model"] = model_s
-
-    manifest_path = out_dir / "manifest.json"
-    manifest = {
-        "tool": "rahar",
-        "version": __version__,
-        "parameters": config.manifest_parameters(),
-        "inputs": {p.name: sha256_file(p) for p in inputs},
-        "outputs": {p.name: sha256_file(p) for p in sorted(outputs)},
-        "timings_s": {k: round(v, 6) for k, v in timings.items()},
-    }
-    write_json(manifest_path, manifest)
-    return [*outputs, manifest_path]
+        model_report = train_and_report(dataset, config, map)
+        timings["model"] = time.perf_counter() - t0
+    run = RunResult(analyses, dataset, model_report, timings, time.perf_counter())
+    return list(write_outputs(outputs, run))
 
 
-def train_and_report(
-    dataset: Dataset, out_dir: Path, config: PipelineConfig, map=map
-) -> list[Path]:
+def train_and_report(dataset: Dataset, config: PipelineConfig, map=map) -> dict:
     """Cross-validate the configured model on the four fractions, plus awake
     minutes with ``include_awake_feature``, with ``map`` running the folds;
-    only then create ``out_dir`` and write report + ROC files into it."""
-    out_dir = Path(out_dir)
+    returns the model report that model_outputs are written from."""
     X = dataset.X
     if config.include_awake_feature:
         X = np.hstack([X, dataset.awake_minutes[:, None]])
     model_cfg = make_config(config.model, seed=config.seed)
-    result = cross_validate(
-        X, dataset.y, config.model, config=model_cfg, folds=config.folds, seed=config.seed,
-        map=map,
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = {
+    result = cross_validate(X, dataset.y, config.model, config=model_cfg, folds=config.folds,
+                            seed=config.seed, map=map)
+    return {
         "model_kind": config.model,
-        "hyperparameters": {
-            k: v for k, v in vars(model_cfg).items() if not k.startswith("_")
-        },
+        "hyperparameters": {k: v for k, v in vars(model_cfg).items() if not k.startswith("_")},
         "seed": config.seed,
         "folds": config.folds,
         "n_rows": len(dataset),
@@ -486,9 +499,3 @@ def train_and_report(
         "pooled": result.pooled.summary(),
         "roc_points": result.pooled.roc_points,
     }
-    report_path = out_dir / "model_report.json"
-    write_json(report_path, report)
-    roc_paths = write_roc_outputs(
-        out_dir, "roc", result.pooled.roc_points, f"{config.model} pooled CV"
-    )
-    return [report_path, *roc_paths]

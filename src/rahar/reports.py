@@ -1,4 +1,5 @@
-"""Deterministic report writers: CSV, JSON, and a minimal SVG ROC plot.
+"""Deterministic report writers: CSV, JSON, and a minimal SVG ROC plot,
+and ``write_outputs``, the one function that opens an output file.
 
 All writers produce byte-identical output for identical inputs: floats
 are rendered with repr (shortest round-trip form), JSON keys are sorted,
@@ -12,18 +13,45 @@ import csv
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable, Mapping, TextIO
+
+# writes a command's result to one output stream
+Writer = Callable[[Any, TextIO], Any]
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_outputs(outputs: Mapping[str | Path, Writer], result) -> dict[Path, Any]:
+    """Write ``result`` to every output in order: each path's writer gets it and
+    the path open as UTF-8 text with ``newline=""``.  A missing parent directory
+    is created.  A write that fails removes every file and directory the call
+    created, an overwritten file too, then re-raises, so a command writes all
+    its outputs or none.  Returns what each writer returned, by path."""
+    created: list[Path] = []
+    returned = {}
+    try:
+        for path, write in outputs.items():
+            path = Path(path)
+            for parent in reversed(path.parents):
+                if not parent.is_dir():
+                    parent.mkdir()
+                    created.append(parent)
+            with open(path, "w", newline="", encoding="utf-8") as stream:
+                created.append(path)
+                returned[path] = write(result, stream)
+    except BaseException:
+        for path in reversed(created):
+            (path.rmdir if path.is_dir() else path.unlink)()
+        raise
+    return returned
 
 
-def write_json(path: str | Path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_csv(header: list[str], rows: Iterable[Iterable], stream: TextIO) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def write_json(payload, stream: TextIO) -> None:
+    stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -63,14 +91,3 @@ def roc_svg(points: list[tuple[float, float]], title: str = "ROC") -> str:
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
-
-
-def write_roc_outputs(
-    out_dir: str | Path, stem: str, points: list[tuple[float, float]], title: str
-) -> list[Path]:
-    out_dir = Path(out_dir)
-    csv_path = out_dir / f"{stem}.csv"
-    svg_path = out_dir / f"{stem}.svg"
-    write_csv(csv_path, ["fpr", "tpr"], [[repr(f), repr(t)] for f, t in points])
-    svg_path.write_text(roc_svg(points, title), encoding="utf-8")
-    return [csv_path, svg_path]

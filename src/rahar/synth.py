@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import InvalidProfile
 from .ingest import MAX_COUNT, EpochSeries, Inclinometer, read_input, split_instant
+from .reports import write_json, write_outputs
 from .sleep import SleepPeriod, SleepRules
 
 SLEEP = "sleep"
@@ -317,4 +318,4 @@ def load_profile(path: str | Path) -> DayProfile:
 
 
 def save_profile(profile: DayProfile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(profile_to_dict(profile), indent=2, sort_keys=True) + "\n")
+    write_outputs({path: write_json}, profile_to_dict(profile))

@@ -73,6 +73,10 @@ TRAIN = "train --in ds.csv --model logreg --out-dir models"
 EVAL = "eval --in scored.csv --out report.json"
 SYNTH = "synth --profile p.json --out s.csv"
 SCALE_SLEEP = "sleep --in rec.csv --scale-file scale.csv --out sleep.json"
+# a recording whose `.sleep.json` and `.segments.csv` reports fit in Linux's
+# 255-byte file name, and whose `.changepoints.csv` report does not
+LONG_STEM = "r" * 240
+LONG_TRUTH = "t" * 295 + ".json"  # 300 characters
 
 
 def epochs(*cells: str) -> str:
@@ -223,6 +227,9 @@ CASES = [
     *(case(f"{command}-two-csvs", f"{command} --in study", PARSE,
            "parse error: study holds 2 .csv files; this command reads one", STUDY)
       for command in ["validate", "sleep", "segment", "changepoints", "modes"]),
+    # a directory named like a recording is not one, nor is what it holds
+    case("run-study-csv-is-a-directory", "run --in study --report report", PARSE,
+         "parse error: no .csv files in study", {"study/x.csv/rec.csv": RECORDING}),
 
     # a scale or age band that does not resolve, with its file's line where it has one
     case("run-scale-bad-bounds", f"{RUN} --scale-file scale.csv", VALIDATION,
@@ -398,10 +405,7 @@ CASES = [
          "profile error: not JSON: Expecting property name enclosed in double quotes:"
          " line 1 column 2 (char 1)",
          profile("{schedule")),
-    # an output `synth` cannot write, or two outputs on one path: no file is written
-    case("synth-truth-no-dir", f"{SYNTH} --truth nodir/t.json", PARSE,
-         "output error: [Errno 2] No such file or directory: 'nodir/t.json'",
-         profile(json.dumps(DAY_PROFILE))),
+    # two outputs on one path: no file is written
     case("synth-truth-is-out", f"{SYNTH} --truth s.csv", PARSE,
          "parse error: --truth and --out both name s.csv", profile(json.dumps(DAY_PROFILE))),
 
@@ -446,7 +450,19 @@ CASES = [
            "--out-dir ds.csv/model_report.json: ds.csv is not a directory", dataset(*GOOD_ROWS)),
           ("sleep-out-in-a-file", "sleep --in rec.csv --out rec.csv/sleep.json",
            "--out rec.csv/sleep.json: rec.csv is not a directory", REC),
+          ("run-report-deep-in-a-file", "run --in rec.csv --report rec.csv/sub/report",
+           "--report rec.csv/sub/report/rec.sleep.json: rec.csv is not a directory", REC),
+          ("sleep-out-deep-in-a-file", "sleep --in rec.csv --out rec.csv/a/x.json",
+           "--out rec.csv/a/x.json: rec.csv is not a directory", REC),
       ]),
+    # an output the system refuses to open once the work is done: every file
+    # and directory the command wrote before it is removed again
+    case("run-name-too-long", "run --in study --report report", PARSE,
+         f"output error: [Errno 36] File name too long: 'report/{LONG_STEM}.changepoints.csv'",
+         {f"study/{LONG_STEM}.csv": RECORDING}),
+    case("synth-truth-name-too-long", f"{SYNTH} --truth {LONG_TRUTH}", PARSE,
+         f"output error: [Errno 36] File name too long: '{LONG_TRUTH}'",
+         profile(json.dumps(DAY_PROFILE))),
     # an output that names an input (or another output) exits before any work
     *(case(f"{command}-out-is-in", f"{command} --in rec.csv --out rec.csv", PARSE,
            "parse error: --in and --out both name rec.csv", REC)

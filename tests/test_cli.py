@@ -221,6 +221,23 @@ class TestRun:
         assert truth["periods"][0]["onset_index"] == 0
         assert truth["mode_schedule"][1]["mode"] == "sedentary"
 
+    def test_synth_creates_the_truth_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps(cli_faults.DAY_PROFILE))
+        argv = ["synth", "--profile", "p.json", "--out", "s.csv", "--truth", "nodir/t.json"]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "nodir" / "t.json").read_text())["periods"]
+        assert (tmp_path / "s.csv").read_bytes().startswith(b"timestamp,")
+
+    def test_a_directory_named_csv_is_not_a_recording(self, study_dir, tmp_path):
+        (study_dir / "x.csv").mkdir()
+        (study_dir / "x.csv" / "rec.csv").write_bytes((study_dir / "subj0.csv").read_bytes())
+        (study_dir / "subj1.csv").unlink()
+        out = tmp_path / "report"
+        assert main(["run", "--in", str(study_dir), "--report", str(out), "--seed", "7"]) == 0
+        assert sorted(p.name for p in out.glob("*.sleep.json")) == ["subj0.sleep.json"]
+        assert list(json.loads((out / "manifest.json").read_text())["inputs"]) == ["subj0.csv"]
+
 
 def run_cli_subprocess(*args: str, prelude: str = "") -> subprocess.CompletedProcess:
     """``python -c`` with the package under test importable, after ``prelude``."""
