@@ -96,18 +96,23 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 def _no_overwrite(inputs: list[tuple[str, object]], outputs: list[tuple[str, object]]) -> None:
     """Refuse, before any work, an output that names a directory, has an existing
-    non-directory on its path, or names the same file as an input or an earlier
-    output.  Each entry is a flag and its path, or None.  ``realpath``, unlike
-    ``Path.resolve``, raises no error on a symlink loop."""
+    non-directory on its path, would make a name longer than its file system
+    allows, or names the same file as an input or an earlier output.  Each entry
+    is a flag and its path, or None.  ``realpath``, unlike ``Path.resolve``,
+    raises no error on a symlink loop."""
     named = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if not path:
             continue
         if os.path.isdir(path):
             raise ParseError(f"{flag} {path} is a directory")
-        for parent in Path(path).parents:
-            if os.path.lexists(parent) and not os.path.isdir(parent):
+        existing = [parent for parent in Path(path).parents if os.path.lexists(parent)]
+        for parent in existing:
+            if not os.path.isdir(parent):
                 raise ParseError(f"{flag} {path}: {parent} is not a directory")
+        name_max = os.pathconf(existing[0], "PC_NAME_MAX")
+        if any(len(os.fsencode(name)) > name_max for name in Path(path).parts[len(existing[0].parts):]):
+            raise ParseError(f"{flag} {path}: a name in it is longer than {name_max} bytes")
         resolved = os.path.realpath(path)
         if resolved in named:
             raise ParseError(f"{named[resolved]} and {flag} both name {path}")

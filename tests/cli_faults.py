@@ -455,13 +455,12 @@ CASES = [
           ("sleep-out-deep-in-a-file", "sleep --in rec.csv --out rec.csv/a/x.json",
            "--out rec.csv/a/x.json: rec.csv is not a directory", REC),
       ]),
-    # an output the system refuses to open once the work is done: every file
-    # and directory the command wrote before it is removed again
+    # an output name longer than the file system allows (255 bytes on Linux)
     case("run-name-too-long", "run --in study --report report", PARSE,
-         f"output error: [Errno 36] File name too long: 'report/{LONG_STEM}.changepoints.csv'",
-         {f"study/{LONG_STEM}.csv": RECORDING}),
+         f"parse error: --report report/{LONG_STEM}.changepoints.csv: a name in it is longer"
+         " than 255 bytes", {f"study/{LONG_STEM}.csv": RECORDING}),
     case("synth-truth-name-too-long", f"{SYNTH} --truth {LONG_TRUTH}", PARSE,
-         f"output error: [Errno 36] File name too long: '{LONG_TRUTH}'",
+         f"parse error: --truth {LONG_TRUTH}: a name in it is longer than 255 bytes",
          profile(json.dumps(DAY_PROFILE))),
     # an output that names an input (or another output) exits before any work
     *(case(f"{command}-out-is-in", f"{command} --in rec.csv --out rec.csv", PARSE,

@@ -3,6 +3,7 @@ plus byte-identity pins for synthetic output and DST-crossing reports."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rahar import ingest
 from rahar.cli import main
 from rahar.cutpoints import builtin_troiano_scale, classify_series, make_scale
-from rahar.errors import RaharError
+from rahar.errors import MalformedRow, RaharError
 from rahar.ingest import (
     MAX_COUNT,
     Inclinometer,
@@ -280,6 +282,126 @@ class TestAgainstReference:
         scale = make_scale("wide", [(0, 130, 10**9, 2 * 10**9, 4 * 10**9)])
         expected = [int(v) for v in ref_classify(reference, scale, 18, "vm3")]
         assert classify_series(series, scale, 18, "vm3").tolist() == expected == [1]
+
+
+# For epoch files read a block of records at a time: good cells of each column
+# besides the common ones, most of them not in the canonical form, and bad cells
+ODD_CELLS = [
+    ["2016-02-29T23:59:59+00:00", "2016-02-29T23:59:59Z", "2014-09-01T22:00:00.5+00:00",
+     " 2014-09-01T22:00:00+00:00\t", "2014-09-01 22:00:00-05:30", "2014-09-01T22:00:00+05:60"],
+    *[[" 7", "7\t", "00000000005"]] * 4,
+    ["Off", " lying", "SITTING\t"],
+]
+BAD_CELLS = [
+    ["2014-13-01T00:00:00+00:00", "2014-00-10T00:00:00+00:00", "2014-04-31T00:00:00+00:00",
+     "2014-09-00T00:00:00+00:00", "2015-02-29T00:00:00+00:00", "1900-02-29T00:00:00+00:00",
+     "2016-02-29T24:00:00+00:00", "2016-02-29T23:60:00+00:00", "2016-02-29T23:59:60+00:00",
+     "2016-02-29T23:59:59+24:00", "0000-01-01T00:00:00+00:00", "2016-02-29T23:59:59~05:00",
+     "2014/09-01T22:00:00+00:00", "2014-09-01T22.00:00+00:00", "2016-02-29T23:59:59"],
+    *[["x", "-3", str(MAX_COUNT + 1), "", "1_0", "\u0663", "99999999999"]] * 4,
+    ["prone", "lying\u00a0"],
+]
+# canonical timestamps, from year 1 to 9999 and offsets of both signs up to 23:59
+canonical_stamps = st.builds(
+    lambda local, minutes: local.replace(tzinfo=timezone(timedelta(minutes=minutes))).isoformat(),
+    st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30)).map(lambda t: t.replace(microsecond=0)),
+    st.integers(-(24 * 60 - 1), 24 * 60 - 1),
+)
+
+
+@st.composite
+def mixed_epoch_files(draw, block_rows: int) -> str:
+    """Epoch CSVs of canonical rows, some with an odd cell, and blank lines, with up
+    to two bad cells (or records of another width), each in the last or the first
+    record of a block of ``block_rows`` records."""
+    n = draw(st.integers(1, 4 * block_rows + 2))
+    rows = []
+    for _ in range(n):
+        fields = [draw(canonical_stamps), *(str(draw(st.sampled_from(COUNTS))) for _ in range(4)),
+                  draw(st.sampled_from(STATE_TOKENS))]
+        if draw(st.integers(0, 5)) == 0:
+            j = draw(st.integers(0, 5))
+            fields[j] = draw(st.sampled_from(ODD_CELLS[j]))
+        rows.append(fields)
+    for _ in range(draw(st.integers(0, 2))):
+        r = min(n - 1, draw(st.integers(1, 4)) * block_rows - draw(st.integers(0, 1)))
+        j = draw(st.integers(0, 6))
+        if j == 6:
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["0"]
+        elif j < len(rows[r]):
+            rows[r][j] = draw(st.sampled_from(BAD_CELLS[j]))
+    lines = []
+    for fields in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        lines.append(",".join(fields))
+    return HEADER + "".join(line + "\n" for line in lines)
+
+
+def _epochs_or_fault(parse, text):
+    try:
+        return parse(text)
+    except RaharError as exc:
+        return type(exc), str(exc)
+
+
+class TestBlocks:
+    """A file read a block of records at a time parses as the reference reads it
+    a row at a time: the same epochs, or the same first fault in file order."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mixed_files_match_reference(self, block_rows, data):
+        text = data.draw(mixed_epoch_files(block_rows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "BLOCK_ROWS", block_rows)
+            got = _epochs_or_fault(lambda t: epochs_of(parse_epoch_csv(t)), text)
+        assert got == _epochs_or_fault(lambda t: ref_parse(t).epochs, text)
+
+    # each of these cells alone in a block of canonical records
+    @pytest.mark.parametrize("column, cell", [
+        (j, cell) for table in (ODD_CELLS, BAD_CELLS) for j, cells in enumerate(table) for cell in cells
+    ])
+    def test_one_odd_or_bad_cell_among_canonical_records(self, column, cell):
+        rows = [["2016-02-28T23:59:00-05:30", "0", "12", "0", "3", "lying"] for _ in range(3)]
+        rows[1][column] = cell
+        text = HEADER + "".join(",".join(fields) + "\n" for fields in rows)
+        got = _epochs_or_fault(lambda t: epochs_of(parse_epoch_csv(t)), text)
+        assert got == _epochs_or_fault(lambda t: ref_parse(t).epochs, text)
+
+    # a quoted "5\n" count runs from line 3 onto line 4; the bad row, line 5, is in
+    # the same block of 3 records, or in the next block of 2
+    @pytest.mark.parametrize("block_rows", [3, 2])
+    def test_record_spanning_lines_before_a_bad_cell(self, block_rows, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        text = HEADER + (
+            "2014-09-01T22:00:00+00:00,0,0,0,0,off\n"
+            '2014-09-01T22:01:00+00:00,"5\n",0,0,0,off\n'
+            "2014-09-01T22:02:00+00:00,x,0,0,0,off\n"
+        )
+        with pytest.raises(MalformedRow) as info:
+            parse_epoch_csv(text)
+        assert str(info.value) == "line 5: axis1 'x' is not an integer"
+
+    # records on lines 2, 3-4 and 5, the last with a field over the limit: in the
+    # second block of 2 records, or in the first block of 3; a bad cell on line 2
+    # comes first in the file, so it is the fault reported
+    @pytest.mark.parametrize("block_rows", [2, 3])
+    @pytest.mark.parametrize("first_count, line", [("0", 5), ("x", 2)])
+    def test_field_over_the_size_limit(self, block_rows, first_count, line, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        huge = "1" * (csv.field_size_limit() + 1)
+        text = HEADER + (
+            f"2014-09-01T22:00:00+00:00,{first_count},0,0,0,off\n"
+            '2014-09-01T22:01:00+00:00,"5\n",0,0,0,off\n'
+            f"2014-09-01T22:02:00+00:00,{huge},0,0,0,off\n"
+        )
+        with pytest.raises(MalformedRow) as info:
+            parse_epoch_csv(text)
+        assert info.value.line_number == line
+        if first_count == "0":
+            assert str(info.value) == f"line 5: field larger than field limit ({csv.field_size_limit()})"
 
 
 CRITERION_10_SHA256 = "ceabdf6109429fb4f393680687fc0a718ae25c10fabceed1a7e4f3f6af0de365"

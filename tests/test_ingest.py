@@ -319,3 +319,54 @@ def test_crlf_line_ends_read_as_lf(kind, tmp_path):
         faults.append(str(caught.value))
     assert results[0] == results[1]
     assert faults[0] == faults[1] and faults[0].startswith(f"line {good.count(chr(10)) + 1}: ")
+
+
+# parse_epoch_csv reads a string as read_input reads the same bytes from a file:
+# with the csv module's newline="", so a carriage return ends a line, or stays
+# in a quoted cell, alike in both
+LINE_END_CASES = {
+    "cr-only": HEADER + "2014-09-01T22:00:00+00:00,5,0,1,2,sitting\n",
+    "crlf": HEADER + "2014-09-01T22:00:00+00:00,5,0,1,2,sitting\n",
+    "quoted-cr": HEADER + '2014-09-01T22:00:00+00:00,"0\r",0,1,2,sitting\n',
+    "quoted-crlf": HEADER + '2014-09-01T22:00:00+00:00,"0\r\n",0,1,2,sitting\n',
+}
+
+
+def _outcome(read):
+    try:
+        series = read()
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return series.utc_us.tolist(), series.counts.tolist(), series.inclinometer.tolist()
+
+
+@pytest.mark.parametrize("end", LINE_END_CASES)
+@pytest.mark.parametrize("bad_row", ["", "2014-09-01T22:01:00+00:00,x,0,0,0,off\n"],
+                         ids=["good", "bad-row"])
+def test_a_string_parses_as_the_same_bytes_in_a_file(end, bad_row, tmp_path):
+    text = LINE_END_CASES[end] + bad_row
+    if end == "cr-only":
+        text = text.replace("\n", "\r")
+    elif end == "crlf":
+        text = text.replace("\n", "\r\n")
+    path = tmp_path / "rec.csv"
+    path.write_bytes(text.encode())
+    from_file = _outcome(lambda: read_input(path, parse_epoch_csv))
+    assert _outcome(lambda: parse_epoch_csv(text)) == from_file
+    if bad_row:
+        quoted_lines = 2 if end.startswith("quoted") else 1
+        assert from_file == (MalformedRow, f"line {2 + quoted_lines}: axis1 'x' is not an integer")
+    else:
+        assert from_file[1] == [[5 if end in ("cr-only", "crlf") else 0, 0, 1, 2]]
+
+
+def test_a_bad_cell_comes_before_a_later_byte_that_is_not_utf8(tmp_path):
+    # the reader reads a block of records ahead; the first fault in the file is reported
+    rows = [f"2014-09-01T{m // 60:02d}:{m % 60:02d}:00+00:00,0,0,0,0,off".encode() for m in range(600)]
+    rows[1] = rows[1].replace(b",0,0,0,0,", b",x,0,0,0,")
+    rows[400] = rows[400].replace(b"off", b"\xe9t\xe9")  # line 402, about 16 kB on
+    path = tmp_path / "rec.csv"
+    path.write_bytes(HEADER.encode() + b"".join(row + b"\n" for row in rows))
+    with pytest.raises(MalformedRow) as info:
+        read_input(path, parse_epoch_csv)
+    assert str(info.value) == "line 3: axis1 'x' is not an integer"
