@@ -96,10 +96,9 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 def _no_overwrite(inputs: list[tuple[str, object]], outputs: list[tuple[str, object]]) -> None:
     """Refuse, before any work, an output that names a directory, has an existing
-    non-directory on its path, would make a name longer than its file system
-    allows, or names the same file as an input or an earlier output.  Each entry
-    is a flag and its path, or None.  ``realpath``, unlike ``Path.resolve``,
-    raises no error on a symlink loop."""
+    non-directory on its path or a name too long for its file system, or names the
+    same file as an input or an earlier output.  Each entry is a flag and its path,
+    or None.  ``realpath``, unlike ``Path.resolve``, raises no error on a symlink loop."""
     named = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if not path:

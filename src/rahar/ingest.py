@@ -9,9 +9,8 @@ to coarser epochs when a different granularity is wanted.
 A series is held as numpy columns (about 49 bytes per epoch), not as one
 object per epoch; the grid checks, gap filling and aggregation are vector
 operations on those columns.  An epoch CSV is read a block of records at a
-time, and each column of a block is accepted by one test per cell rule; a
-block with a cell that a test refuses is read a record at a time by the
-per-cell rules, so the first fault in file order is the one reported.
+time, each column by one test per cell rule; a block with a cell a test refuses
+is read a record at a time, so the first fault in file order is reported.
 
 Raw high-frequency waveforms are out of scope; the count computation is a
 proprietary device-side step and ingestion starts at epoch counts.
@@ -23,6 +22,7 @@ import csv
 import io
 import math
 import string
+from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
@@ -60,8 +60,7 @@ _VM3_INT64_MAX = math.isqrt((2**63 - 1) // 3)
 # apart would ask for gigabytes.
 MAX_FILLED_EPOCHS = 2**20
 
-# Records a table reader hands on at a time.  Larger blocks keep more rows alive for
-# the garbage collector to scan: 4,096 parsed epoch CSVs about 10% slower.
+# csv records read at a time; 4,096 parsed 10% slower, the collector scanning more live rows
 BLOCK_ROWS = 1024
 
 
@@ -268,11 +267,11 @@ def label_cell(cell: str, line_number: int, numeric: bool = False) -> int:
 
 
 def read_blocks(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tuple[list, list]]:
-    """Blocks of up to ``BLOCK_ROWS`` non-empty records of a CSV table headed ``header``,
-    as the physical lines the records start on and the records.  Header fields are
-    stripped of ASCII whitespace only, as cells are.  A bad header is a :class:`ParseError`
-    naming the table ``kind`` (``"eval "``: bad eval header); a record of another width, or
-    one the csv module cannot read, a :class:`MalformedRow` after the records before it."""
+    """The non-empty records of a CSV table headed ``header``, each block of ``BLOCK_ROWS``
+    csv records (blank ones too) as the physical lines its records start on and the records.
+    A bad header (fields stripped as cells are) is a :class:`ParseError` naming the table
+    ``kind``; a record of another width, or one the csv module cannot read, a
+    :class:`MalformedRow` after the records before it."""
     reader = csv.reader(stream)
     try:
         first = next(reader, None)
@@ -286,25 +285,19 @@ def read_blocks(stream: TextIO, header: list[str], kind: str = "") -> Iterator[t
     records = zip(reader, map(getattr, repeat(reader), repeat("line_num")))
     next_line, width = reader.line_num + 1, len(header)
     while True:
-        block, fault = [], None
+        block, lines, rows, fault = [], [], [], None
         try:
             block.extend(islice(records, BLOCK_ROWS))
         except (csv.Error, UnicodeDecodeError) as exc:  # raised after the records before it
             fault = exc
-        rows, ends = zip(*block) if block else ((), ())
-        if {*map(len, rows)} == {width}:  # the common case: no blank record, one width
-            lines = [next_line, *map((1).__add__, ends[:-1])]  # each after the last one's end
-            next_line = ends[-1] + 1
-        else:
-            lines, rows = [], []
-            for row, end in block:
-                if row:
-                    if len(row) != width:
-                        fault = MalformedRow(next_line, f"expected {width} fields, got {len(row)}")
-                        break
-                    lines.append(next_line)
-                    rows.append(row)
-                next_line = end + 1
+        for row, end in block:
+            if len(row) == width:
+                lines.append(next_line)
+                rows.append(row)
+            elif row:
+                fault = MalformedRow(next_line, f"expected {width} fields, got {len(row)}")
+                break
+            next_line = end + 1
         if rows:
             yield lines, rows
         if fault is not None:
@@ -369,68 +362,64 @@ def parse_epoch_csv(
     return EpochSeries(*columns, epoch_length)
 
 
-def _epoch_block(lines: list[int], rows: list[list[str]]) -> tuple:
-    """The columns of a block of epoch records, each accepted by one test per cell rule;
-    if a test refuses a cell, the columns of :func:`_epoch_rows` instead."""
-    stamps, *columns, tokens = zip(*rows)
-    cells = sum(columns, ())  # the four count columns end to end: 1 to 10 ASCII digits each
-    digits, lengths = "".join(cells), [*map(len, cells)]
-    if digits.isascii() and digits.isdigit() and 0 < min(lengths) <= max(lengths) <= 10:
-        counts = np.fromiter(map(int, cells), np.int64, len(cells)).reshape(4, -1).T
-        instants, states = _canonical_instants(stamps), [*map(_INCLINOMETER_CODES.get, tokens)]
-        if counts.max() <= MAX_COUNT and instants is not None and None not in states:
-            return *instants, counts, np.array(states, np.uint8)
-    return _epoch_rows(lines, rows)
-
-
-# The timestamp form read a column at a time, as ``serialize_epoch_csv`` writes it,
-# and the days of each month of a common year, 0 for the months 0 and 13 on.
+# The timestamp form that serialize_epoch_csv writes, read a column at a time
 _CANONICAL = np.frombuffer(b"0000-00-00T00:00:00+00:00", np.uint8)
 _DIGITS = np.flatnonzero(_CANONICAL == ord("0"))
 _SEPARATORS = np.flatnonzero((_CANONICAL != ord("0")) & (_CANONICAL != ord("+")))
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+
+
+def _epoch_block(lines: list[int], rows: list[list[str]]) -> tuple:
+    """The columns of a block of epoch records, by one test per cell rule, cheapest first."""
+    if len(rows[0][0]) != _CANONICAL.size or rows[0][5] not in _INCLINOMETER_CODES:
+        return _epoch_rows(lines, rows)  # its first record refuses the block at once
+    stamps, *columns, tokens = zip(*rows)
+    states = [*map(_INCLINOMETER_CODES.get, tokens)]
+    if None not in states and (instants := _canonical_instants(stamps)) is not None:
+        cells = sum(columns, ())  # the four count columns end to end: 1 to 10 ASCII digits each
+        digits = "".join(cells)
+        if digits.isascii() and digits.isdigit() and "" not in cells and max(map(len, cells)) <= 10:
+            counts = np.fromiter(map(int, cells), np.int64, len(cells)).reshape(4, -1).T
+            if counts.max() <= MAX_COUNT:
+                return *instants, counts, np.array(states, np.uint8)
+    return _epoch_rows(lines, rows)
 
 
 def _canonical_instants(stamps: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-    """UTC and offset microseconds of a column of timestamps when every one is
-    a valid ``YYYY-MM-DDTHH:MM:SS+HH:MM`` (as ``fromisoformat`` reads it), else None."""
-    joined = "".join(stamps)
-    if not joined.isascii() or {*map(len, stamps)} != {len(_CANONICAL)}:
+    """UTC and offset microseconds of timestamps all in that form and in range, else None."""
+    if {*map(len, stamps)} != {_CANONICAL.size} or not (joined := "".join(stamps)).isascii():
         return None
-    chars = np.frombuffer(joined.encode(), np.uint8).reshape(-1, len(_CANONICAL))
+    chars = np.frombuffer(joined.encode(), np.uint8).reshape(-1, _CANONICAL.size)
     digits = chars[:, _DIGITS] - ord("0")  # uint8: a byte below "0" wraps past 9
     sign = 44 - chars[:, 19].astype(np.int64)  # "+" is byte 43 and "-" byte 45
-    if (chars[:, _SEPARATORS] != _CANONICAL[_SEPARATORS]).any() or (digits > 9).any():
-        return None
     pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
     year, month, day = pairs[:, 0] * 100 + pairs[:, 1], pairs[:, 2], pairs[:, 3]
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
-    valid = (year >= 1) & (day >= 1) & (day <= month_days) & (np.abs(sign) == 1)
-    if not (valid.all() and (pairs[:, 4:] <= [23, 59, 59, 23, 59]).all()):  # hh:mm:ss+hh:mm
+    months = np.array((year - 1970) * 12 + month - 1, "datetime64[M]")
+    first, after = np.array([months, months + 1], "datetime64[D]").view(np.int64)  # since 1970
+    valid = (chars[:, _SEPARATORS] == _CANONICAL[_SEPARATORS]).all(1) & (digits <= 9).all(1)
+    valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
+    if not (valid.all() and (pairs[:, 4:] <= [23, 59, 59, 23, 59]).all() and (sign**2 == 1).all()):
         return None
-    # days since 1970-01-01 by Hinnant's days_from_civil: 400-year eras of years from March
-    era, yoe = np.divmod(year - (month <= 2), 400)
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    local_s = days * 86400 + pairs[:, 4:7] @ [3600, 60, 1]
+    local_s = (first + day - 1) * 86400 + pairs[:, 4:7] @ [3600, 60, 1]  # + hh:mm:ss
     offset_s = sign * (pairs[:, 7:] @ [3600, 60])
     return (local_s - offset_s) * 1_000_000, offset_s * 1_000_000
 
 
 def _epoch_rows(lines: list[int], rows: list[list[str]]) -> tuple:
-    """The columns of a block of epoch records read a record at a time by the
-    per-cell rules, which raise the first fault in file order."""
-    epochs = []
-    for line_number, row in zip(lines, rows):
-        instant = split_instant(_parse_timestamp(row[0].strip(PADDING), line_number))
-        counts = [count_cell(row[k], line_number, CSV_HEADER[k]) for k in range(1, 5)]
-        token = row[5].strip(PADDING)
+    """The columns of a block of epoch records read a record at a time, faults in file order."""
+    table, states = array("q"), bytearray()  # utc_us, offset_us and four counts a record
+    for line_number, (stamp, axis1, axis2, axis3, steps, token) in zip(lines, rows):
+        table.extend(split_instant(_parse_timestamp(stamp.strip(PADDING), line_number)))
+        table.append(count_cell(axis1, line_number, "axis1"))
+        table.append(count_cell(axis2, line_number, "axis2"))
+        table.append(count_cell(axis3, line_number, "axis3"))
+        table.append(count_cell(steps, line_number, "steps"))
+        token = token.strip(PADDING)
         code = _INCLINOMETER_CODES.get(token.upper())
         if code is None:
             raise UnknownInclinometer(line_number, token)
-        epochs.append((*instant, counts, code))
-    return tuple(map(np.array, zip(*epochs)))
+        states.append(code)
+    table = np.frombuffer(table, np.int64).reshape(-1, 6)
+    return table[:, 0], table[:, 1], table[:, 2:], np.frombuffer(states, np.uint8)
 
 
 def serialize_epoch_csv(series: EpochSeries, stream: TextIO) -> None:

@@ -311,31 +311,33 @@ canonical_stamps = st.builds(
 
 @st.composite
 def mixed_epoch_files(draw, block_rows: int) -> str:
-    """Epoch CSVs of canonical rows, some with an odd cell, and blank lines, with up
-    to two bad cells (or records of another width), each in the last or the first
-    record of a block of ``block_rows`` records."""
-    n = draw(st.integers(1, 4 * block_rows + 2))
-    rows = []
-    for _ in range(n):
-        fields = [draw(canonical_stamps), *(str(draw(st.sampled_from(COUNTS))) for _ in range(4)),
-                  draw(st.sampled_from(STATE_TOKENS))]
+    """Epoch CSVs of canonical records, some with an odd cell, and blank records, with
+    up to two bad cells (or records of another width), each in the last record of a
+    block of ``block_rows`` csv records or the first of the next, blank ones counted
+    (or, in a shorter file, in its last record)."""
+
+    def canonical():
+        return [draw(canonical_stamps), *(str(draw(st.sampled_from(COUNTS))) for _ in range(4)),
+                draw(st.sampled_from(STATE_TOKENS))]
+
+    records = []
+    for _ in range(draw(st.integers(1, 4 * block_rows + 2))):
+        if draw(st.integers(0, 5)) == 0:
+            records.append([])  # a blank line
+        fields = canonical()
         if draw(st.integers(0, 5)) == 0:
             j = draw(st.integers(0, 5))
             fields[j] = draw(st.sampled_from(ODD_CELLS[j]))
-        rows.append(fields)
+        records.append(fields)
     for _ in range(draw(st.integers(0, 2))):
-        r = min(n - 1, draw(st.integers(1, 4)) * block_rows - draw(st.integers(0, 1)))
+        r = min(len(records) - 1, draw(st.integers(1, 4)) * block_rows - draw(st.integers(0, 1)))
+        records[r] = records[r] or canonical()
         j = draw(st.integers(0, 6))
         if j == 6:
-            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["0"]
-        elif j < len(rows[r]):
-            rows[r][j] = draw(st.sampled_from(BAD_CELLS[j]))
-    lines = []
-    for fields in rows:
-        if draw(st.integers(0, 5)) == 0:
-            lines.append("")
-        lines.append(",".join(fields))
-    return HEADER + "".join(line + "\n" for line in lines)
+            records[r] = records[r][:-1] if draw(st.booleans()) else records[r] + ["0"]
+        elif j < len(records[r]):
+            records[r][j] = draw(st.sampled_from(BAD_CELLS[j]))
+    return HEADER + "".join(",".join(fields) + "\n" for fields in records)
 
 
 def _epochs_or_fault(parse, text):
