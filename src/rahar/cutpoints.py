@@ -78,12 +78,12 @@ class CutPointScale:
         raise InvalidScale(f"scale {self.name!r} has no band for age {age_years}")
 
 
-def _validate_band(band: AgeBand) -> None:
-    b = band.bounds
+def _validate_band(band: AgeBand, maxima: tuple[float, float, float]) -> None:
+    b = band.bounds  # each of the ``maxima`` the band was built from plus 1, then +inf
     if b[0] <= 0:
-        raise InvalidScale(f"sedentary bound must be positive, got {b[0]}")
+        raise InvalidScale(f"sedentary_max must be greater than -1, got {maxima[0]}")
     if not (b[0] < b[1] < b[2] < b[3]):
-        raise InvalidScale(f"bounds must be strictly increasing, got {b}")
+        raise InvalidScale(f"sedentary_max < light_max < moderate_max must hold, got {maxima}")
     if not math.isinf(b[3]):
         raise InvalidScale("last bound must be +inf so bands cover [0, +inf)")
 
@@ -103,8 +103,8 @@ def make_scale(name: str, rows: list[tuple[int, int, float, float, float]]) -> C
         bands.append(
             AgeBand(age_min, age_max, (sed_max + 1, light_max + 1, mod_max + 1, math.inf))
         )
-    for band in bands:
-        _validate_band(band)
+    for band, row in zip(bands, rows):
+        _validate_band(band, tuple(row[2:]))
     return CutPointScale(name, tuple(bands))
 
 

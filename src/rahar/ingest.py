@@ -8,9 +8,11 @@ to coarser epochs when a different granularity is wanted.
 
 A series is held as numpy columns (about 49 bytes per epoch), not as one
 object per epoch; the grid checks, gap filling and aggregation are vector
-operations on those columns.  An epoch CSV is read a block of records at a
-time, each column by one test per cell rule; a block with a cell a test refuses
-is read a record at a time, so the first fault in file order is reported.
+operations on those columns.  An epoch CSV is read ``BLOCK_ROWS`` lines at a
+time: a chunk in the form ``synth`` writes from its bytes, in one numpy pass, and
+any other as csv records, a record at a time, so the first fault in file order is
+reported; from a chunk with a ``"`` on, one csv reader reads the rest of the file.
+``synth`` output parses at 1.1 µs a row on one core of a 2 vCPU Xeon (3.3 by csv).
 
 Raw high-frequency waveforms are out of scope; the count computation is a
 proprietary device-side step and ingestion starts at epoch counts.
@@ -26,9 +28,9 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from itertools import islice, repeat
+from itertools import chain, count, islice, repeat, starmap
 from pathlib import Path
-from typing import Callable, Iterator, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
@@ -266,24 +268,26 @@ def label_cell(cell: str, line_number: int, numeric: bool = False) -> int:
     return labels[token]
 
 
-def read_blocks(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tuple[list, list]]:
+def read_blocks(
+    stream: Iterable[str], header: list[str], kind: str = "", after: int = 0
+) -> Iterator[tuple[list, list]]:
     """The non-empty records of a CSV table headed ``header``, each block of ``BLOCK_ROWS``
     csv records (blank ones too) as the physical lines its records start on and the records.
     A bad header (fields stripped as cells are) is a :class:`ParseError` naming the table
     ``kind``; a record of another width, or one the csv module cannot read, a
-    :class:`MalformedRow` after the records before it."""
+    :class:`MalformedRow` after the records before it.  Lines are numbered from ``after + 1``."""
     reader = csv.reader(stream)
     try:
         first = next(reader, None)
     except csv.Error as exc:
-        raise MalformedRow(1, str(exc)) from None
+        raise MalformedRow(after + 1, str(exc)) from None
     if first is None and not kind:
         raise ParseError("empty input: missing header")
     if first is None or [h.strip(PADDING) for h in first] != header:
         raise ParseError(f"bad {kind}header {first!r}, expected {','.join(header)}")
     # each record with the line it ends on: a quoted field can span lines
     records = zip(reader, map(getattr, repeat(reader), repeat("line_num")))
-    next_line, width = reader.line_num + 1, len(header)
+    next_line, width = after + reader.line_num + 1, len(header)
     while True:
         block, lines, rows, fault = [], [], [], None
         try:
@@ -297,7 +301,7 @@ def read_blocks(stream: TextIO, header: list[str], kind: str = "") -> Iterator[t
             elif row:
                 fault = MalformedRow(next_line, f"expected {width} fields, got {len(row)}")
                 break
-            next_line = end + 1
+            next_line = after + end + 1
         if rows:
             yield lines, rows
         if fault is not None:
@@ -352,43 +356,79 @@ def parse_epoch_csv(
 
     The header must be exactly ``timestamp,axis1,axis2,axis3,steps,inclinometer``;
     timestamps are ISO-8601 with an explicit UTC offset, inclinometer tokens
-    are lowercase ``off|standing|sitting|lying``, and counts are ASCII digits
+    are ``off|standing|sitting|lying`` in any letter case, and counts are ASCII digits
     for an integer in ``[0, MAX_COUNT]``.  Cells are stripped of ASCII whitespace only.
     A string is read as the same bytes in a file would be.
     """
-    text = io.StringIO(source, newline="") if isinstance(source, str) else source
-    blocks = [_epoch_block(lines, rows) for lines, rows in read_blocks(text, CSV_HEADER)]
+    stream = io.StringIO(source, newline="") if isinstance(source, str) else source
+    head, blocks = [*islice(stream, 1)], []
+    # another header, a '"' or a byte not UTF-8: one csv reader reads the rest of the file
+    whole = "".join(head).rstrip("\r\n") != ",".join(CSV_HEADER)
+    for after in count(0, BLOCK_ROWS):  # the lines between the header and the chunk
+        chunk, rest = [], stream
+        try:
+            chunk.extend(islice(stream, BLOCK_ROWS))
+        except UnicodeDecodeError as exc:  # raised after the lines before it
+            rest = _raising(exc)
+        whole = whole or rest is not stream or '"' in (text := "".join(chunk))
+        columns = None if whole else _plain_columns(chunk, text)
+        records = read_blocks(chain(head, chunk, rest if whole else ()), CSV_HEADER, after=after)
+        blocks += [columns] if columns else starmap(_epoch_rows, records)
+        if whole or len(chunk) < BLOCK_ROWS:
+            break
     columns = map(np.concatenate, zip(*blocks)) if blocks else [()] * 4  # or none, empty
     return EpochSeries(*columns, epoch_length)
+
+
+def _raising(fault: Exception) -> Iterator[str]:
+    raise fault
+    yield  # a generator: it raises when it is read
 
 
 # The timestamp form that serialize_epoch_csv writes, read a column at a time
 _CANONICAL = np.frombuffer(b"0000-00-00T00:00:00+00:00", np.uint8)
 _DIGITS = np.flatnonzero(_CANONICAL == ord("0"))
 _SEPARATORS = np.flatnonzero((_CANONICAL != ord("0")) & (_CANONICAL != ord("+")))
+# each inclinometer token as 8 zero-padded bytes read as one word, and its code
+_TOKEN_WORDS = np.array([*_INCLINOMETER_CODES], "S8").view(np.uint64)
+_TOKEN_CODES = np.array([*_INCLINOMETER_CODES.values()], np.uint8)
 
 
-def _epoch_block(lines: list[int], rows: list[list[str]]) -> tuple:
-    """The columns of a block of epoch records, by one test per cell rule, cheapest first."""
-    if len(rows[0][0]) != _CANONICAL.size or rows[0][5] not in _INCLINOMETER_CODES:
-        return _epoch_rows(lines, rows)  # its first record refuses the block at once
-    stamps, *columns, tokens = zip(*rows)
-    states = [*map(_INCLINOMETER_CODES.get, tokens)]
-    if None not in states and (instants := _canonical_instants(stamps)) is not None:
-        cells = sum(columns, ())  # the four count columns end to end: 1 to 10 ASCII digits each
-        digits = "".join(cells)
-        if digits.isascii() and digits.isdigit() and "" not in cells and max(map(len, cells)) <= 10:
-            counts = np.fromiter(map(int, cells), np.int64, len(cells)).reshape(4, -1).T
-            if counts.max() <= MAX_COUNT:
-                return *instants, counts, np.array(states, np.uint8)
-    return _epoch_rows(lines, rows)
-
-
-def _canonical_instants(stamps: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-    """UTC and offset microseconds of timestamps all in that form and in range, else None."""
-    if {*map(len, stamps)} != {_CANONICAL.size} or not (joined := "".join(stamps)).isascii():
+def _plain_columns(chunk: list[str], text: str) -> tuple | None:
+    """The columns of ``chunk``, its lines joined in ``text``, if each is a canonical
+    timestamp, four counts of 1 to 10 ASCII digits up to ``MAX_COUNT`` and a key of
+    ``_INCLINOMETER_CODES``, ended by LF or CRLF; else None."""
+    # its first line refuses a chunk at once, else a byte not ASCII, a lone CR or no last LF
+    if text.find(",") != 25 or not text.isascii() or text.count("\n") != len(chunk):
         return None
-    chars = np.frombuffer(joined.encode(), np.uint8).reshape(-1, _CANONICAL.size)
+    chars = np.frombuffer(text.encode(), np.uint8)
+    ends, commas = np.flatnonzero(chars == 10), np.flatnonzero(chars == 44)
+    if len(commas) != 5 * len(ends):
+        return None
+    commas = np.ascontiguousarray(commas.reshape(-1, 5).T, np.int32)  # a row per comma
+    starts = commas[0] - 25  # each line starts with a 25-byte timestamp
+    # the widths of the four counts and the token, and so five commas on each line
+    widths = np.diff(commas, axis=0, append=[ends - (chars[ends - 1] == 13)]) - 1
+    fits = (widths > 0) & (widths <= [[10], [10], [10], [10], [8]])
+    if starts[0] or (starts[1:] != ends[:-1] + 1).any() or not fits.all():
+        return None
+    instants = _canonical_instants(chars.take(starts[:, None] + np.arange(25)))
+    token = np.arange(1, 9)  # up to 8 bytes after the last comma, zeros past the token
+    words = chars.take(commas[4, :, None] + token, mode="clip") * (token <= widths[4, :, None])
+    known = words.view(np.uint64) == _TOKEN_WORDS  # a row per line, a column per token
+    # each count right-aligned in as many digits as the widest has, zeros before it
+    place = np.arange(-widths[:4].max(), 0, dtype=np.int32)[:, None, None]
+    digits = (chars.take(commas[1:] + place) - np.uint8(48)) * (place >= -widths[:4])
+    counts = digits[0].astype(np.int64)
+    for row in digits[1:]:
+        counts = counts * 10 + row
+    if instants is None or not known.any(1).all() or digits.max() > 9 or counts.max() > MAX_COUNT:
+        return None
+    return *instants, counts.T, _TOKEN_CODES[known.argmax(1)]
+
+
+def _canonical_instants(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """UTC and offset microseconds of (n, 25) timestamp bytes all in that form and range."""
     digits = chars[:, _DIGITS] - ord("0")  # uint8: a byte below "0" wraps past 9
     sign = 44 - chars[:, 19].astype(np.int64)  # "+" is byte 43 and "-" byte 45
     pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]

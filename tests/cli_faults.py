@@ -188,6 +188,9 @@ CASES = [
     case("validate-field-over-limit", "validate --in day.csv", PARSE,
          "parse error: line 2: field larger than field limit (131072)",
          {"day.csv": epochs("5,0,0,0," + "x" * 200_000)}),
+    case("validate-header-field-over-limit", "validate --in day.csv", PARSE,
+         "parse error: line 1: field larger than field limit (131072)",
+         {"day.csv": "timestamp" + "x" * 200_000 + EPOCH_HEADER[len("timestamp"):] + EPOCH_ROW}),
     # numbers are plain ASCII: no `_`, no other digits, no non-ASCII padding
     *(case(f"validate-axis1-{name}", "validate --in day.csv", PARSE,
            f"parse error: line 3: axis1 {token!r} is not an integer",
@@ -233,8 +236,14 @@ CASES = [
 
     # a scale or age band that does not resolve, with its file's line where it has one
     case("run-scale-bad-bounds", f"{RUN} --scale-file scale.csv", VALIDATION,
-         "validation failure: bounds must be strictly increasing, got (501.0, 101.0, 2001.0, inf)",
+         "validation failure: sedentary_max < light_max < moderate_max must hold,"
+         " got (500.0, 100.0, 2000.0)",
          scale("0,130,500,100,2000")),
+    case("run-scale-sedentary--1", f"{RUN} --scale-file scale.csv", VALIDATION,
+         "validation failure: sedentary_max must be greater than -1, got -1.0",
+         scale("0,130,-1,2019,5998")),
+    case("sleep-scale-header-only", SCALE_SLEEP, VALIDATION,
+         "validation failure: scale file has no bands", {**REC, "scale.csv": SCALE_HEADER}),
     case("run-scale-missing", f"{RUN} --scale-file missing.csv", PARSE,
          "parse error: input missing.csv does not exist", REC),
     case("run-age-3", f"{RUN} --age 3", VALIDATION,
@@ -394,6 +403,12 @@ CASES = [
                           ' "dispersion": 1e-300}]}')),
           ("-block-2", 2,
            third_block('"mode": "light", "duration_min": 60, "dispersion": 1e-300')),
+      ]),
+    *(case(f"synth-{name}", SYNTH, PARSE, f"profile error: {message}", profile(text))
+      for name, text, message in [
+          ("schedule-empty", '{"schedule": []}', "schedule is empty"),
+          ("seed--1", '{"seed": -1, "schedule": [{"mode": "light", "duration_min": 60}]}',
+           "seed must be non-negative"),
       ]),
     # the age is a run parameter (--age): a recording cannot carry one
     case("synth-subject", SYNTH, PARSE,

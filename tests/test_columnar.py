@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from rahar import ingest
 from rahar.cli import main
 from rahar.cutpoints import builtin_troiano_scale, classify_series, make_scale
-from rahar.errors import MalformedRow, RaharError
+from rahar.errors import MalformedRow, ParseError, RaharError
 from rahar.ingest import (
     MAX_COUNT,
     Inclinometer,
@@ -24,6 +24,7 @@ from rahar.ingest import (
     fill_gaps,
     find_gaps,
     parse_epoch_csv,
+    read_input,
     serialize_epoch_csv,
     validate_series,
 )
@@ -314,7 +315,7 @@ def mixed_epoch_files(draw, block_rows: int) -> str:
     """Epoch CSVs of canonical records, some with an odd cell, and blank records, with
     up to two bad cells (or records of another width), each in the last record of a
     block of ``block_rows`` csv records or the first of the next, blank ones counted
-    (or, in a shorter file, in its last record)."""
+    (or, in a shorter file, in its last record).  Lines end in LF, CRLF or either."""
 
     def canonical():
         return [draw(canonical_stamps), *(str(draw(st.sampled_from(COUNTS))) for _ in range(4)),
@@ -337,7 +338,9 @@ def mixed_epoch_files(draw, block_rows: int) -> str:
             records[r] = records[r][:-1] if draw(st.booleans()) else records[r] + ["0"]
         elif j < len(records[r]):
             records[r][j] = draw(st.sampled_from(BAD_CELLS[j]))
-    return HEADER + "".join(",".join(fields) + "\n" for fields in records)
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"]]))
+    return "".join(",".join(fields) + draw(st.sampled_from(ends))
+                   for fields in [HEADER.strip().split(","), *records])
 
 
 def _epochs_or_fault(parse, text):
@@ -404,6 +407,114 @@ class TestBlocks:
         assert info.value.line_number == line
         if first_count == "0":
             assert str(info.value) == f"line 5: field larger than field limit ({csv.field_size_limit()})"
+
+
+def _canonical_lines(n: int) -> list[str]:
+    return [f"{(BASE + k * MINUTE).isoformat()},{k},{k % 3},0,{k % 5},{STATE_TOKENS[k % 4]}\n"
+            for k in range(n)]
+
+
+def _with_hazard(hazard: str, at: int) -> tuple[str, str]:
+    """A file of nine canonical lines with ``hazard`` put on data line ``at``, and the
+    text that the reference reads to the same epochs or fault."""
+    lines = _canonical_lines(9)
+    stamp, *cells = lines[at].rstrip("\n").split(",")
+    if hazard == "crlf":
+        return (HEADER + "".join(lines)).replace("\n", "\r\n"), (HEADER + "".join(lines))
+    if hazard == "lone-cr":  # a lone CR ends a line, as the csv module reads it
+        lines[at] = lines[at].replace("\n", "\r")
+        return HEADER + "".join(lines), HEADER + "".join(lines).replace("\r", "\n")
+    if hazard == "bom":
+        return "\ufeff" + HEADER + "".join(lines), "\ufeff" + HEADER + "".join(lines)
+    if hazard == "no-final-newline":
+        return (HEADER + "".join(lines[: at + 1])).rstrip("\n"), HEADER + "".join(lines[: at + 1])
+    if hazard == "header-only":
+        return HEADER, HEADER
+    if hazard == "blank-line":
+        lines.insert(at, "\n")
+    elif hazard == "x-before-timestamp":  # the 25 bytes before the first comma are good
+        lines[at] = "x" + lines[at]
+    elif hazard in ("lyïng", "LYING", "Lying", "standings"):
+        lines[at] = ",".join([stamp, *cells[:4], hazard]) + "\n"
+    else:  # a count
+        lines[at] = ",".join([stamp, hazard, *cells[1:]]) + "\n"
+    return HEADER + "".join(lines), HEADER + "".join(lines)
+
+
+HAZARDS = ["crlf", "lone-cr", "bom", "lyïng", "no-final-newline", "header-only", "blank-line",
+           "x-before-timestamp", "LYING", "Lying", "standings", "0009", "1000000000",
+           "1000000001", str(2**64 + 5)]
+
+
+def _parse_epochs(text):
+    return epochs_of(parse_epoch_csv(text))
+
+
+class TestBytePath:
+    """A chunk of lines read from its bytes, or refused to the csv record path, parses
+    as the reference reads the file a row at a time."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("hazard", HAZARDS)
+    def test_hazard_matches_reference(self, hazard, block_rows, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        for at in range(9):
+            text, reference = _with_hazard(hazard, at)
+            got = _epochs_or_fault(_parse_epochs, text)
+            assert got == _epochs_or_fault(lambda t: ref_parse(t).epochs, reference), at
+
+    # a quoted "5\n" count after one or more chunks read from their bytes: one csv reader
+    # reads on, so the bad cell after it is named by its physical line
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_quoted_count_spanning_lines_after_plain_chunks(self, block_rows, bad, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        lines = _canonical_lines(12)
+        lines[8] = lines[8].replace(",8,", ',"5\n",', 1)  # data line 8 is lines 10 and 11
+        if bad:
+            lines[10] = lines[10].replace(",10,", ",x,", 1)  # line 13
+        got = _epochs_or_fault(_parse_epochs, HEADER + "".join(lines))
+        if bad:
+            assert got == (MalformedRow, "line 13: axis1 'x' is not an integer")
+        else:
+            assert got == _epochs_or_fault(lambda t: ref_parse(t).epochs, HEADER + "".join(lines))
+            assert got[8].axis1 == 5
+
+    # a refused chunk costs only itself: the chunks after it are read from their bytes
+    def test_a_refused_chunk_alone_is_read_as_records(self, monkeypatch):
+        lines = _canonical_lines(12)
+        lines[4] = lines[4].replace("+00:00,", "Z,")
+        read, epoch_rows = [], ingest._epoch_rows
+
+        def record_path(numbers, rows):
+            read.append(numbers)
+            return epoch_rows(numbers, rows)
+
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 3)
+        monkeypatch.setattr(ingest, "_epoch_rows", record_path)
+        assert _parse_epochs(HEADER + "".join(lines)) == ref_parse(HEADER + "".join(lines)).epochs
+        assert read == [[5, 6, 7]]
+
+    # a quoted field runs on to a byte that is not UTF-8: the reader that reads the rest of
+    # the file meets the bad byte before the field ends, so that is the fault
+    def test_a_quoted_field_open_at_a_byte_that_is_not_utf8(self, tmp_path):
+        lines = [line.encode() for line in _canonical_lines(600)]
+        lines[2] = lines[2].replace(b",2,", b',"2,', 1)
+        lines[400] = lines[400].replace(b"off", b"\xe9t\xe9")  # line 402, about 16 kB on
+        path = tmp_path / "rec.csv"
+        path.write_bytes(HEADER.encode() + b"".join(lines))
+        with pytest.raises(ParseError) as info:
+            read_input(path, parse_epoch_csv)
+        assert str(info.value) == "line 402: not UTF-8"
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 1024])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_canonical_lines_never_reach_the_record_path(self, block_rows, end, monkeypatch):
+        text = (HEADER + "".join(_canonical_lines(20))).replace("\n", end)
+        expected = ref_parse(text).epochs
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(ingest, "_epoch_rows", None)  # calling it would fail
+        assert _parse_epochs(text) == expected
 
 
 CRITERION_10_SHA256 = "ceabdf6109429fb4f393680687fc0a718ae25c10fabceed1a7e4f3f6af0de365"
