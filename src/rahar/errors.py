@@ -30,10 +30,10 @@ class ParseError(RaharError):
 
 
 class MalformedRow(ParseError):
-    """A CSV row has the wrong shape or an unparseable field."""
+    """A CSV row has the wrong shape or an unparseable field (a value read alone: no line)."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int | None, message: str):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import string
 from array import array
 from dataclasses import dataclass, replace
@@ -195,19 +196,6 @@ class Gap:
     after_index: int  # index of the epoch preceding the gap
 
 
-def _parse_timestamp(token: str, line_number: int) -> datetime:
-    # Accept a trailing Z as UTC; datetime.fromisoformat needs an explicit offset.
-    if token.endswith("Z"):
-        token = token[:-1] + "+00:00"
-    try:
-        value = datetime.fromisoformat(token)
-    except ValueError:
-        raise MalformedRow(line_number, f"bad timestamp {token!r}")
-    if value.tzinfo is None:
-        raise MalformedRow(line_number, f"timestamp {token!r} has no UTC offset")
-    return value
-
-
 # The cell rules of every input table, whose cells are padded with ASCII
 # whitespace only.  ``int()`` and ``float()`` alone also read a sign on a count,
 # ``_`` separators (``1_0`` is 10) and other scripts' digits (``١٢`` is 12).
@@ -320,13 +308,13 @@ T = TypeVar("T")
 
 
 def read_input(path: str | Path, parse: Callable[[TextIO], T], fault: type = ParseError) -> T:
-    """``parse(stream)`` of the input file ``path``, opened as UTF-8 with the csv
-    module's ``newline=""``: the one place an input file is opened as text.  A
-    file that cannot be opened is a :class:`ParseError` naming it.  A fault in
-    its contents (a byte that is not UTF-8, named by its line, or a
+    """``parse(stream)`` of the input file ``path``, opened as UTF-8 (a leading
+    byte-order mark dropped) with the csv module's ``newline=""``: the one place an
+    input file is opened as text.  A file that cannot be opened is a :class:`ParseError`
+    naming it.  A fault in its contents (a byte that is not UTF-8, named by its line, or a
     :class:`ParseError` of ``parse``) is raised as its format's ``fault``."""
     try:
-        stream = open(path, encoding="utf-8", newline="")
+        stream = open(path, encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise ParseError(f"input {path} does not exist") from None
     except OSError as exc:
@@ -355,13 +343,15 @@ def parse_epoch_csv(
     """Parse an epoch CSV into an :class:`EpochSeries`, preserving row order.
 
     The header must be exactly ``timestamp,axis1,axis2,axis3,steps,inclinometer``;
-    timestamps are ISO-8601 with an explicit UTC offset, inclinometer tokens
+    a timestamp is ``YYYY-MM-DD``, ``T`` or a space, ``HH:MM:SS`` (``.`` and 1 to 6 digits
+    or not), then ``Z`` or ``±HH:MM``, every field in range; inclinometer tokens
     are ``off|standing|sitting|lying`` in any letter case, and counts are ASCII digits
     for an integer in ``[0, MAX_COUNT]``.  Cells are stripped of ASCII whitespace only.
-    A string is read as the same bytes in a file would be.
+    A string is read as the same bytes in a file would be, byte-order mark and all.
     """
-    stream = io.StringIO(source, newline="") if isinstance(source, str) else source
-    head, blocks = [*islice(stream, 1)], []
+    if isinstance(source, str):  # a leading byte-order mark dropped, as read_input drops it
+        source = io.StringIO(source.removeprefix("\ufeff"), newline="")
+    head, blocks, stream = [*islice(source, 1)], [], source
     # another header, a '"' or a byte not UTF-8: one csv reader reads the rest of the file
     whole = "".join(head).rstrip("\r\n") != ",".join(CSV_HEADER)
     for after in count(0, BLOCK_ROWS):  # the lines between the header and the chunk
@@ -392,6 +382,9 @@ _SEPARATORS = np.flatnonzero((_CANONICAL != ord("0")) & (_CANONICAL != ord("+"))
 # each inclinometer token as 8 zero-padded bytes read as one word, and its code
 _TOKEN_WORDS = np.array([*_INCLINOMETER_CODES], "S8").view(np.uint64)
 _TOKEN_CODES = np.array([*_INCLINOMETER_CODES.values()], np.uint8)
+# every timestamp form a record may hold, ASCII only; _canonical_instants range-checks it
+_TIMESTAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[T ]([0-9]{2}:[0-9]{2}:[0-9]{2})"
+                        r"(?:\.([0-9]{1,6}))?(Z|[+-][0-9]{2}:[0-9]{2})?")
 
 
 def _plain_columns(chunk: list[str], text: str) -> tuple | None:
@@ -412,7 +405,7 @@ def _plain_columns(chunk: list[str], text: str) -> tuple | None:
     fits = (widths > 0) & (widths <= [[10], [10], [10], [10], [8]])
     if starts[0] or (starts[1:] != ends[:-1] + 1).any() or not fits.all():
         return None
-    instants = _canonical_instants(chars.take(starts[:, None] + np.arange(25)))
+    utc_us, offset_us, valid = _canonical_instants(chars.take(starts[:, None] + np.arange(25)))
     token = np.arange(1, 9)  # up to 8 bytes after the last comma, zeros past the token
     words = chars.take(commas[4, :, None] + token, mode="clip") * (token <= widths[4, :, None])
     known = words.view(np.uint64) == _TOKEN_WORDS  # a row per line, a column per token
@@ -422,13 +415,13 @@ def _plain_columns(chunk: list[str], text: str) -> tuple | None:
     counts = digits[0].astype(np.int64)
     for row in digits[1:]:
         counts = counts * 10 + row
-    if instants is None or not known.any(1).all() or digits.max() > 9 or counts.max() > MAX_COUNT:
+    if not valid.all() or not known.any(1).all() or digits.max() > 9 or counts.max() > MAX_COUNT:
         return None
-    return *instants, counts.T, _TOKEN_CODES[known.argmax(1)]
+    return utc_us, offset_us, counts.T, _TOKEN_CODES[known.argmax(1)]
 
 
-def _canonical_instants(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """UTC and offset microseconds of (n, 25) timestamp bytes all in that form and range."""
+def _canonical_instants(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """UTC and offset microseconds of (n, 25) timestamp bytes, and which are in form and range."""
     digits = chars[:, _DIGITS] - ord("0")  # uint8: a byte below "0" wraps past 9
     sign = 44 - chars[:, 19].astype(np.int64)  # "+" is byte 43 and "-" byte 45
     pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
@@ -437,29 +430,46 @@ def _canonical_instants(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     first, after = np.array([months, months + 1], "datetime64[D]").view(np.int64)  # since 1970
     valid = (chars[:, _SEPARATORS] == _CANONICAL[_SEPARATORS]).all(1) & (digits <= 9).all(1)
     valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
-    if not (valid.all() and (pairs[:, 4:] <= [23, 59, 59, 23, 59]).all() and (sign**2 == 1).all()):
-        return None
+    valid &= (pairs[:, 4:] <= [23, 59, 59, 23, 59]).all(1) & (sign**2 == 1)
     local_s = (first + day - 1) * 86400 + pairs[:, 4:7] @ [3600, 60, 1]  # + hh:mm:ss
     offset_s = sign * (pairs[:, 7:] @ [3600, 60])
-    return (local_s - offset_s) * 1_000_000, offset_s * 1_000_000
+    return (local_s - offset_s) * 1_000_000, offset_s * 1_000_000, valid
 
 
 def _epoch_rows(lines: list[int], rows: list[list[str]]) -> tuple:
     """The columns of a block of epoch records read a record at a time, faults in file order."""
-    table, states = array("q"), bytearray()  # utc_us, offset_us and four counts a record
-    for line_number, (stamp, axis1, axis2, axis3, steps, token) in zip(lines, rows):
-        table.extend(split_instant(_parse_timestamp(stamp.strip(PADDING), line_number)))
-        table.append(count_cell(axis1, line_number, "axis1"))
-        table.append(count_cell(axis2, line_number, "axis2"))
-        table.append(count_cell(axis3, line_number, "axis3"))
-        table.append(count_cell(steps, line_number, "steps"))
-        token = token.strip(PADDING)
-        code = _INCLINOMETER_CODES.get(token.upper())
-        if code is None:
-            raise UnknownInclinometer(line_number, token)
-        states.append(code)
-    table = np.frombuffer(table, np.int64).reshape(-1, 6)
-    return table[:, 0], table[:, 1], table[:, 2:], np.frombuffer(states, np.uint8)
+    stamps, table, states = bytearray(), array("q"), bytearray()  # canonical 25-byte stamps,
+    try:  # each record's microseconds past its second and four counts, inclinometer codes
+        for line, (stamp, axis1, axis2, axis3, steps, token) in zip(lines, rows):
+            match = _TIMESTAMP.fullmatch(stamp := stamp.strip(PADDING))
+            if not match or not match[4]:
+                fault = "timestamp {!r} has no UTC offset" if match else "bad timestamp {!r}"
+                raise MalformedRow(line, fault.format(stamp))
+            date, time, fraction, offset = match.groups()
+            stamps += f"{date}T{time}{'+00:00' if offset == 'Z' else offset}".encode()
+            table.extend((int((fraction or "0").ljust(6, "0")), count_cell(axis1, line, "axis1"),
+                          count_cell(axis2, line, "axis2"), count_cell(axis3, line, "axis3"),
+                          count_cell(steps, line, "steps")))
+            token = token.strip(PADDING)
+            code = _INCLINOMETER_CODES.get(token.upper())
+            if code is None:
+                raise UnknownInclinometer(line, token)
+            states.append(code)
+    finally:  # a timestamp out of range on a line up to a fault raised is raised in its place
+        utc_us, offset_us, valid = _canonical_instants(np.frombuffer(stamps, (np.uint8, 25)))
+        if not valid.all():
+            i = valid.argmin()
+            raise MalformedRow(lines[i], f"bad timestamp {rows[i][0].strip(PADDING)!r}") from None
+    table = np.frombuffer(table, np.int64).reshape(-1, 5)
+    return utc_us + table[:, 0], offset_us, table[:, 1:], np.frombuffer(states, np.uint8)
+
+
+def read_timestamp(text: str) -> datetime:
+    """``text`` read by the epoch CSV timestamp rule as an aware datetime; a fault names no line."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a timestamp string, got {text!r}")
+    (utc_us,), (offset_us,), *_ = _epoch_rows([None], [[text, "0", "0", "0", "0", "off"]])
+    return _aware(utc_us, offset_us)
 
 
 def serialize_epoch_csv(series: EpochSeries, stream: TextIO) -> None:

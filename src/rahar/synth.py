@@ -26,8 +26,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import InvalidProfile
-from .ingest import MAX_COUNT, EpochSeries, Inclinometer, read_input, split_instant
+from .errors import InvalidProfile, ParseError
+from .ingest import MAX_COUNT, EpochSeries, Inclinometer, read_input, read_timestamp, split_instant
 from .reports import write_json, write_outputs
 from .sleep import SleepPeriod, SleepRules
 
@@ -116,7 +116,7 @@ class DayProfile:
     schedule: tuple[ActivityBlock, ...] = _json(_blocks, lambda b: [*map(profile_to_dict, b)])
     noise: float = _json(_real, default=0.0)
     seed: int = _json(_whole, default=0)
-    start: datetime = _json(datetime.fromisoformat, datetime.isoformat,
+    start: datetime = _json(read_timestamp, datetime.isoformat,
                             default=datetime(2014, 9, 1, 0, 0, tzinfo=timezone.utc))
 
 
@@ -286,7 +286,7 @@ def _from_json(cls, item, place: str):
         try:
             if f.name in item:
                 values[f.name] = f.metadata["read"](item[f.name])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, ParseError) as exc:
             raise InvalidProfile(f"{name}: {exc}") from None
     return cls(**values)
 

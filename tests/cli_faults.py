@@ -185,6 +185,10 @@ CASES = [
          "parse error: line 4: axis1 'x' is not an integer",
          {"multiline.csv": EPOCH_HEADER + '2014-09-01T22:00:00+03:00,"0\n",0,0,0,off\n'
           "2014-09-01T22:01:00+03:00,x,0,0,0,off\n"}),
+    # an offset minute of 60 is out of range, not read as the next hour
+    case("validate-offset-minute-60", "validate --in offset.csv", PARSE,
+         "parse error: line 3: bad timestamp '2014-09-01T22:01:00+05:60'",
+         {"offset.csv": epochs("0,0,0,0,off") + "2014-09-01T22:01:00+05:60,0,0,0,0,off\n"}),
     case("validate-field-over-limit", "validate --in day.csv", PARSE,
          "parse error: line 2: field larger than field limit (131072)",
          {"day.csv": epochs("5,0,0,0," + "x" * 200_000)}),

@@ -290,16 +290,39 @@ def series_of(epochs, epoch_length: timedelta = timedelta(seconds=60)) -> EpochS
     )
 
 
+# The documented timestamp forms: date, "T" or a space, time, an optional fraction of
+# 1 to 6 digits, and "Z" or a signed offset; re.ASCII keeps \d to the digits 0-9.
+REF_TIMESTAMP = re.compile(
+    r"(\d{4})-(\d\d)-(\d\d)[T ](\d\d):(\d\d):(\d\d)(?:\.(\d{1,6}))?(?:(Z)|([+-])(\d\d):(\d\d))?",
+    re.ASCII,
+)
+DAYS_IN_MONTH = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+
+
 def ref_parse_timestamp(token: str, line_number: int) -> datetime:
-    if token.endswith("Z"):
-        token = token[:-1] + "+00:00"
-    try:
-        value = datetime.fromisoformat(token)
-    except ValueError:
+    """A timestamp cell, padding stripped, by the regular expression and field ranges alone."""
+    match = REF_TIMESTAMP.fullmatch(token)
+    if match is None:
         raise MalformedRow(line_number, f"bad timestamp {token!r}")
-    if value.utcoffset() is None:
+    year, month, day, hour, minute, second = (int(g) for g in match.groups()[:6])
+    fraction, zulu, sign, offset_hour, offset_minute = match.groups()[6:]
+    if zulu is None and sign is None:
         raise MalformedRow(line_number, f"timestamp {token!r} has no UTC offset")
-    return value
+    offset_hour, offset_minute = (0, 0) if zulu else (int(offset_hour), int(offset_minute))
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    in_range = (
+        year >= 1
+        and 1 <= month <= 12
+        and 1 <= day <= DAYS_IN_MONTH[month - 1] + (month == 2 and leap)
+        and hour <= 23 and minute <= 59 and second <= 59
+        and offset_hour <= 23 and offset_minute <= 59
+    )
+    if not in_range:
+        raise MalformedRow(line_number, f"bad timestamp {token!r}")
+    offset = (offset_hour * 60 + offset_minute) * (-1 if sign == "-" else 1)
+    microsecond = int((fraction or "0").ljust(6, "0"))
+    return datetime(year, month, day, hour, minute, second, microsecond,
+                    timezone(timedelta(minutes=offset)))
 
 
 def ref_parse_count(token: str, name: str, line_number: int) -> int:

@@ -367,7 +367,7 @@ def table_csvs(draw, header: str, row_of, ranges: dict) -> tuple[str, bool]:
         refused |= fault in ("header", "fields", "label", "overlong")
         if fault == "header":
             first = draw(st.sampled_from([
-                header.upper(), header.rsplit(",", 1)[0], "", "\ufeff" + header, header + ",extra",
+                header.upper(), header.rsplit(",", 1)[0], "", "\ufeff\ufeff" + header, header + ",extra",
             ]))
             continue
         row = row_of(6 + n)

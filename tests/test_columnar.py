@@ -147,8 +147,9 @@ def epoch_files(draw, corruption: str | None = None):
             row[0] = _stamp(instants[r - 1][0] - 2 * MINUTE, offset, False)
         elif corruption == "off_grid":
             row[0] = _stamp(utc + timedelta(seconds=30), offset, False)
-        elif corruption == "unaligned":
-            row[0] = _stamp(utc, offset + timedelta(seconds=30), False)
+        elif corruption == "unaligned":  # every row 30 s past its minute, a minute apart
+            for (utc, offset), fields in zip(instants, rows):
+                fields[0] = _stamp(utc + timedelta(seconds=30), offset, False)
         elif corruption == "padding":
             pad, j = draw(st.sampled_from(NON_ASCII_PADS)), draw(st.integers(0, 5))
             row[j] = draw(st.sampled_from([pad + row[j], row[j] + pad]))
@@ -289,7 +290,7 @@ class TestAgainstReference:
 # besides the common ones, most of them not in the canonical form, and bad cells
 ODD_CELLS = [
     ["2016-02-29T23:59:59+00:00", "2016-02-29T23:59:59Z", "2014-09-01T22:00:00.5+00:00",
-     " 2014-09-01T22:00:00+00:00\t", "2014-09-01 22:00:00-05:30", "2014-09-01T22:00:00+05:60"],
+     " 2014-09-01T22:00:00+00:00\t", "2014-09-01 22:00:00-05:30"],
     *[[" 7", "7\t", "00000000005"]] * 4,
     ["Off", " lying", "SITTING\t"],
 ]
@@ -298,7 +299,8 @@ BAD_CELLS = [
      "2014-09-00T00:00:00+00:00", "2015-02-29T00:00:00+00:00", "1900-02-29T00:00:00+00:00",
      "2016-02-29T24:00:00+00:00", "2016-02-29T23:60:00+00:00", "2016-02-29T23:59:60+00:00",
      "2016-02-29T23:59:59+24:00", "0000-01-01T00:00:00+00:00", "2016-02-29T23:59:59~05:00",
-     "2014/09-01T22:00:00+00:00", "2014-09-01T22.00:00+00:00", "2016-02-29T23:59:59"],
+     "2014/09-01T22:00:00+00:00", "2014-09-01T22.00:00+00:00", "2016-02-29T23:59:59",
+     "2014-09-01T22:00:00+05:60"],
     *[["x", "-3", str(MAX_COUNT + 1), "", "1_0", "\u0663", "99999999999"]] * 4,
     ["prone", "lying\u00a0"],
 ]
@@ -424,8 +426,8 @@ def _with_hazard(hazard: str, at: int) -> tuple[str, str]:
     if hazard == "lone-cr":  # a lone CR ends a line, as the csv module reads it
         lines[at] = lines[at].replace("\n", "\r")
         return HEADER + "".join(lines), HEADER + "".join(lines).replace("\r", "\n")
-    if hazard == "bom":
-        return "\ufeff" + HEADER + "".join(lines), "\ufeff" + HEADER + "".join(lines)
+    if hazard == "bom":  # a byte-order mark, as a spreadsheet writes one, is dropped
+        return "\ufeff" + HEADER + "".join(lines), HEADER + "".join(lines)
     if hazard == "no-final-newline":
         return (HEADER + "".join(lines[: at + 1])).rstrip("\n"), HEADER + "".join(lines[: at + 1])
     if hazard == "header-only":

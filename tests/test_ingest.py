@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rahar import ingest
 from rahar.cli import _read_scored
 from rahar.errors import (
     DuplicateTimestamp,
@@ -35,12 +36,13 @@ from rahar.ingest import (
     find_gaps,
     parse_epoch_csv,
     read_input,
+    read_timestamp,
     serialize_epoch_csv,
     validate_series,
 )
 
 from conftest import make_series
-from oracles import epochs_of, series_of
+from oracles import epochs_of, ref_parse, series_of
 
 HEADER = "timestamp,axis1,axis2,axis3,steps,inclinometer\n"
 CSV_HEADER_FIELDS = HEADER.strip().split(",")
@@ -321,6 +323,22 @@ def test_crlf_line_ends_read_as_lf(kind, tmp_path):
     assert faults[0] == faults[1] and faults[0].startswith(f"line {good.count(chr(10)) + 1}: ")
 
 
+@pytest.mark.parametrize("kind", CSV_TABLES)
+def test_a_byte_order_mark_is_dropped(kind, tmp_path):
+    # as a spreadsheet's "CSV UTF-8" export begins; a second mark stays in the header
+    good = CSV_TABLES[kind][0]
+    results = []
+    for prefix in ("", "\ufeff", "\ufeff\ufeff"):
+        path = tmp_path / f"{len(prefix)}.csv"
+        path.write_bytes((prefix + good).encode())
+        try:
+            results.append(_read_table_file(kind, path))
+        except (ParseError, InvalidScale) as exc:
+            results.append(str(exc))
+    assert results[1] == results[0]
+    assert "bad " in results[2] and "header" in results[2]
+
+
 # parse_epoch_csv reads a string as read_input reads the same bytes from a file:
 # with the csv module's newline="", so a carriage return ends a line, or stays
 # in a quoted cell, alike in both
@@ -329,6 +347,7 @@ LINE_END_CASES = {
     "crlf": HEADER + "2014-09-01T22:00:00+00:00,5,0,1,2,sitting\n",
     "quoted-cr": HEADER + '2014-09-01T22:00:00+00:00,"0\r",0,1,2,sitting\n',
     "quoted-crlf": HEADER + '2014-09-01T22:00:00+00:00,"0\r\n",0,1,2,sitting\n',
+    "bom": "\ufeff" + HEADER + "2014-09-01T22:00:00+00:00,5,0,1,2,sitting\n",
 }
 
 
@@ -357,7 +376,7 @@ def test_a_string_parses_as_the_same_bytes_in_a_file(end, bad_row, tmp_path):
         quoted_lines = 2 if end.startswith("quoted") else 1
         assert from_file == (MalformedRow, f"line {2 + quoted_lines}: axis1 'x' is not an integer")
     else:
-        assert from_file[1] == [[5 if end in ("cr-only", "crlf") else 0, 0, 1, 2]]
+        assert from_file[1] == [[5 if end in ("cr-only", "crlf", "bom") else 0, 0, 1, 2]]
 
 
 def test_a_bad_cell_comes_before_a_later_byte_that_is_not_utf8(tmp_path):
@@ -370,3 +389,86 @@ def test_a_bad_cell_comes_before_a_later_byte_that_is_not_utf8(tmp_path):
     with pytest.raises(MalformedRow) as info:
         read_input(path, parse_epoch_csv)
     assert str(info.value) == "line 3: axis1 'x' is not an integer"
+
+
+# Every timestamp form, and what it reads as: the timestamp written back in its own
+# offset, or the parse fault. One rule reads all of them whatever the Python version.
+BAD = "bad timestamp {!r}"
+TIMESTAMP_FORMS = [
+    ("2014-09-01T22:00:00+00:00", "2014-09-01T22:00:00+00:00"),
+    ("2014-09-01T22:00:00Z", "2014-09-01T22:00:00+00:00"),
+    ("2014-09-01 22:00:00+03:00", "2014-09-01T22:00:00+03:00"),
+    ("2014-09-01T22:00:00.5Z", "2014-09-01T22:00:00.500000+00:00"),
+    ("2014-09-01T22:00:00.123456+00:00", "2014-09-01T22:00:00.123456+00:00"),
+    (" \t2014-09-01T22:00:00Z\x0b ", "2014-09-01T22:00:00+00:00"),
+    ("2014-09-01T22:00:00-05:30", "2014-09-01T22:00:00-05:30"),
+    ("2014-09-01T22:00:00+14:00", "2014-09-01T22:00:00+14:00"),
+    ("2014-09-01T22:00:00-00:00", "2014-09-01T22:00:00+00:00"),
+    ("2016-02-29T23:59:59-23:59", "2016-02-29T23:59:59-23:59"),
+    ("0001-01-01T00:00:00+05:00", "0001-01-01T00:00:00+05:00"),
+    ("9999-12-31T23:59:59-05:00", "9999-12-31T23:59:59-05:00"),
+    ("2014-09-01T22:00:00", "timestamp '2014-09-01T22:00:00' has no UTC offset"),
+    ("2014-09-01 22:00:00.5", "timestamp '2014-09-01 22:00:00.5' has no UTC offset"),
+    ("2014-09-01T22:00:00z", BAD),
+    ("2014-09-01t22:00:00Z", BAD),
+    ("20140901T220000+0000", BAD),
+    ("2014-09-01T22:00:00+0000", BAD),
+    ("2014-W36-1T22:00+00:00", BAD),
+    ("2014-09-01T22+00:00", BAD),
+    ("2014-09-01T22:00+00:00", BAD),
+    ("2014-09-01X22:00:00+00:00", BAD),
+    ("2014-09-01", BAD),
+    ("2014-09-01T22:00:00+05:60", BAD),
+    ("2014-09-01T22:00:00+05:30:15", BAD),
+    ("2014-09-01T22:00:00,5+00:00", BAD),
+    ("2014-09-01T22:00:00.1234567+00:00", BAD),
+    ("2014-09-01T22:01:00.5.5Z", BAD),
+    ("2014-09-01T24:00:00+00:00", BAD),
+    ("2014-09-01T22:00:00+24:00", BAD),
+    ("2014-13-01T22:00:00+00:00", BAD),
+    ("2015-02-29T22:00:00+00:00", BAD),
+    ("0000-12-31T22:00:00+00:00", BAD),
+    ("2014-09-01T22:00:0０+00:00", BAD),  # a full-width zero
+    ("2014-09-01T22:00:00 +00:00", BAD),
+]
+
+
+def _read_form(read, cell):
+    try:
+        return read(cell).isoformat()
+    except (MalformedRow, ValueError) as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cell, expected", TIMESTAMP_FORMS, ids=[c for c, _ in TIMESTAMP_FORMS])
+def test_timestamp_form(cell, expected):
+    expected = expected.format(cell.strip(" \t\x0b")) if expected == BAD else expected
+    refused = not expected[:1].isdigit()
+    # alone in a file, and after a line in the canonical form on one path or the other
+    for before in ("", "2014-09-01T21:59:00+00:00,0,0,0,0,off\n"):
+        text = HEADER + before + (f'"{cell}"' if "," in cell else cell) + ",0,0,0,0,off\n"
+        line = 2 + bool(before)
+        got = _read_form(lambda t: parse_epoch_csv(t).timestamp(line - 2), text)
+        assert got == (f"line {line}: {expected}" if refused else expected)
+        assert _read_form(lambda t: ref_parse(t).epochs[line - 2].timestamp, text) == got
+    # a day profile's start reads by the same rule
+    assert _read_form(read_timestamp, cell) == expected
+
+
+@pytest.mark.parametrize("rows, fault", [
+    # a field out of range on an earlier line, or earlier in the same line, comes first
+    (["2014-09-01T22:00:00+05:60,0,0,0,0,off", "2014-09-01T22:01:00+00:00,x,0,0,0,off"],
+     "line 2: bad timestamp '2014-09-01T22:00:00+05:60'"),
+    (["2014-09-01T22:00:00+00:00,0,0,0,0,off", "2014-02-30T22:01:00Z,x,0,0,0,prone"],
+     "line 3: bad timestamp '2014-02-30T22:01:00Z'"),
+    (["2014-09-01T22:00:00+00:00,x,0,0,0,off", "2014-13-01T22:01:00Z,0,0,0,0,off"],
+     "line 2: axis1 'x' is not an integer"),
+    (["2014-09-01T22:00:00Z,0,0,0,0,prone", "2014-09-01T24:01:00Z,0,0,0,0,off"],
+     "line 2: unknown inclinometer state 'prone'"),
+])
+@pytest.mark.parametrize("block_rows", [1, 2])
+def test_timestamp_fault_in_file_order(rows, fault, block_rows, monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    with pytest.raises(ParseError) as caught:
+        parse_epoch_csv(csv_text(rows))
+    assert str(caught.value) == fault

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
+from datetime import datetime
 
 import pytest
 
@@ -163,11 +165,12 @@ class TestProfileValidation:
             generate(day_profile(noise=1.5))
 
     def test_start_without_utc_offset_rejected(self):
-        profile = profile_from_dict(
-            {"start": "2014-09-01T00:00:00",
-             "schedule": [{"mode": "sleep", "duration_min": 100},
-                          {"mode": "sedentary", "duration_min": 60}]}
-        )
+        # a JSON start is read by the epoch CSV timestamp rule; a datetime by generate
+        schedule = [{"mode": "sleep", "duration_min": 100}, {"mode": "sedentary", "duration_min": 60}]
+        with pytest.raises(InvalidProfile) as caught:
+            profile_from_dict({"start": "2014-09-01T00:00:00", "schedule": schedule})
+        assert str(caught.value) == "start: timestamp '2014-09-01T00:00:00' has no UTC offset"
+        profile = replace(profile_from_dict({"schedule": schedule}), start=datetime(2014, 9, 1))
         with pytest.raises(InvalidProfile, match="UTC offset"):
             generate(profile)
 
@@ -255,7 +258,9 @@ class TestProfileJson:
          "schedule[1]: expected an object, got 5"),
         ({"schedule": [{"mode": "sleep"}]}, "schedule[0].duration_min: missing"),
         ({"schedule": [{"duration_min": 9}]}, "schedule[0].mode: missing"),
-        ({"start": 5, "schedule": []}, "start: fromisoformat: argument must be str"),
+        ({"start": 5, "schedule": []}, "start: expected a timestamp string, got 5"),
+        ({"start": "2014-09-01T00:00:00+05:60", "schedule": []},
+         "start: bad timestamp '2014-09-01T00:00:00+05:60'"),
     ])
     def test_bad_shape_names_its_place(self, payload, message):
         with pytest.raises(InvalidProfile) as caught:
