@@ -307,12 +307,12 @@ def read_table(stream: TextIO, header: list[str], kind: str = "") -> Iterator[tu
 T = TypeVar("T")
 
 
-def read_input(path: str | Path, parse: Callable[[TextIO], T], fault: type = ParseError) -> T:
+def read_input(path: str | Path, parse: Callable[[Iterable[str]], T], fault: type = ParseError) -> T:
     """``parse(stream)`` of the input file ``path``, opened as UTF-8 (a leading
     byte-order mark dropped) with the csv module's ``newline=""``: the one place an
     input file is opened as text.  A file that cannot be opened is a :class:`ParseError`
-    naming it.  A fault in its contents (a byte that is not UTF-8, named by its line, or a
-    :class:`ParseError` of ``parse``) is raised as its format's ``fault``."""
+    naming it.  The first fault in its contents (a byte that is not UTF-8, named by its
+    line, or a :class:`ParseError` of ``parse``) is raised as its format's ``fault``."""
     try:
         stream = open(path, encoding="utf-8-sig", newline="")
     except FileNotFoundError:
@@ -321,16 +321,28 @@ def read_input(path: str | Path, parse: Callable[[TextIO], T], fault: type = Par
         raise ParseError(f"input {path}: {exc.strerror}") from None
     with stream:
         try:
-            return parse(stream)
+            try:
+                return parse(stream)
+            except UnicodeDecodeError:  # decoded ahead of the lines parsed: parse again, a
+                parse(_decoded_lines(path))  # line at a time, so a fault before it comes first
+                raise
         except UnicodeDecodeError:
             raise fault(f"line {_first_line_not_utf8(path)}: not UTF-8") from None
         except ParseError as exc:
             raise exc if isinstance(exc, fault) else fault(str(exc)) from None
 
 
+def _decoded_lines(path: str | Path) -> Iterator[str]:
+    """The lines of ``path`` as :func:`read_input` reads them, each decoded alone."""
+    with open(path, "rb") as fh:  # no UTF-8 sequence holds a CR or LF byte
+        lines = fh.read().splitlines(keepends=True)  # at LF, CRLF or CR, as newline=""
+    for number, line in enumerate(lines):
+        yield line.decode("utf-8-sig" if number == 0 else "utf-8")
+
+
 def _first_line_not_utf8(path: str | Path) -> int:
-    with open(path, "rb") as fh:  # no UTF-8 sequence holds a newline byte
-        for number, line in enumerate(fh, 1):
+    with open(path, "rb") as fh:  # no UTF-8 sequence holds a CR or LF byte
+        for number, line in enumerate(fh.read().splitlines(), 1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError:

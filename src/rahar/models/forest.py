@@ -1,10 +1,11 @@
 """Random forest of Gini-split binary trees.
 
 Trees are grown on bootstrap samples to purity (or until no usable split
-remains), with ``mtry`` features drawn per node.  Leaves store their
-class-1 fraction; the forest score is the mean leaf value over trees, so
-purity-grown trees cast hard 0/1 votes and degenerate trees fall back to
-their bootstrap class prior.  All randomness derives from per-tree
+remains), with ``mtry`` features drawn per node.  A tree holds each distinct
+training row once, weighted by how often its bootstrap drew it.  Leaves
+store their class-1 fraction; the forest score is the mean leaf value over
+trees, so purity-grown trees cast hard 0/1 votes and degenerate trees fall
+back to their bootstrap class prior.  All randomness derives from per-tree
 streams seeded by (seed, tree index), so a forest is reproducible
 regardless of training order.
 """
@@ -90,23 +91,24 @@ class RandomForestModel:
         }
 
 
-def _best_node_split(X, y, rows, features, min_leaf):
-    """(feature, threshold) minimizing weighted child Gini; None when unsplittable.
+def _best_node_split(columns, weights, groups, n, features, min_leaf):
+    """(feature, threshold, rows left, positives left) minimizing weighted child Gini over
+    ``n`` rows: ``columns[:, g]`` for each g in ``groups``, ``weights[0][g]`` times with
+    ``weights[1][g]`` positives; None when unsplittable.
 
     Features are searched in the order given and cuts in ascending order;
     a cut replaces the best one only when it lowers the impurity by more
     than 1e-15, so near-ties go to the earlier feature and smaller cut.
     """
-    n = len(rows)
-    cols = X[rows[None, :], features[:, None]]
-    order = np.argsort(cols, axis=1, kind="stable")
-    sorted_cols = cols[np.arange(len(features))[:, None], order]
-    left_pos = np.cumsum(y[rows][order], axis=1)
-    lo, hi = min_leaf - 1, n - min_leaf
+    by_value = groups[columns[features[:, None], groups].argsort(1, kind="stable")]
+    sorted_cols = columns[features[:, None], by_value]
+    left_n, left_pos = (w[by_value].cumsum(1) for w in weights)
     # every (feature, cut) between two distinct values, feature-major as searched
-    f, i = np.nonzero(sorted_cols[:, lo:hi] != sorted_cols[:, lo + 1 : hi + 1])
-    i += lo
-    n_left = i + 1  # both sides hold at least min_leaf >= 1 rows
+    cuts = sorted_cols[:, :-1] != sorted_cols[:, 1:]
+    if min_leaf > 1:  # else every cut leaves a row on each side, as each group has one
+        cuts &= (left_n[:, :-1] >= min_leaf) & (left_n[:, :-1] <= n - min_leaf)
+    f, i = cuts.nonzero()
+    n_left = left_n[f, i]
     n_right = n - n_left
     pos = left_pos[f, i]
     p_left = pos / n_left
@@ -118,28 +120,29 @@ def _best_node_split(X, y, rows, features, min_leaf):
     if kept < 0:
         return None
     f, i = f[kept], i[kept]
-    return features[f], cut_threshold(sorted_cols[f, i], sorted_cols[f, i + 1])
+    threshold = cut_threshold(sorted_cols[f, i], sorted_cols[f, i + 1])
+    return features[f], threshold, int(n_left[kept]), int(pos[kept])
 
 
-def _grow(X, y, rows, rng, mtry, min_leaf) -> _Node:
-    pos = int(y[rows].sum())
-    n = len(rows)
+def _grow(columns, weights, groups, n, pos, rng, mtry, min_leaf) -> _Node:
+    """A tree on ``groups`` (see :func:`_best_node_split`), ``pos`` of its ``n`` rows positive."""
     if pos == 0 or pos == n or n < 2 * min_leaf:
         return _Node(leaf_value=pos / n)
-    d = X.shape[1]
+    d = len(columns)
+    # drawn also where no cut can part the rows, so that later nodes draw as they did
     sampled = np.sort(rng.choice(d, size=min(mtry, d), replace=False))
-    split = _best_node_split(X, y, rows, sampled, min_leaf)
+    if (columns[:, groups[0]] == columns[:, groups[-1]]).all():  # groups are sorted: all alike
+        return _Node(leaf_value=pos / n)
+    split = _best_node_split(columns, weights, groups, n, sampled, min_leaf)
+    if split is None and len(sampled) < d:  # the sampled features are constant here: try all
+        split = _best_node_split(columns, weights, groups, n, np.arange(d), min_leaf)
     if split is None:
-        # the sampled features are constant here; retry with all features so a
-        # usable split elsewhere is not missed, then give up
-        if len(sampled) < d:
-            split = _best_node_split(X, y, rows, np.arange(d), min_leaf)
-        if split is None:
-            return _Node(leaf_value=pos / n)
-    feature, threshold = split
-    go_left = X[rows, feature] <= threshold
-    left = _grow(X, y, rows[go_left], rng, mtry, min_leaf)
-    right = _grow(X, y, rows[~go_left], rng, mtry, min_leaf)
+        return _Node(leaf_value=pos / n)
+    feature, threshold, n_left, pos_left = split
+    go_left = columns[feature][groups] <= threshold
+    grow = lambda rows, n, pos: _grow(columns, weights, rows, n, pos, rng, mtry, min_leaf)
+    left = grow(groups[go_left], n_left, pos_left)
+    right = grow(groups[~go_left], n - n_left, pos - pos_left)
     return _Node(feature=int(feature), threshold=float(threshold), left=left, right=right)
 
 
@@ -149,15 +152,23 @@ def train_random_forest(X, y, config: ForestConfig | None = None) -> RandomFores
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     if len(np.unique(y)) < 2:
         raise ClassCollapse("training labels contain a single class")
     n, d = X.shape
     mtry = config.mtry if config.mtry is not None else math.ceil(math.sqrt(d))
+    # the distinct (features, label) rows, sorted: rows of one feature vector are adjacent
+    distinct, group_of = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
+    columns, labels = np.ascontiguousarray(distinct[:, :-1].T), distinct[:, -1].astype(np.int64)
     trees = []
     for tree_index in range(config.trees):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([config.seed, tree_index]))
         )
         bootstrap = rng.integers(0, n, size=n)
-        trees.append(_grow(X, y, bootstrap, rng, mtry, config.min_leaf))
+        counts = np.bincount(group_of[bootstrap], minlength=len(distinct)).astype(float)
+        weights = counts, counts * labels  # float: exact, and no casts in the search
+        trees.append(_grow(columns, weights, np.flatnonzero(counts), n,
+                           int(weights[1].sum()), rng, mtry, config.min_leaf))
     return RandomForestModel(trees=trees, n_features=d, config=config)

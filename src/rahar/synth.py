@@ -138,6 +138,8 @@ def validate_profile(profile: DayProfile, rules: SleepRules | None = None) -> No
         raise InvalidProfile("seed must be non-negative")
     if profile.start.utcoffset() is None:
         raise InvalidProfile("start must carry a UTC offset; epoch CSVs require one")
+    if profile.start.second or profile.start.microsecond:  # epochs are whole minutes
+        raise InvalidProfile(f"start must be on a whole minute, got {profile.start.isoformat()}")
     awake_since_sleep = None  # None until the first sleep block is seen
     for i, block in enumerate(profile.schedule):
         place = f"schedule[{i}]"
@@ -307,7 +309,7 @@ def profile_from_dict(payload: dict) -> DayProfile:
 
 def _parse_profile(stream: TextIO) -> DayProfile:
     try:
-        payload = json.load(stream)
+        payload = json.loads("".join(stream))
     except json.JSONDecodeError as exc:
         raise InvalidProfile(f"not JSON: {exc}") from None
     return profile_from_dict(payload)

@@ -413,6 +413,13 @@ CASES = [
           ("schedule-empty", '{"schedule": []}', "schedule is empty"),
           ("seed--1", '{"seed": -1, "schedule": [{"mode": "light", "duration_min": 60}]}',
            "seed must be non-negative"),
+          # an epoch CSV's timestamps are on whole minutes
+          *((f"start-{name}", f'{{"start": "{start}", "schedule": [{{"mode": "light", '
+             '"duration_min": 60}]}', f"start must be on a whole minute, got {shown}")
+            for name, start, shown in [
+                ("second-30", "2014-09-01T00:00:30+00:00", "2014-09-01T00:00:30+00:00"),
+                ("fraction", "2014-09-01T00:00:00.5+00:00", "2014-09-01T00:00:00.500000+00:00"),
+            ]),
       ]),
     # the age is a run parameter (--age): a recording cannot carry one
     case("synth-subject", SYNTH, PARSE,

@@ -18,6 +18,7 @@ import numpy as np
 
 from rahar.cutpoints import IntensityLevel
 from rahar.models.boosting import _EPS, Stump
+from rahar.models.forest import RandomForestModel, _Node
 from rahar.errors import (
     DuplicateTimestamp,
     GapDetected,
@@ -525,8 +526,13 @@ def _gini(pos: float, total: float) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def ref_best_node_split(X, y, rows, features, min_leaf):
-    """(feature, threshold) minimizing weighted child Gini; None when unsplittable."""
+def midpoint(lower: float, upper: float) -> float:
+    return (lower + upper) / 2.0
+
+
+def ref_best_node_split(X, y, rows, features, min_leaf, cut=midpoint):
+    """(feature, threshold) minimizing weighted child Gini; None when unsplittable.
+    The threshold is ``cut`` of the two values on either side of the best cut."""
     best = None
     best_impurity = np.inf
     n = len(rows)
@@ -548,8 +554,50 @@ def ref_best_node_split(X, y, rows, features, min_leaf):
             ) / n
             if impurity < best_impurity - 1e-15:
                 best_impurity = impurity
-                best = (feature, (sorted_col[i] + sorted_col[i + 1]) / 2.0)
+                best = (feature, cut(sorted_col[i], sorted_col[i + 1]))
     return best
+
+
+def forest_cut(lower: float, upper: float) -> float:
+    """The midpoint, or ``lower`` where the midpoint rounds up to ``upper``."""
+    return midpoint(lower, upper) if midpoint(lower, upper) < upper else lower
+
+
+def ref_train_random_forest(X, y, config) -> RandomForestModel:
+    """The forest grown on each bootstrap as a list of row indices, repeats and all,
+    searched with :func:`ref_best_node_split`; the tree nodes draw from the tree's
+    stream in the order they are grown, left before right."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    mtry = config.mtry if config.mtry is not None else math.ceil(math.sqrt(d))
+    trees = []
+    for tree_index in range(config.trees):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([config.seed, tree_index]))
+        )
+        bootstrap = rng.integers(0, n, size=n)
+        trees.append(_ref_grow(X, y, bootstrap, rng, mtry, config.min_leaf))
+    return RandomForestModel(trees=trees, n_features=d, config=config)
+
+
+def _ref_grow(X, y, rows, rng, mtry: int, min_leaf: int) -> _Node:
+    pos = int(y[rows].sum())
+    n = len(rows)
+    if pos == 0 or pos == n or n < 2 * min_leaf:
+        return _Node(leaf_value=pos / n)
+    d = X.shape[1]
+    sampled = np.sort(rng.choice(d, size=min(mtry, d), replace=False))
+    split = ref_best_node_split(X, y, rows, sampled, min_leaf, forest_cut)
+    if split is None and len(sampled) < d:  # the sampled features are constant: try all
+        split = ref_best_node_split(X, y, rows, range(d), min_leaf, forest_cut)
+    if split is None:
+        return _Node(leaf_value=pos / n)
+    feature, threshold = split
+    go_left = X[rows, feature] <= threshold
+    left = _ref_grow(X, y, rows[go_left], rng, mtry, min_leaf)
+    right = _ref_grow(X, y, rows[~go_left], rng, mtry, min_leaf)
+    return _Node(feature=int(feature), threshold=float(threshold), left=left, right=right)
 
 
 def ref_best_stump(X: np.ndarray, y_signed: np.ndarray, weights: np.ndarray):

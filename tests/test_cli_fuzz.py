@@ -207,6 +207,8 @@ def bad_blocks(draw) -> str:
     start=st.sampled_from([
         "2014-09-01T00:00:00+00:00", "9999-12-31T23:00:00+00:00", "9999-12-31T20:00:00-05:00",
         "0001-01-01T00:00:00+05:00", "2014-09-01T00:00:00", "2014-13-01T00:00:00+00:00",
+        "2014-09-01T00:00:30+00:00", "2014-09-01T00:00:00.5+00:00", "2014-09-01T23:59:59.999999Z",
+        "2014-09-01T05:30:00+05:30",
     ]),
 )
 def test_bad_day_profiles(blocks, start):

@@ -391,6 +391,34 @@ def test_a_bad_cell_comes_before_a_later_byte_that_is_not_utf8(tmp_path):
     assert str(info.value) == "line 3: axis1 'x' is not an integer"
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_bad_cell_in_the_chunk_decoded_with_a_byte_that_is_not_utf8(tmp_path, end):
+    # the decoder reads 8 kB at a time, so it meets line 402's byte before lines 217-401
+    # are handed out; line 302's cell is still the fault reported, as the first in the file
+    rows = [f"2014-09-01T{m // 60:02d}:{m % 60:02d}:00+00:00,0,0,0,0,off".encode() for m in range(600)]
+    rows[300] = rows[300].replace(b",0,0,0,0,", b",x,0,0,0,")  # line 302
+    rows[400] = rows[400].replace(b"off", b"\xe9t\xe9")  # line 402
+    path = tmp_path / "rec.csv"
+    path.write_bytes(end.join([HEADER.rstrip("\n").encode(), *rows, b""]))
+    with pytest.raises(MalformedRow) as info:
+        read_input(path, parse_epoch_csv)
+    assert str(info.value) == "line 302: axis1 'x' is not an integer"
+    # with no bad cell the byte is the fault
+    rows[300] = rows[299]
+    path.write_bytes(end.join([HEADER.rstrip("\n").encode(), *rows, b""]))
+    with pytest.raises(ParseError) as info:
+        read_input(path, parse_epoch_csv)
+    assert str(info.value) == "line 402: not UTF-8"
+
+
+def test_a_bad_cell_before_a_byte_that_is_not_utf8_in_another_table(tmp_path):
+    path = tmp_path / "scored.csv"
+    path.write_bytes(b"score,label\n0.5,1\nx,1\n0.5,\xe9\n")
+    with pytest.raises(MalformedRow) as info:
+        read_input(path, _read_scored)
+    assert str(info.value) == "line 3: bad score 'x'"
+
+
 # Every timestamp form, and what it reads as: the timestamp written back in its own
 # offset, or the parse fault. One rule reads all of them whatever the Python version.
 BAD = "bad timestamp {!r}"

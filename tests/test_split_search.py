@@ -25,7 +25,13 @@ from rahar.models.boosting import _best_stump
 from rahar.models.forest import _best_node_split
 from rahar.models.search import sequential_argmin
 
-from oracles import ref_best_node_split, ref_best_stump, ref_predict_one, ref_sequential_argmin
+from oracles import (
+    ref_best_node_split,
+    ref_best_stump,
+    ref_predict_one,
+    ref_sequential_argmin,
+    ref_train_random_forest,
+)
 
 TOLERANCES = st.sampled_from([0.0, 1e-15, 1e-12])
 
@@ -100,17 +106,27 @@ def assert_same_cut(column: np.ndarray, got: float, want: float) -> None:
         assert want in column and (lower + want) / 2.0 == want and got == lower
 
 
+def grouped(X, y, rows):
+    """The bootstrap ``rows`` as ``_best_node_split`` takes them: the feature columns,
+    each row's count in ``rows`` and positives among them, the rows drawn, their total."""
+    counts = np.bincount(rows, minlength=len(X)).astype(float)
+    return X.T, (counts, counts * y), np.flatnonzero(counts), len(rows)
+
+
 class TestNodeSplit:
     @given(problem=node_problems())
     @settings(max_examples=150, deadline=None)
     def test_equals_reference_loop(self, problem):
-        got = _best_node_split(*problem)
+        X, y, rows, features, min_leaf = problem
+        got = _best_node_split(*grouped(X, y, rows), features, min_leaf)
         want = ref_best_node_split(*problem)
         assert (got is None) == (want is None)
         if want is not None:
-            assert int(got[0]) == int(want[0])
-            X, _, rows, _, _ = problem
-            assert_same_cut(X[rows, want[0]], got[1], want[1])
+            feature, threshold, n_left, pos_left = got
+            assert int(feature) == int(want[0])
+            assert_same_cut(X[rows, want[0]], threshold, want[1])
+            left = X[rows, feature] <= threshold
+            assert (n_left, pos_left) == (left.sum(), y[rows][left].sum())
 
 
 @st.composite
@@ -150,6 +166,15 @@ def test_forest_rejects_no_trees():
     # an empty forest would average zero votes into NaN scores
     with pytest.raises(ValueError):
         ForestConfig(trees=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_forest_rejects_values_that_are_not_finite(value):
+    # trees group rows by ==, which NaN never meets, and a cut beside an infinite value
+    # would show which of 0.0 and -0.0 the bootstrap drew
+    X = np.array([[0.0], [1.0], [value], [2.0]])
+    with pytest.raises(ValueError, match="^X must be finite$"):
+        train_random_forest(X, np.array([0, 1, 0, 1]))
 
 
 def adjacent_floats() -> tuple[float, float]:
@@ -193,6 +218,75 @@ class TestForestPrediction:
         for tree in model.trees:
             want += [ref_predict_one(tree, row) for row in X]
         assert model.predict_scores(X).tobytes() == (want / len(model.trees)).tobytes()
+
+
+# feature values with ties, zeros of either sign, and neighbours 1e-16 apart
+FOREST_LEVELS = [0.0, -0.0, 0.3, 0.3 + 1e-16, 0.3 - 1e-16, 1 / 3, 0.5, 1.0, -2.0]
+
+
+@st.composite
+def forest_problems(draw):
+    """A few distinct rows repeated many times, a column constant or not, either class."""
+    d = draw(st.integers(1, 4))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), d),
+                           elements=st.sampled_from(FOREST_LEVELS)))
+    n = draw(st.integers(2, 40))
+    X = pool[draw(hnp.arrays(np.int64, n, elements=st.integers(0, len(pool) - 1)))]
+    if draw(st.booleans()):  # a constant column
+        X[:, draw(st.integers(0, d - 1))] = draw(st.sampled_from(FOREST_LEVELS))
+    # the same row with a zero of the other sign
+    flip = draw(hnp.arrays(np.bool_, (n, d)))
+    X = np.where((X == 0) & flip, -X, X)
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    if len(np.unique(y)) < 2:  # a forest needs both classes
+        y[draw(st.integers(0, n - 1))] ^= 1
+    config = ForestConfig(
+        trees=draw(st.integers(1, 6)),
+        mtry=draw(st.sampled_from([None, 1, 2, 3, 5])),
+        min_leaf=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return X, y, config
+
+
+def same_forest(X, y, config) -> None:
+    """The forest and the row-list oracle grow the same trees and score alike."""
+    got, want = train_random_forest(X, y, config), ref_train_random_forest(X, y, config)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    probe = np.vstack([X, np.full((1, X.shape[1]), 0.3), -X])
+    assert got.predict_scores(probe).tobytes() == want.predict_scores(probe).tobytes()
+
+
+class TestForestGrowsOnDistinctRows:
+    """The forest grown on distinct rows and bootstrap counts against the row-list oracle."""
+
+    @given(problem=forest_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_row_list_oracle(self, problem):
+        same_forest(*problem)
+
+    @given(problem=node_problems(jitter=1e-9), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_row_list_oracle_on_rows_mostly_distinct(self, problem, seed):
+        X, y, _, _, min_leaf = problem
+        y = y if len(np.unique(y)) == 2 else np.arange(len(y)) % 2
+        same_forest(X, y, ForestConfig(trees=4, mtry=1, min_leaf=min_leaf, seed=seed))
+
+    def test_a_leaf_of_rows_alike_still_makes_its_draw(self):
+        # the left child holds (1, 0, 0) twice, once of each class, so no cut parts it; it
+        # draws its feature all the same, and so the right child draws feature 0, as the
+        # row-list grower does: had the left child not drawn, the right would split on 2
+        X = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        y = np.array([0, 1, 0, 1])
+        config = ForestConfig(trees=1, mtry=1, seed=31)
+        tree = train_random_forest(X, y, config).trees[0].to_dict()
+        assert tree["left"] == {"leaf": 0.5} and tree["right"]["feature"] == 0
+        same_forest(X, y, config)
+
+    def test_pinned_datasets(self):
+        X, y = pinned_dataset()
+        same_forest(X, y, ForestConfig(trees=25, seed=11))
+        same_forest(X, y, ForestConfig(trees=10, mtry=1, min_leaf=2, seed=5))
 
 
 def pinned_dataset():
