@@ -84,8 +84,6 @@ def _validate_band(band: AgeBand, maxima: tuple[float, float, float]) -> None:
         raise InvalidScale(f"sedentary_max must be greater than -1, got {maxima[0]}")
     if not (b[0] < b[1] < b[2] < b[3]):
         raise InvalidScale(f"sedentary_max < light_max < moderate_max must hold, got {maxima}")
-    if not math.isinf(b[3]):
-        raise InvalidScale("last bound must be +inf so bands cover [0, +inf)")
 
 
 def make_scale(name: str, rows: list[tuple[int, int, float, float, float]]) -> CutPointScale:

@@ -94,12 +94,6 @@ class InvalidScale(RaharError):
     """Cut-point scale fails its structural invariants or lacks an age band."""
 
 
-# --- sleep metrics ---------------------------------------------------------
-
-class DegenerateBed(RaharError):
-    """Total minutes in bed is zero, so efficiency is undefined."""
-
-
 # --- segmentation / features ------------------------------------------------
 
 class EmptyAwakeSpan(RaharError):

@@ -324,29 +324,28 @@ def read_input(path: str | Path, parse: Callable[[Iterable[str]], T], fault: typ
             try:
                 return parse(stream)
             except UnicodeDecodeError:  # decoded ahead of the lines parsed: parse again, a
-                parse(_decoded_lines(path))  # line at a time, so a fault before it comes first
-                raise
-        except UnicodeDecodeError:
-            raise fault(f"line {_first_line_not_utf8(path)}: not UTF-8") from None
+                return parse(_decoded_lines(path))  # line at a time, so a fault before it comes first
+        except UnicodeDecodeError as exc:
+            raise fault(f"line {exc.line_number}: not UTF-8") from None
         except ParseError as exc:
             raise exc if isinstance(exc, fault) else fault(str(exc)) from None
 
 
 def _decoded_lines(path: str | Path) -> Iterator[str]:
-    """The lines of ``path`` as :func:`read_input` reads them, each decoded alone."""
+    """The lines of ``path`` as :func:`read_input` reads them, each decoded alone.  A line
+    that is not UTF-8 raises its ``UnicodeDecodeError``, with the line's number set as
+    ``line_number``."""
+    number = 0
     with open(path, "rb") as fh:  # no UTF-8 sequence holds a CR or LF byte
-        lines = fh.read().splitlines(keepends=True)  # at LF, CRLF or CR, as newline=""
-    for number, line in enumerate(lines):
-        yield line.decode("utf-8-sig" if number == 0 else "utf-8")
-
-
-def _first_line_not_utf8(path: str | Path) -> int:
-    with open(path, "rb") as fh:  # no UTF-8 sequence holds a CR or LF byte
-        for number, line in enumerate(fh.read().splitlines(), 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return number
+        for chunk in fh:  # ended by LF; split again at CR, as newline="" splits
+            for line in chunk.splitlines(keepends=True):
+                number += 1
+                try:
+                    text = line.decode("utf-8-sig" if number == 1 else "utf-8")
+                except UnicodeDecodeError as exc:
+                    exc.line_number = number
+                    raise
+                yield text
 
 
 def parse_epoch_csv(

@@ -11,12 +11,11 @@ feature, then the smaller threshold, then positive polarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ClassCollapse, DimensionMismatch
-from .search import cut_threshold, sequential_argmin
+from .search import cut_threshold, scoring_input, sequential_argmin, training_input
 
 _EPS = 1e-12
 
@@ -47,10 +46,8 @@ class AdaBoostModel:
     n_features: int
     config: AdaBoostConfig
 
-    kind: str = field(default="adaboost", init=False)
-
     def margin(self, X) -> np.ndarray:
-        X = self._check(X)
+        X = scoring_input(X, self.n_features)
         if not self.stumps:
             return np.zeros(X.shape[0])
         total = np.zeros(X.shape[0])
@@ -69,7 +66,7 @@ class AdaBoostModel:
         exponential objective (see :meth:`staged_exponential_losses`)
         strictly decreases.
         """
-        X = self._check(X)
+        X = scoring_input(X, self.n_features)
         y_signed = np.where(np.asarray(y) == 1, 1.0, -1.0)
         total = np.zeros(X.shape[0])
         errors = []
@@ -83,7 +80,7 @@ class AdaBoostModel:
         """Mean exp(-y*F_t(x)) after each round: the objective boosting
         minimizes, non-increasing on any dataset (each committed round
         multiplies it by 2*sqrt(err*(1-err)) < 1)."""
-        X = self._check(X)
+        X = scoring_input(X, self.n_features)
         y_signed = np.where(np.asarray(y) == 1, 1.0, -1.0)
         margin = np.zeros(X.shape[0])
         losses = []
@@ -91,23 +88,6 @@ class AdaBoostModel:
             margin += w * stump.predict(X)
             losses.append(float(np.mean(np.exp(-y_signed * margin))))
         return losses
-
-    def _check(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(f"expected {self.n_features} features, got {X.shape}")
-        return X
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rounds": len(self.stumps),
-            "stumps": [
-                {"feature": s.feature, "threshold": s.threshold, "polarity": s.polarity}
-                for s in self.stumps
-            ],
-            "round_weights": list(self.round_weights),
-        }
 
 
 def _best_stump(X: np.ndarray, y_signed: np.ndarray, weights: np.ndarray):
@@ -139,12 +119,7 @@ def _best_stump(X: np.ndarray, y_signed: np.ndarray, weights: np.ndarray):
 
 def train_adaboost(X, y, config: AdaBoostConfig | None = None) -> AdaBoostModel:
     config = config or AdaBoostConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if len(np.unique(y)) < 2:
-        raise ClassCollapse("training labels contain a single class")
+    X, y = training_input(X, y)
     n = X.shape[0]
     y_signed = np.where(y == 1, 1.0, -1.0)
     weights = np.full(n, 1.0 / n)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ClassCollapse, DimensionMismatch
-from .search import cut_threshold, sequential_argmin
+from .search import cut_threshold, scoring_input, sequential_argmin, training_input
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,7 @@ class RandomForestModel:
     kind: str = field(default="random_forest", init=False)
 
     def predict_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(f"expected {self.n_features} features, got {X.shape}")
+        X = scoring_input(X, self.n_features)
         scores = np.zeros(X.shape[0])
         rows = np.arange(X.shape[0])
         leaf_values = np.empty(X.shape[0])
@@ -148,14 +145,7 @@ def _grow(columns, weights, groups, n, pos, rng, mtry, min_leaf) -> _Node:
 
 def train_random_forest(X, y, config: ForestConfig | None = None) -> RandomForestModel:
     config = config or ForestConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
-    if len(np.unique(y)) < 2:
-        raise ClassCollapse("training labels contain a single class")
+    X, y = training_input(X, y)
     n, d = X.shape
     mtry = config.mtry if config.mtry is not None else math.ceil(math.sqrt(d))
     # the distinct (features, label) rows, sorted: rows of one feature vector are adjacent

@@ -9,11 +9,11 @@ the natural likelihood behaviour.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ClassCollapse, DimensionMismatch
+from .search import scoring_input, training_input
 
 
 @dataclass(frozen=True)
@@ -29,27 +29,10 @@ class LogisticModel:
     intercept: float
     config: LogRegConfig
     converged: bool = True
-    n_iter: int = 0
-
-    kind: str = field(default="logreg", init=False)
 
     def predict_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.weights.shape[0]:
-            raise DimensionMismatch(
-                f"expected {self.weights.shape[0]} features, got {X.shape}"
-            )
-        z = X @ self.weights + self.intercept
+        z = scoring_input(X, len(self.weights)) @ self.weights + self.intercept
         return _sigmoid(z)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weights": [float(w) for w in self.weights],
-            "intercept": float(self.intercept),
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-        }
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -64,14 +47,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def train_logreg(X, y, config: LogRegConfig | None = None) -> LogisticModel:
     """Newton/IRLS fit; converged when the largest parameter change < tol."""
     config = config or LogRegConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
+    X, y = training_input(X, y)
     n, d = X.shape
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise ClassCollapse("training labels contain a single class")
 
     beta = np.zeros(d + 1)  # [intercept, weights]
     Xb = np.hstack([np.ones((n, 1)), X])
@@ -79,8 +56,7 @@ def train_logreg(X, y, config: LogRegConfig | None = None) -> LogisticModel:
     penalty[0] = 0.0  # intercept is unpenalized
 
     converged = False
-    it = 0
-    for it in range(1, config.max_iter + 1):
+    for _ in range(config.max_iter):
         p = _sigmoid(Xb @ beta)
         p = np.clip(p, 1e-12, 1.0 - 1e-12)
         grad = Xb.T @ (p - y) / n + penalty * beta
@@ -104,5 +80,4 @@ def train_logreg(X, y, config: LogRegConfig | None = None) -> LogisticModel:
         intercept=float(beta[0]),
         config=config,
         converged=converged,
-        n_iter=it,
     )

@@ -20,28 +20,28 @@ from .evaluation import EvalReport, evaluate
 from .forest import ForestConfig, train_random_forest
 from .logreg import LogRegConfig, train_logreg
 
-MODEL_KINDS = ("logreg", "adaboost", "rf")
+# each model kind: its default config for a seed, and its trainer
+_MODELS = {
+    "logreg": (lambda seed: LogRegConfig(), train_logreg),
+    "adaboost": (lambda seed: AdaBoostConfig(seed=seed), train_adaboost),
+    "rf": (lambda seed: ForestConfig(seed=seed), train_random_forest),
+}
+MODEL_KINDS = tuple(_MODELS)
+
+
+def _model(kind: str):
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    return _MODELS[kind]
 
 
 def make_config(kind: str, seed: int = 0):
-    if kind == "logreg":
-        return LogRegConfig()
-    if kind == "adaboost":
-        return AdaBoostConfig(seed=seed)
-    if kind == "rf":
-        return ForestConfig(seed=seed)
-    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    return _model(kind)[0](seed)
 
 
 def train(kind: str, X, y, config=None, seed: int = 0):
-    config = config if config is not None else make_config(kind, seed=seed)
-    if kind == "logreg":
-        return train_logreg(X, y, config)
-    if kind == "adaboost":
-        return train_adaboost(X, y, config)
-    if kind == "rf":
-        return train_random_forest(X, y, config)
-    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    default_config, fit = _model(kind)
+    return fit(X, y, config if config is not None else default_config(seed))
 
 
 def stratified_folds(y, folds: int, seed: int = 0) -> np.ndarray:

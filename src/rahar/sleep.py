@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutpoints import IntensityLevel
-from .errors import DegenerateBed
 from .ingest import EpochSeries, Inclinometer
 
 
@@ -201,8 +200,6 @@ def compute_metrics(
     waso = compute_waso(mask, period, rules)
     latency, sedentary_start = compute_latency(intensity, period)
     tmb = duration + latency
-    if tmb == 0:
-        raise DegenerateBed("total minutes in bed is zero")
     tst = duration - waso - latency
     floored = tst < 0
     if floored:

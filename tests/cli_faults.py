@@ -292,6 +292,8 @@ CASES = [
           ("one-class", 0, 2, "training labels contain a single class"),
           ("fewer-poor-than-folds", 2, 3, "class 0 has 2 members, fewer than 3 folds"),
       ]),
+    case("train-rf-header-only", "train --in ds.csv --model rf --out-dir models", EMPTY_DATASET,
+         "empty dataset: dataset file has no rows", dataset()),
 
     # a dataset CSV (`train`) that does not parse
     *(case(f"train-{name}", TRAIN, PARSE, f"parse error: {message}", {"ds.csv": text})
@@ -413,6 +415,9 @@ CASES = [
           ("schedule-empty", '{"schedule": []}', "schedule is empty"),
           ("seed--1", '{"seed": -1, "schedule": [{"mode": "light", "duration_min": 60}]}',
            "seed must be non-negative"),
+          ("count-over-ceiling", '{"seed": 1, "schedule": [{"mode": "light", "duration_min": 60,'
+           ' "mean_counts": [1000000000, 1, 1], "dispersion": 1}]}',
+           "a drawn count exceeds the ceiling of 1000000000; lower the means"),
           # an epoch CSV's timestamps are on whole minutes
           *((f"start-{name}", f'{{"start": "{start}", "schedule": [{{"mode": "light", '
              '"duration_min": 60}]}', f"start must be on a whole minute, got {shown}")
