@@ -14,18 +14,21 @@ the split that maximizes Q across all current segments, tests it by
 permuting observations within segments, and commits it while the
 permutation p-value stays at or below the significance level.
 
-One prefix-sum kernel scores every split of a block of orderings at
-once: the identity ordering for the split scan, a block of permutations
-for the test.  It adds distance rows in the same sequence a column-wise
-cumulative sum would, so every statistic is bit-identical to the
-one-permutation-at-a-time formula.  Inside :func:`e_divisive` a test scores
-a small first block of ``FIRST_BLOCK`` permutations, then the usual
-blocks, and stops after the first block at which (1 + exceedances) /
-(R + 1) already exceeds the significance level; a rejected split is
-mostly decided by the first few permutations.  Such a rejected p-value
-never leaves the function, while a committed split always spends all R
-permutations and reports the exact p-value that :func:`permutation_test`
-returns.
+A segment keeps its alpha distances once, in float32 (each float64
+distance rounded once).  Row totals and the split scan are float64 sums
+of distance rows rebuilt from the observations, added in the order of
+the one-permutation-at-a-time formula, so observed statistics are
+bit-identical to it.  One prefix-sum kernel scores every split of a
+block of permutations on the float32 matrix within a proven error bound;
+only an ordering whose bounds straddle the observed Q is rescored
+exactly in float64, so p-values are bit-identical too.  Inside
+:func:`e_divisive` a test scores a small first block of ``FIRST_BLOCK``
+permutations, then the usual blocks, and stops after the first block at
+which (1 + exceedances) / (R + 1) already exceeds the significance
+level; a rejected split is mostly decided by the first few permutations.
+Such a rejected p-value never leaves the function, while a committed
+split always spends all R permutations and reports the exact p-value
+that :func:`permutation_test` returns.
 
 All randomness flows through per-permutation streams: permutation r of
 test i draws its orders from numpy's
@@ -44,18 +47,23 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SegmentTooSmall
 
-# Elements of one (block, L) float64 kernel buffer: about 256 KiB, so the
-# running sums stay cache resident while distance rows stream past.
+# Elements of one (block, L) float64 buffer: about 256 KiB.  A permutation
+# block's float32 running sums, twice as many, stay cache resident while
+# distance rows stream past.
 BLOCK_ELEMENTS = 32768
 # Permutations in the first block of an early-stopped test.  A rejected test
 # is decided by its first exceedance, which mostly falls in the first few
 # permutations; a committed test pays one extra kernel pass for it.
 FIRST_BLOCK = 8
+# Steps a float32 running sum of the permutation kernel takes before it is
+# added to a float64 one: its error bound grows with them, its cost falls.
+CHUNK = 64
 
 # The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
 # and of PCG64's 128-bit seeding
@@ -148,80 +156,81 @@ def energy_divergence(X, Y, alpha_exp: float = 1.0) -> tuple[float, float]:
     return float(e_hat), float(q_hat)
 
 
-def _alpha_distance_matrix(obs: np.ndarray, alpha_exp: float) -> np.ndarray:
-    """|obs_i - obs_j|^alpha for every pair, with an exactly zero diagonal.
-
-    Squared differences are added in axis order before the square root,
-    the order a pairwise Euclidean distance loop uses, so the entries are
-    the same bit for bit.  The output is filled a block of about
-    ``BLOCK_ELEMENTS`` elements of rows at a time, so besides the one L x L
-    result only a (block, L) difference buffer is live."""
-    length = obs.shape[0]
-    out = np.empty((length, length))
-    rows = max(1, BLOCK_ELEMENTS // max(length, 1))
-    diff = np.empty((min(rows, length), length))
-    for first in range(0, length, rows):
-        sq = out[first : first + rows]
-        d = diff[: sq.shape[0]]
-        sq.fill(0.0)
-        for k in range(obs.shape[1]):
-            np.subtract.outer(obs[first : first + rows, k], obs[:, k], out=d)
-            sq += np.square(d, out=d)
-        np.sqrt(sq, out=sq)
-        sq **= alpha_exp  # the same scalar fast paths (sqrt, copy, square) as `**`
+def _alpha_rows(obs: np.ndarray, index, alpha_exp: float, out: np.ndarray) -> np.ndarray:
+    """``out[i, j] = |obs[index][i] - obs[j]|^alpha`` in float64, squares
+    added in axis order before the square root as a pairwise Euclidean
+    distance loop adds them: the same bits in whichever rows it is built."""
+    diff, points = np.empty_like(out), obs[index]
+    out.fill(0.0)
+    for k in range(obs.shape[1]):
+        np.subtract.outer(points[:, k], obs[:, k], out=diff)
+        out += np.square(diff, out=diff)
+    np.sqrt(out, out=out)
+    out **= alpha_exp  # the same scalar fast paths (sqrt, copy, square) as `**`
     return out
 
 
-def _pair_increments(dist: np.ndarray, orders: np.ndarray, new_pair: np.ndarray) -> np.ndarray:
-    """new_pair[s, b] = sum over i < s of dist[orders[i, b], orders[s, b]],
-    written into the C-contiguous (L, block) buffer ``new_pair``.
+def _distance_rows(obs: np.ndarray, alpha_exp: float):
+    """Yield ``(first, rows)``: float64 alpha-distance rows, a block at a time."""
+    length = obs.shape[0]
+    step = max(1, BLOCK_ELEMENTS // max(length, 1))
+    buf = np.empty((min(step, length), length))
+    for first in range(0, length, step):
+        yield first, _alpha_rows(obs, slice(first, first + step), alpha_exp, buf[: length - first])
 
-    ``dist`` and the (L, block) ``orders``, one ordering per column, must be
-    C-contiguous (a strided view would be copied by every gather) and the
-    orderings at least two long.  A running (block, L) sum takes one
-    gathered distance row per ordering and step, so each entry is summed in
-    increasing i exactly as a column-wise cumulative sum of the row-gathered
-    matrix would.
+
+def _alpha_distance_matrix(obs: np.ndarray, alpha_exp: float) -> np.ndarray:
+    """|obs_i - obs_j|^alpha for every pair, with an exactly zero diagonal."""
+    out = np.empty((obs.shape[0], obs.shape[0]))
+    for first, rows in _distance_rows(obs, alpha_exp):
+        out[first : first + rows.shape[0]] = rows
+    return out
+
+
+def _pair_increments(take_rows, orders: np.ndarray, dtype) -> np.ndarray:
+    """new_pair[s, b] = sum over i < s of dist[orders[i, b], orders[s, b]]
+    as a float64 (L, block) array, for the C-contiguous (L, block)
+    ``orders``, one ordering of at least two per column.
+
+    ``take_rows(index, out=out)`` writes the distance rows ``index`` into
+    the (block, L) ``out`` of ``dtype``.  A running (block, L) sum in
+    ``dtype`` takes one row per ordering and step.  A float32 one is added
+    to a float64 sum and restarted every ``CHUNK`` steps; a float64 one
+    sums each entry in increasing i as a column-wise cumulative sum of the
+    row-gathered matrix would.
     """
     length, block = orders.shape
+    chunk = CHUNK if dtype == np.float32 else length
     # flat index of acc[b, orders[s, b]], laid out step by step
     cells = orders + np.arange(0, block * length, length)
-    acc = np.empty((block, length))
-    buf = np.empty_like(acc)
+    acc, flushed = np.zeros((block, length), dtype), np.zeros((block, length))
+    buf, part, new_pair = np.empty_like(acc), np.zeros(orders.shape, dtype), np.empty(orders.shape)
     # bound methods keep the per-step overhead low; indices are always in
     # range, and "clip" spares take() the buffered copy of its "raise" mode
-    take_row, take_cell = dist.take, acc.reshape(-1).take
+    take_cell, take_flushed = acc.reshape(-1).take, flushed.reshape(-1).take
     new_pair[0] = 0.0
-    take_row(orders[0], 0, acc, "clip")
-    take_cell(cells[1], None, new_pair[1], "clip")
-    for row, cell, out in zip(orders[1:-1], cells[2:], new_pair[2:]):
-        take_row(row, 0, buf, "clip")
+    for s, (row, cell, out) in enumerate(zip(orders[:-1], cells[1:], part[1:]), 1):
+        take_rows(row, out=buf)
         np.add(acc, buf, out=acc)
         take_cell(cell, None, out, "clip")
-    return new_pair
+        if s % chunk == 0 or s == length - 1:  # steps first .. s are done
+            first = s - (s - 1) % chunk
+            take_flushed(cells[first : s + 1], None, new_pair[first : s + 1], "clip")
+            flushed += acc
+            acc.fill(0.0)
+    return np.add(new_pair, part, out=new_pair)
 
 
-def _best_splits(
-    dist: np.ndarray, row_totals: np.ndarray, orders: np.ndarray, min_segment: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best (t, Q) of each ordering of the segment; ties go to the smallest t.
-
-    Under ordering ``orders[:, b]`` the left side of split t holds the
-    observations ``orders[:t, b]``.  Row sums are order-invariant, so only
-    the pair-prefix increments need the kernel; the doubly permuted
-    distance matrix is never materialized.  The prefix sums are taken in
-    place and Q is computed in their buffers, operation by operation as
+def _split_q(left_within: np.ndarray, row_cum: np.ndarray, total, min_segment: int) -> np.ndarray:
+    """Q at each split t = min_segment, ..., L - min_segment (rows) of each
+    ordering (columns).  Row s of the float64 (L, block) prefix sums
+    ``left_within`` (pair distances) and ``row_cum`` (row totals) covers the
+    first s + 1 observations.  Q is computed in their buffers, which it
+    overwrites, operation by operation as
     ``(nl nr / (nl + nr)) * (2 cross / (nl nr) - lw / C(nl, 2) - rw / C(nr, 2))``
-    reads, so only a few (L, block) buffers are live.
+    reads, with cross = row_cum - 2 lw and rw = total - lw - cross.
     """
-    length = orders.shape[0]
-    # row s of each prefix sum covers the first s + 1 observations
-    left_within = _pair_increments(dist, orders, np.empty(orders.shape))
-    np.cumsum(left_within, axis=0, out=left_within)
-    row_cum = row_totals.take(orders, None, np.empty(orders.shape), "clip")
-    np.cumsum(row_cum, axis=0, out=row_cum)
-
-    total_within = left_within[-1]
+    length = left_within.shape[0]
     t = np.arange(min_segment, length - min_segment + 1)
     n_left = t.astype(float)[:, None]
     n_right = (length - t).astype(float)[:, None]
@@ -229,7 +238,7 @@ def _best_splits(
     cross = row_cum[t[0] - 1 : t[-1]]
     rw = np.multiply(lw, 2.0)
     cross -= rw  # cross = row_cum - 2 lw
-    np.subtract(total_within, lw, out=rw)
+    np.subtract(total, lw, out=rw)
     rw -= cross  # rw = total - lw - cross
     q_hat = cross
     q_hat *= 2.0
@@ -239,21 +248,55 @@ def _best_splits(
     rw /= n_right * (n_right - 1.0) / 2.0
     q_hat -= rw
     q_hat *= n_left * n_right / (n_left + n_right)
-    k = np.argmax(q_hat, axis=0)  # first maximum = smallest split index
-    return t[k], q_hat[k, np.arange(q_hat.shape[1])]
+    return q_hat
 
 
-def _split_scan(dist: np.ndarray, min_segment: int) -> tuple[int, float]:
-    """Best split of one segment from its alpha-distance matrix.
+class _Segment(NamedTuple):
+    """A segment's observations, float32 matrix and what ``_scan`` reads."""
+    obs: np.ndarray
+    dist: np.ndarray
+    row_totals: np.ndarray
+    t: int
+    q: float
+    fits: bool
 
-    Evaluates Q at every split index t (left = first t observations) with
-    at least ``min_segment`` observations on each side, in O(L^2) via
-    prefix sums.
+
+def _scan(obs: np.ndarray, params: EnergyParams, dist: np.ndarray | None = None) -> tuple:
+    """Row totals of the segment's float64 alpha-distance matrix and its best
+    split (t, Q), ties to the smallest t, bit for bit from float64 rows
+    rebuilt a block at a time and added in the one-ordering formula's order.
+    Given an L x L float32 ``dist``, the rows are also rounded into it, and
+    the last item says whether float32 holds every distance (else None): no
+    positive one below 2**-126, where float32 loses its 2**-24 relative
+    precision, and L times the largest below 2**127, so no row sum overflows.
     """
-    dist = np.ascontiguousarray(dist)
-    identity = np.arange(dist.shape[0])[:, None]
-    t, q = _best_splits(dist, dist.sum(axis=1), identity, min_segment)
-    return int(t[0]), float(q[0])
+    length = obs.shape[0]
+    row_totals, new_pair, acc = np.empty(length), np.zeros(length), np.zeros(length)
+    largest, smallest = 0.0, np.inf
+    for first, rows in _distance_rows(obs, params.alpha_exp):
+        stop = first + rows.shape[0]
+        if dist is not None:
+            with np.errstate(over="ignore"):  # flagged below
+                dist[first:stop] = rows
+            largest = max(largest, rows.max())
+            smallest = min(smallest, rows.min(initial=np.inf, where=rows > 0.0))
+        row_totals[first:stop] = rows.sum(axis=1)
+        rows[0] += acc
+        np.cumsum(rows, axis=0, out=rows)  # row k: the sum of rows 0 .. first + k
+        s = np.arange(first + 1, min(stop + 1, length))
+        new_pair[s] = rows[s - 1 - first, s]
+        acc[:] = rows[-1]
+    left_within = np.cumsum(new_pair)[:, None]
+    q = _split_q(left_within, np.cumsum(row_totals)[:, None], left_within[-1], params.min_segment)
+    k = int(np.argmax(q[:, 0]))  # first maximum = smallest split index
+    fits = None if dist is None else bool(length * largest <= 2.0**127 and smallest >= 2.0**-126)
+    return row_totals, params.min_segment + k, float(q[k, 0]), fits
+
+
+def _segment(obs: np.ndarray, params: EnergyParams) -> _Segment:
+    """A segment's record, its float32 matrix rounded from the rows ``_scan`` reads."""
+    dist = np.empty((obs.shape[0], obs.shape[0]), np.float32)
+    return _Segment(obs, dist, *_scan(obs, params, dist))
 
 
 def best_split(span, params: EnergyParams | None = None) -> tuple[int, float]:
@@ -268,8 +311,7 @@ def best_split(span, params: EnergyParams | None = None) -> tuple[int, float]:
         raise SegmentTooSmall(
             f"span of {obs.shape[0]} observations cannot satisfy min_segment={params.min_segment}"
         )
-    dist = _alpha_distance_matrix(obs, params.alpha_exp)
-    return _split_scan(dist, params.min_segment)
+    return _scan(obs, params)[1:3]
 
 
 def _seed_words(n: int) -> list[int]:
@@ -362,6 +404,46 @@ def _draw_orders(
     return orders
 
 
+def _maxima(seg: _Segment, orders: np.ndarray, params: EnergyParams, exact: bool):
+    """max over t of Q under each ordering, as the float64 one-ordering
+    formula gives it: bit for bit when ``exact`` (each step's float64 rows
+    rebuilt from the observations), else bounds (lo, hi) of it from the
+    float32 matrix, with ``total`` the half-sum T of the row totals.  There
+    a distance is rounded once to a normal float32 (relative error u =
+    2**-24) and an increment is a float64 sum of float32 recursive sums of
+    at most ``CHUNK`` terms (Higham 2002, §4.2: gamma_n = n u / (1 - n u)),
+    so with lw cumulated in float64 as the float64 kernel's is, the two lw
+    differ by at most eps lw* <= eps (1 + 2 eps) lw, eps = 2 (CHUNK + 1) u,
+    lw* the exact sum (float64's gamma_2L fits in the margin for L < 2**32).
+    Both paths share the row prefix sums, and as cross = row_cum - 2 lw and
+    rw = total + lw - row_cum, Q is linear in lw with slope -h (4 / (nl nr)
+    + 1 / C(nl, 2) + 1 / C(nr, 2)), h = nl nr / (nl + nr).  The rest is
+    float64 rounding (T against the kernel's total, each path's few
+    operations on non-negative terms of at most 2 T, the bound itself),
+    which (L + 16) 2**-50 T times that slope covers.
+    """
+    length, m = orders.shape[0], params.min_segment
+    if exact:
+        take_rows = functools.partial(_alpha_rows, seg.obs, alpha_exp=params.alpha_exp)
+    else:
+        take_rows = functools.partial(seg.dist.take, axis=0, mode="clip")
+    left_within = _pair_increments(take_rows, orders, np.float64 if exact else np.float32)
+    np.cumsum(left_within, axis=0, out=left_within)
+    row_cum = seg.row_totals.take(orders, None, np.empty(orders.shape), "clip")
+    np.cumsum(row_cum, axis=0, out=row_cum)
+    if exact:
+        return _split_q(left_within, row_cum, left_within[-1], m).max(axis=0)
+    n_left = np.arange(m, length - m + 1.0)[:, None]
+    n_right = length - n_left
+    # h (4 / (nl nr) + 1 / C(nl, 2) + 1 / C(nr, 2)) with h = nl nr / L
+    slope = (4.0 + 2.0 * n_right / (n_left - 1.0) + 2.0 * n_left / (n_right - 1.0)) / length
+    eps, half_total = 2.0 * (CHUNK + 1) * 2.0**-24, seg.row_totals.sum() / 2.0
+    bound = left_within[m - 1 : length - m] * (eps * (1.0 + 2.0 * eps) * slope)
+    bound += (length + 16) * 2.0**-50 * half_total * slope
+    q_hat = _split_q(left_within, row_cum, half_total, m)
+    return np.subtract(q_hat, bound).max(axis=0), np.add(q_hat, bound, out=q_hat).max(axis=0)
+
+
 def permutation_test(
     current_segments: list,
     observed_stat: float,
@@ -378,46 +460,56 @@ def permutation_test(
     """
     params = params or EnergyParams()
     perm_cfg = perm_cfg or PermutationConfig()
-    matrices = [
-        _alpha_distance_matrix(_as_observations(seg), params.alpha_exp)
-        for seg in current_segments
+    segments = [
+        _segment(obs, params)
+        for obs in map(_as_observations, current_segments)
+        if obs.shape[0] >= 2 * params.min_segment
     ]
-    return _permutation_pvalue(matrices, observed_stat, params, perm_cfg, iteration_id)
+    return _permutation_pvalue(segments, observed_stat, params, perm_cfg, iteration_id)
 
 
 def _permutation_pvalue(
-    matrices: list[np.ndarray],
+    segments: list[_Segment],
     observed_stat: float,
     params: EnergyParams,
     perm_cfg: PermutationConfig,
     iteration_id: int,
     stop_above: float | None = None,
 ) -> float:
-    """p-value over R permutations, scored a block at a time.
+    """p-value over R permutations of the admissible ``segments``, scored a
+    block at a time on the float32 matrices: an ordering whose lower bound
+    reaches ``observed_stat`` exceeds it, one whose upper bound is below it
+    does not, and only the rest are rescored exactly (all of them where
+    float32 cannot hold some segment's distances).
 
     With ``stop_above`` set, the first block holds only ``FIRST_BLOCK``
     permutations, and the test returns after the first block at which the
     p-value is sure to exceed ``stop_above``; the value returned then is a
     lower bound, only good for that comparison.
     """
-    admissible = [
-        np.ascontiguousarray(d) for d in matrices if d.shape[0] >= 2 * params.min_segment
-    ]
-    row_totals = [d.sum(axis=1) for d in admissible]
     n_perm = perm_cfg.n_permutations
-    block = max(1, BLOCK_ELEMENTS // max((d.shape[0] for d in admissible), default=1))
+    block = max(1, 2 * BLOCK_ELEMENTS // max((s.obs.shape[0] for s in segments), default=1))
     starts = range(0, n_perm, block)
     if stop_above is not None:
         starts = [0, *range(min(FIRST_BLOCK, block), n_perm, block)]
+    bounded = all(s.fits for s in segments)
     exceed = 0
     for first, stop in zip(starts, [*starts[1:], n_perm]):
         orders = _draw_orders(
-            perm_cfg.master_seed, iteration_id, first, stop, [d.shape[0] for d in admissible]
+            perm_cfg.master_seed, iteration_id, first, stop, [s.obs.shape[0] for s in segments]
         )
-        stat = np.full(stop - first, -np.inf)
-        for dist, totals, o in zip(admissible, row_totals, orders):
-            np.maximum(stat, _best_splits(dist, totals, o, params.min_segment)[1], out=stat)
-        exceed += int(np.count_nonzero(stat >= observed_stat))
+        recheck = np.arange(stop - first)
+        if bounded:
+            lo, hi = bounds = np.full((2, stop - first), -np.inf)
+            for seg, o in zip(segments, orders):
+                np.maximum(bounds, _maxima(seg, o, params, False), out=bounds)
+            exceed += int(np.count_nonzero(lo >= observed_stat))
+            recheck = np.flatnonzero((lo < observed_stat) & (hi >= observed_stat))
+        if recheck.size:
+            stat = np.full(recheck.size, -np.inf)
+            for seg, o in zip(segments, orders):
+                np.maximum(stat, _maxima(seg, o[:, recheck], params, True), out=stat)
+            exceed += int(np.count_nonzero(stat >= observed_stat))
         if stop_above is not None and (1 + exceed) / (n_perm + 1) > stop_above:
             break
     return (1 + exceed) / (n_perm + 1)
@@ -447,14 +539,6 @@ def _split_in_place(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(children)
 
 
-def _open(start: int, dist: np.ndarray, min_segment: int) -> list:
-    """``[(start, C-contiguous dist, best local split t, Q)]`` for a segment
-    long enough to split, else ``[]``."""
-    if dist.shape[0] < 2 * min_segment:
-        return []
-    return [(start, dist, *_split_scan(dist, min_segment))]
-
-
 def e_divisive(
     span,
     params: EnergyParams | None = None,
@@ -467,8 +551,8 @@ def e_divisive(
     p <= significance, stop otherwise.  Spans too short to split return an
     empty set (the whole span is one mode).  Committed indices are offsets
     within the span, reported in increasing order.  The span's one L x L
-    distance matrix is its only buffer of order L^2: a commit moves the
-    split segment's children into the segment's own part of it.
+    float32 distance matrix is its only buffer of order L^2: a commit moves
+    the split segment's children into the segment's own part of it.
     """
     params = params or EnergyParams()
     perm_cfg = perm_cfg or PermutationConfig()
@@ -477,30 +561,34 @@ def e_divisive(
     if length < 2 * params.min_segment:
         return []
 
-    segments = _open(0, _alpha_distance_matrix(obs, params.alpha_exp), params.min_segment)
+    segments = [(0, _segment(obs, params))]
     committed: list[ChangePoint] = []
 
     for iteration_id in range(length):  # hard upper bound; loop exits earlier
         best, best_q = None, -np.inf
-        for k, seg in enumerate(segments):  # span order, so ties pick the smallest index
-            if seg[3] > best_q:
-                best, best_q = k, seg[3]
+        for k, (_, seg) in enumerate(segments):  # span order, so ties pick the smallest index
+            if seg.q > best_q:
+                best, best_q = k, seg.q
         if best is None:
             break
 
         p_value = _permutation_pvalue(
-            [seg[1] for seg in segments], best_q, params, perm_cfg, iteration_id,
+            [seg for _, seg in segments], best_q, params, perm_cfg, iteration_id,
             stop_above=perm_cfg.significance,
         )
         if p_value > perm_cfg.significance:
             break
 
-        start, dist, t, _ = segments[best]
+        start, seg = segments[best]
+        t = seg.t
         committed.append(ChangePoint(index=start + t, statistic=best_q, p_value=p_value))
-        left, right = _split_in_place(dist, t)
-        segments[best : best + 1] = _open(start, left, params.min_segment) + _open(
-            start + t, right, params.min_segment
-        )
+        # a child's distances are some of its parent's: float32 holds them if it held those
+        parts = zip((start, start + t), (seg.obs[:t], seg.obs[t:]), _split_in_place(seg.dist, t))
+        segments[best : best + 1] = [
+            (first, _Segment(part, dist, *_scan(part, params)[:3], seg.fits))
+            for first, part, dist in parts
+            if len(part) >= 2 * params.min_segment
+        ]
 
     committed.sort(key=lambda cp: cp.index)
     return committed

@@ -50,9 +50,11 @@ def f1_score(precision: float, recall: float) -> float:
 def roc_curve(scores, y) -> list[tuple[float, float]]:
     """(fpr, tpr) staircase from (0,0) to (1,1), one point per distinct score."""
     scores = np.asarray(scores, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if scores.shape != y.shape:
         raise ValueError("scores and labels must align")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -79,9 +81,9 @@ def evaluate(scores, y, class_threshold: float = 0.5) -> EvalReport:
     A score >= class_threshold predicts class 1.  Precision is defined as
     zero when nothing is predicted positive.
     """
+    points = roc_curve(scores, y)  # checks the labels before the cast
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    points = roc_curve(scores, y)
     auc = auc_trapezoid(points)
 
     pred = scores >= class_threshold

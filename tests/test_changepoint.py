@@ -16,6 +16,7 @@ from rahar.changepoint import (
     permutation_test,
 )
 from rahar.errors import SegmentTooSmall
+from rahar.ingest import MAX_COUNT
 
 from oracles import (
     energy_triple_sum,
@@ -122,6 +123,13 @@ class TestPermutationTest:
         segs = [rng.normal(0, 1, (70, 3))]
         p = permutation_test(segs, observed_stat=-1e12, params=EnergyParams(min_segment=30))
         assert p == 1.0
+
+    def test_no_segment_to_permute(self):
+        # every permuted statistic is -inf, as the max over no segments
+        segs = [np.zeros((59, 3))]
+        params = EnergyParams(min_segment=30)
+        assert permutation_test(segs, 0.0, params) == pytest.approx(1 / 100)
+        assert permutation_test(segs, -np.inf, params) == 1.0
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
@@ -288,32 +296,41 @@ class TestBlockKernel:
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_matches_single_order_reference(self, length):
         rng = np.random.default_rng(length)
-        full = changepoint._alpha_distance_matrix(count_span(rng, length, extra=23), 1.0)
+        span = count_span(rng, length, extra=23)
+        full = changepoint._alpha_distance_matrix(span, 1.0)
         view = full[11 : 11 + length, 11 : 11 + length]  # a strided slice, as a caller may pass
         assert not view.flags.c_contiguous
         dist = np.ascontiguousarray(view)
         orders = np.stack([rng.permutation(length) for _ in range(37)], axis=1)
-        new_pair = changepoint._pair_increments(dist, orders, np.empty(orders.shape))
-        t, q = changepoint._best_splits(dist, dist.sum(axis=1), orders, 30)
+        new_pair = changepoint._pair_increments(
+            lambda index, out: dist.take(index, 0, out, "clip"), orders, np.float64
+        )
+        # the exact path rebuilds the rows from the observations
+        segment = changepoint._segment(span[11 : 11 + length], EnergyParams(min_segment=30))
+        q = changepoint._maxima(segment, orders, EnergyParams(min_segment=30), exact=True)
         for b, order in enumerate(orders.T):
-            t_ref, q_ref, new_pair_ref = single_order_best_split(view, order, 30)
+            _, q_ref, new_pair_ref = single_order_best_split(view, order, 30)
             assert np.array_equal(new_pair[:, b], new_pair_ref)
-            assert (t[b], q[b]) == (t_ref, q_ref)
+            assert q[b] == q_ref
 
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_split_scan_of_slice_equals_contiguous_copy(self, length):
         rng = np.random.default_rng(length + 1)
-        full = changepoint._alpha_distance_matrix(count_span(rng, length, extra=40), 1.0)
+        span = count_span(rng, length, extra=40)
+        full = changepoint._alpha_distance_matrix(span, 1.0)
         view = full[17 : 17 + length, 17 : 17 + length]
-        scan = changepoint._split_scan(view, 30)
-        assert scan == changepoint._split_scan(view.copy(), 30)
+        params = EnergyParams(min_segment=30)
+        totals, t, q, _ = changepoint._scan(span[17 : 17 + length], params)
+        assert (t, q) == changepoint._scan(span[17 : 17 + length].copy(), params)[1:3]
         t_ref, q_ref, _ = single_order_best_split(view, np.arange(length), 30)
-        assert scan == (t_ref, q_ref)
+        assert (t, q) == (t_ref, q_ref)
+        assert np.array_equal(totals, view.sum(axis=1))
 
     @pytest.mark.parametrize("block", [1, 7, 40, 99])
     def test_pvalue_equals_reference_for_any_block_size(self, monkeypatch, block):
         rng = np.random.default_rng(5)
-        full = changepoint._alpha_distance_matrix(count_span(rng, 330), 1.0)
+        span = count_span(rng, 330)
+        full = changepoint._alpha_distance_matrix(span, 1.0)
         bounds = [(0, 40), (40, 190), (190, 330)]  # first segment too short to permute
         matrices = [full[a:b, a:b] for a, b in bounds]
         params = EnergyParams(min_segment=30)
@@ -321,23 +338,145 @@ class TestBlockKernel:
         stats = permuted_stats(matrices, params, cfg, 2)
         observed = float(np.quantile(stats, 0.8))
         expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
-        # the largest segment sets the block: BLOCK_ELEMENTS // 150 orderings
-        monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 150 * block)
-        assert changepoint._permutation_pvalue(matrices, observed, params, cfg, 2) == expected
+        # the largest segment sets the block: 2 * BLOCK_ELEMENTS // 150 orderings
+        monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 75 * block)
+        segments = [changepoint._segment(span[a:b], params) for a, b in bounds[1:]]
+        assert changepoint._permutation_pvalue(segments, observed, params, cfg, 2) == expected
         level = expected - 1.5 / (cfg.n_permutations + 1)
         for first_block in (1, 4, 8, 16):
             monkeypatch.setattr(changepoint, "FIRST_BLOCK", first_block)
             # an early stop that never fires spends the first block, then the
             # usual ones, and reaches the same exact p-value
             stopped = changepoint._permutation_pvalue(
-                matrices, observed, params, cfg, 2, stop_above=expected
+                segments, observed, params, cfg, 2, stop_above=expected
             )
             assert stopped == expected
             # one that fires returns a lower bound already above the level
             stopped = changepoint._permutation_pvalue(
-                matrices, observed, params, cfg, 2, stop_above=level
+                segments, observed, params, cfg, 2, stop_above=level
             )
             assert level < stopped <= expected
+
+
+def bound_span(kind, rng, length, d):
+    """A span of one of the kinds the float32 bound must hold on."""
+    if kind == "poisson":
+        return count_span(rng, length, d=d)
+    if kind == "near_max_count":
+        # rows near zero and rows near the ceiling: distances up to ~1.7e9
+        high = rng.random(length) < 0.5
+        counts = rng.poisson(rng.uniform(1, 40), (length, d))
+        return np.where(high[:, None], MAX_COUNT - counts, counts).astype(float)
+    return rng.normal(0.0, 3.0, (length, d))
+
+
+def spy_paths(monkeypatch) -> dict:
+    """Orderings each segment scores on the float32 bound and exactly, from here on."""
+    scored = {"bounded": 0, "exact": 0}
+    maxima = changepoint._maxima
+
+    def spy(seg, orders, params, exact):
+        scored["exact" if exact else "bounded"] += orders.shape[1]
+        return maxima(seg, orders, params, exact)
+
+    monkeypatch.setattr(changepoint, "_maxima", spy)
+    return scored
+
+
+class TestFloat32Bound:
+    """A test scores its orderings on the float32 matrix with a proven error
+    bound and rescores exactly only those whose bounds straddle the observed
+    Q; the p-value is the float64 one-ordering formula's."""
+
+    @pytest.mark.parametrize("kind", ["poisson", "near_max_count", "normal"])
+    @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("length", [60, 61, 200, 400])
+    def test_bounds_hold_the_float64_maximum(self, length, d, alpha_exp, kind):
+        rng = np.random.default_rng([length, d, int(alpha_exp * 2), len(kind)])
+        obs = bound_span(kind, rng, length, d)
+        params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+        segment = changepoint._segment(obs, params)
+        assert segment.fits
+        dist = changepoint._alpha_distance_matrix(obs, alpha_exp)
+        orders = np.stack([rng.permutation(length) for _ in range(24)], axis=1)
+        lo, hi = changepoint._maxima(segment, orders, params, exact=False)
+        for b, order in enumerate(orders.T):
+            _, q_ref, _ = single_order_best_split(dist, order, 30)
+            assert lo[b] <= q_ref <= hi[b]
+
+    def test_float32_sums_restart_every_chunk(self):
+        # 1999 float32 copies of 1/3 summed in one running float32 sum are
+        # off by about 200 u; restarted every CHUNK steps they stay within
+        # the bound's eps = 2 (CHUNK + 1) u of the exact sum
+        length = 2000
+        dist = np.full((length, length), 1 / 3, dtype=np.float32)
+        orders = np.stack([np.random.default_rng(r).permutation(length) for r in range(3)], axis=1)
+        new_pair = changepoint._pair_increments(
+            lambda index, out: dist.take(index, 0, out, "clip"), orders, np.float32
+        )
+        exact = np.arange(length) * float(dist[0, 0])
+        eps = 2.0 * (changepoint.CHUNK + 1) * 2.0**-24
+        assert np.all(np.abs(new_pair - exact[:, None]) <= eps * exact[:, None])
+
+    @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
+    @pytest.mark.parametrize("block", [1, 7, 99])
+    def test_a_tie_with_the_observed_q_is_rescored_exactly(self, monkeypatch, block, alpha_exp):
+        rng = np.random.default_rng(6)
+        span = count_span(rng, 330)
+        bounds = [(0, 40), (40, 190), (190, 330)]
+        params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+        cfg = PermutationConfig(n_permutations=99, master_seed=4)
+        full = changepoint._alpha_distance_matrix(span, alpha_exp)
+        stats = permuted_stats([full[a:b, a:b] for a, b in bounds], params, cfg, 2)
+        observed = sorted(stats)[70]  # exactly one permuted statistic
+        expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
+        monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 75 * block)
+        segments = [changepoint._segment(span[a:b], params) for a, b in bounds[1:]]
+        scored = spy_paths(monkeypatch)
+        assert changepoint._permutation_pvalue(segments, observed, params, cfg, 2) == expected
+        assert 1 <= scored["exact"] < scored["bounded"]
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e25])
+    def test_distances_float32_cannot_hold_take_the_exact_path(self, monkeypatch, scale):
+        # at alpha 1.5 the scaled distances fall below 2**-126 or L times the
+        # largest passes 2**127; at alpha 1 float32 still holds them
+        span = count_span(np.random.default_rng(7), 200) * scale
+        cfg = PermutationConfig(n_permutations=99, master_seed=2)
+        for alpha_exp, fits in ((1.5, False), (1.0, True)):
+            params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+            stats = permuted_stats(
+                [changepoint._alpha_distance_matrix(span, alpha_exp)], params, cfg, 0
+            )
+            observed = float(np.quantile(stats, 0.8))
+            expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
+            assert changepoint._segment(span, params).fits is fits
+            scored = spy_paths(monkeypatch)
+            assert permutation_test([span], observed, params, cfg, 0) == expected
+            if not fits:
+                assert scored == {"bounded": 0, "exact": cfg.n_permutations}
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e25])
+    def test_children_of_such_a_span_take_the_exact_path(self, monkeypatch, scale):
+        # a child's distances are some of its parent's: it inherits the flag
+        params = EnergyParams(alpha_exp=1.5, min_segment=30)
+        cfg = PermutationConfig(master_seed=7)
+        expected = e_divisive(three_regime_span(), params, cfg)
+        scored = spy_paths(monkeypatch)
+        cps = e_divisive(three_regime_span() * scale, params, cfg)
+        assert [cp.index for cp in cps] == [cp.index for cp in expected] == [80, 150]
+        assert scored["bounded"] == 0 and scored["exact"] >= 2 * cfg.n_permutations
+
+    def test_constant_span(self, monkeypatch):
+        # every distance is 0: the bound is 0 and Q is exactly 0 on both paths
+        span = np.full((120, 3), 4.0)
+        params = EnergyParams(min_segment=30)
+        assert best_split(span, params) == (30, 0.0)
+        scored = spy_paths(monkeypatch)
+        assert permutation_test([span], 0.0, params) == 1.0
+        assert permutation_test([span], 5e-324, params) == 0.01
+        assert scored["exact"] == 0
+        assert e_divisive(span, params) == []
 
 
 def split_in_place_checked(dist, t):
@@ -418,9 +557,10 @@ def distance_matrices(segments, params):
 
 
 def kernel_block(segments, params):
-    """Orderings per kernel pass: BLOCK_ELEMENTS // the longest permutable segment."""
+    """Orderings per kernel pass: 2 * BLOCK_ELEMENTS // the longest permutable
+    segment, as a float32 row takes half the bytes of a float64 one."""
     longest = max(len(seg) for seg in segments if len(seg) >= 2 * params.min_segment)
-    return max(1, changepoint.BLOCK_ELEMENTS // longest)
+    return max(1, 2 * changepoint.BLOCK_ELEMENTS // longest)
 
 
 def spent_by_stopped_test(exceeds, block, significance):
@@ -541,18 +681,19 @@ MEMORY_SHAPE_SPAN = ((4.0, 200), (30.0, 180), (12.0, 220))
 class TestMemoryShape:
     @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
     def test_traced_peak_is_one_distance_matrix_and_kernel_blocks(self, alpha_exp):
-        # one L x L matrix, which each commit splits in place, and the
-        # kernel's (block, L) buffers of about 256 KiB each: a few of them
-        # are 0.09 L^2 at L = 600
+        # one float32 L x L matrix (0.5 * 8 L^2), which each commit splits in
+        # place, and the kernel's buffers of about 256 to 512 KiB each, 0.09
+        # to 0.18 * 8 L^2 at L = 600 (1.37 * 8 L^2 traced with numpy 2.4.6)
         span = planted_span(2016, MEMORY_SHAPE_SPAN)
         indices, peak = traced_e_divisive(span, alpha_exp)
         assert indices == [200, 380]  # both commits moved children
-        assert peak <= 1.6 * 8 * len(span) ** 2
+        assert peak <= 1.45 * 8 * len(span) ** 2
 
     def test_traced_peak_at_the_fortnight_span_length(self):
         # L = 960, as each awake span of the criterion-10 fortnight: the
-        # kernel blocks are 0.035 L^2 each
+        # kernel buffers are 0.035 to 0.07 * 8 L^2 each (0.90 * 8 L^2 traced
+        # with numpy 2.4.6); a float64 L x L matrix alone would break the bound
         span = planted_span(960, ((5.0, 300), (25.0, 330), (10.0, 330)))
         indices, peak = traced_e_divisive(span, 1.0)
         assert indices == [300, 630]
-        assert peak <= 1.4 * 8 * len(span) ** 2
+        assert peak <= 0.97 * 8 * len(span) ** 2

@@ -14,6 +14,7 @@ from rahar.features import build_dataset, extract_features, raw_fractions
 from rahar.models import (
     MODEL_KINDS,
     LogRegConfig,
+    evaluate,
     make_config,
     roc_curve,
     stratified_folds,
@@ -61,6 +62,12 @@ GUARDS = [
      "segments and features must align"),
     ("roc_curve-lengths", lambda: roc_curve([0.1, 0.2], [0, 1, 1]), ValueError,
      "scores and labels must align"),
+    ("roc_curve-label-2", lambda: roc_curve([0.1, 0.2, 0.3, 0.9], [0, 1, 2, 1]), ValueError,
+     "labels must be 0 or 1"),
+    ("evaluate-label-2", lambda: evaluate([0.1, 0.2, 0.3, 0.9], [0, 1, 2, 1]), ValueError,
+     "labels must be 0 or 1"),
+    ("evaluate-label-half", lambda: evaluate([0.1, 0.2, 0.3, 0.9], [0, 1, 0.5, 1]), ValueError,
+     "labels must be 0 or 1"),
     ("stratified_folds-1", lambda: stratified_folds([0, 0, 1, 1], 1), ValueError,
      "need at least 2 folds"),
     ("label_intervals-tie_break", lambda: label_intervals([SED] * 2, [], tie_break="x"),
