@@ -9,7 +9,7 @@ and prints the usual evaluation table.
 
 from rahar import ActivityBlock, DayProfile, generate
 from rahar.models import cross_validate
-from rahar.pipeline import PipelineConfig, analyze_recording, pooled_dataset
+from rahar.pipeline import PipelineConfig, add_change_points, analyze_sleep, pooled_dataset
 
 # Two day archetypes.  Sleep efficiency here is driven by latency:
 # eff = (dur - latency) / (dur + latency), so the lazy day's 150-minute
@@ -37,7 +37,8 @@ series, _ = generate(profile)
 print(f"study: {len(series)} epochs ({len(series) // 1440} days)")
 
 config = PipelineConfig(seed=5)
-analysis = analyze_recording("study", series, config)
+analysis = analyze_sleep("study", series, config)
+add_change_points([analysis], config)
 print(f"sleep periods detected: {len(analysis.periods)}")
 
 dataset = pooled_dataset([analysis], config)

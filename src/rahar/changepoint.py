@@ -14,21 +14,23 @@ the split that maximizes Q across all current segments, tests it by
 permuting observations within segments, and commits it while the
 permutation p-value stays at or below the significance level.
 
-A segment keeps its alpha distances once, in float32 (each float64
-distance rounded once).  Row totals and the split scan are float64 sums
-of distance rows rebuilt from the observations, added in the order of
-the one-permutation-at-a-time formula, so observed statistics are
-bit-identical to it.  One prefix-sum kernel scores every split of a
-block of permutations on the float32 matrix within a proven error bound;
-only an ordering whose bounds straddle the observed Q is rescored
-exactly in float64, so p-values are bit-identical too.  Inside
-:func:`e_divisive` a test scores a small first block of ``FIRST_BLOCK``
-permutations, then the usual blocks, and stops after the first block at
-which (1 + exceedances) / (R + 1) already exceeds the significance
-level; a rejected split is mostly decided by the first few permutations.
-Such a rejected p-value never leaves the function, while a committed
-split always spends all R permutations and reports the exact p-value
-that :func:`permutation_test` returns.
+Every exact float64 statistic comes from one routine, ``_pair_sums``: a
+sequence's distance row totals and within-prefix pair sums, its rows
+rebuilt a block at a time from the observations and added as the
+one-permutation-at-a-time formula adds them.  The observed split scan,
+the rescoring of a permuted ordering and :func:`energy_divergence` read
+it, so all are bit-identical to that formula.  A segment also keeps its
+distances once in float32, on which one prefix-sum kernel bounds the
+best Q of each ordering in a block of permutations within a proven error
+bound; only an ordering whose bounds straddle the observed Q is rescored
+exactly, so p-values are bit-identical too.  Inside :func:`e_divisive` a
+test scores a small first block of ``FIRST_BLOCK`` permutations, then the
+usual blocks, and stops after the first block at which (1 + exceedances)
+/ (R + 1) already exceeds the significance level; a rejected split is
+mostly decided by the first few permutations.  Such a rejected p-value
+never leaves the function, while a committed split always spends all R
+permutations and reports the exact p-value that :func:`permutation_test`
+returns.
 
 All randomness flows through per-permutation streams: permutation r of
 test i draws its orders from numpy's
@@ -134,7 +136,7 @@ def energy_divergence(X, Y, alpha_exp: float = 1.0) -> tuple[float, float]:
     """Empirical energy divergence (E, Q) between two observation sets.
 
     Symmetric in X and Y.  Needs at least two observations on each side so
-    the within-sample pair averages exist.
+    the within-sample pair averages exist.  Q is the split scan's at n of [X; Y].
     """
     if not 0.0 < alpha_exp < 2.0:
         raise ValueError(f"alpha_exp must be in (0, 2), got {alpha_exp}")
@@ -148,12 +150,9 @@ def energy_divergence(X, Y, alpha_exp: float = 1.0) -> tuple[float, float]:
     if (Y.shape[0], Y.tobytes()) < (X.shape[0], X.tobytes()):
         X, Y = Y, X
     n, m = X.shape[0], Y.shape[0]
-    cross = np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2) ** alpha_exp
-    within_x = _alpha_distance_matrix(X, alpha_exp)[np.triu_indices(n, 1)]
-    within_y = _alpha_distance_matrix(Y, alpha_exp)[np.triu_indices(m, 1)]
-    e_hat = 2.0 * cross.mean() - within_x.mean() - within_y.mean()
-    q_hat = (m * n / (m + n)) * e_hat
-    return float(e_hat), float(q_hat)
+    row_totals, left_within, _ = _pair_sums(np.concatenate([X, Y]), alpha_exp)
+    q_hat = _split_curve(row_totals, left_within, n)[0]  # n <= m, so t = n comes first
+    return float(q_hat * (n + m) / (n * m)), float(q_hat)
 
 
 def _alpha_rows(obs: np.ndarray, index, alpha_exp: float, out: np.ndarray) -> np.ndarray:
@@ -179,42 +178,31 @@ def _distance_rows(obs: np.ndarray, alpha_exp: float):
         yield first, _alpha_rows(obs, slice(first, first + step), alpha_exp, buf[: length - first])
 
 
-def _alpha_distance_matrix(obs: np.ndarray, alpha_exp: float) -> np.ndarray:
-    """|obs_i - obs_j|^alpha for every pair, with an exactly zero diagonal."""
-    out = np.empty((obs.shape[0], obs.shape[0]))
-    for first, rows in _distance_rows(obs, alpha_exp):
-        out[first : first + rows.shape[0]] = rows
-    return out
-
-
-def _pair_increments(take_rows, orders: np.ndarray, dtype) -> np.ndarray:
+def _pair_increments(dist: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """new_pair[s, b] = sum over i < s of dist[orders[i, b], orders[s, b]]
-    as a float64 (L, block) array, for the C-contiguous (L, block)
-    ``orders``, one ordering of at least two per column.
+    as a float64 (L, block) array, for the float32 L x L ``dist`` and the
+    C-contiguous (L, block) ``orders``, one ordering of at least two per
+    column.
 
-    ``take_rows(index, out=out)`` writes the distance rows ``index`` into
-    the (block, L) ``out`` of ``dtype``.  A running (block, L) sum in
-    ``dtype`` takes one row per ordering and step.  A float32 one is added
-    to a float64 sum and restarted every ``CHUNK`` steps; a float64 one
-    sums each entry in increasing i as a column-wise cumulative sum of the
-    row-gathered matrix would.
+    A running float32 (block, L) sum takes one row of ``dist`` per ordering
+    and step; it is added to a float64 sum and restarted every ``CHUNK``
+    steps.
     """
     length, block = orders.shape
-    chunk = CHUNK if dtype == np.float32 else length
     # flat index of acc[b, orders[s, b]], laid out step by step
     cells = orders + np.arange(0, block * length, length)
-    acc, flushed = np.zeros((block, length), dtype), np.zeros((block, length))
-    buf, part, new_pair = np.empty_like(acc), np.zeros(orders.shape, dtype), np.empty(orders.shape)
+    acc, flushed = np.zeros((block, length), np.float32), np.zeros((block, length))
+    buf, part, new_pair = np.empty_like(acc), np.zeros(orders.shape, np.float32), np.empty(orders.shape)
     # bound methods keep the per-step overhead low; indices are always in
     # range, and "clip" spares take() the buffered copy of its "raise" mode
-    take_cell, take_flushed = acc.reshape(-1).take, flushed.reshape(-1).take
+    take_row, take_cell, take_flushed = dist.take, acc.reshape(-1).take, flushed.reshape(-1).take
     new_pair[0] = 0.0
     for s, (row, cell, out) in enumerate(zip(orders[:-1], cells[1:], part[1:]), 1):
-        take_rows(row, out=buf)
+        take_row(row, 0, buf, "clip")
         np.add(acc, buf, out=acc)
         take_cell(cell, None, out, "clip")
-        if s % chunk == 0 or s == length - 1:  # steps first .. s are done
-            first = s - (s - 1) % chunk
+        if s % CHUNK == 0 or s == length - 1:  # steps first .. s are done
+            first = s - (s - 1) % CHUNK
             take_flushed(cells[first : s + 1], None, new_pair[first : s + 1], "clip")
             flushed += acc
             acc.fill(0.0)
@@ -251,29 +239,28 @@ def _split_q(left_within: np.ndarray, row_cum: np.ndarray, total, min_segment: i
     return q_hat
 
 
-class _Segment(NamedTuple):
-    """A segment's observations, float32 matrix and what ``_scan`` reads."""
-    obs: np.ndarray
-    dist: np.ndarray
-    row_totals: np.ndarray
-    t: int
-    q: float
-    fits: bool
+def _split_curve(row_totals: np.ndarray, left_within: np.ndarray, min_segment: int) -> np.ndarray:
+    """Q at each split t = min_segment, ..., L - min_segment of one ordering,
+    from its row totals and its within-prefix pair sums, both in that order."""
+    lw = left_within[:, None]
+    return _split_q(lw, np.cumsum(row_totals)[:, None], lw[-1], min_segment)[:, 0]
 
 
-def _scan(obs: np.ndarray, params: EnergyParams, dist: np.ndarray | None = None) -> tuple:
-    """Row totals of the segment's float64 alpha-distance matrix and its best
-    split (t, Q), ties to the smallest t, bit for bit from float64 rows
-    rebuilt a block at a time and added in the one-ordering formula's order.
-    Given an L x L float32 ``dist``, the rows are also rounded into it, and
-    the last item says whether float32 holds every distance (else None): no
-    positive one below 2**-126, where float32 loses its 2**-24 relative
-    precision, and L times the largest below 2**127, so no row sum overflows.
+def _pair_sums(obs: np.ndarray, alpha_exp: float, dist: np.ndarray | None = None) -> tuple:
+    """``(row_totals, left_within, fits)`` of the float64 alpha-distance
+    matrix of ``obs``, its rows rebuilt a block at a time: each row's
+    ``sum(axis=1)``, and at s the pair sum of the first s + 1 observations,
+    each pair increment added in increasing row order as a column-wise
+    cumulative sum adds it.  Given an L x L float32 ``dist``, the rows are
+    also rounded into it, and ``fits`` says whether float32 holds every
+    distance (else None): no positive one below 2**-126, where float32
+    loses its 2**-24 relative precision, and L times the largest below
+    2**127, so no row sum overflows.
     """
     length = obs.shape[0]
     row_totals, new_pair, acc = np.empty(length), np.zeros(length), np.zeros(length)
     largest, smallest = 0.0, np.inf
-    for first, rows in _distance_rows(obs, params.alpha_exp):
+    for first, rows in _distance_rows(obs, alpha_exp):
         stop = first + rows.shape[0]
         if dist is not None:
             with np.errstate(over="ignore"):  # flagged below
@@ -286,11 +273,27 @@ def _scan(obs: np.ndarray, params: EnergyParams, dist: np.ndarray | None = None)
         s = np.arange(first + 1, min(stop + 1, length))
         new_pair[s] = rows[s - 1 - first, s]
         acc[:] = rows[-1]
-    left_within = np.cumsum(new_pair)[:, None]
-    q = _split_q(left_within, np.cumsum(row_totals)[:, None], left_within[-1], params.min_segment)
-    k = int(np.argmax(q[:, 0]))  # first maximum = smallest split index
     fits = None if dist is None else bool(length * largest <= 2.0**127 and smallest >= 2.0**-126)
-    return row_totals, params.min_segment + k, float(q[k, 0]), fits
+    return row_totals, np.cumsum(new_pair), fits
+
+
+class _Segment(NamedTuple):
+    """A segment's observations, float32 matrix and what ``_scan`` reads."""
+    obs: np.ndarray
+    dist: np.ndarray
+    row_totals: np.ndarray
+    t: int
+    q: float
+    fits: bool
+
+
+def _scan(obs: np.ndarray, params: EnergyParams, dist: np.ndarray | None = None) -> tuple:
+    """``(row_totals, t, Q, fits)``: the ``_pair_sums`` of the segment and
+    its best split, ties to the smallest t."""
+    row_totals, left_within, fits = _pair_sums(obs, params.alpha_exp, dist)
+    q = _split_curve(row_totals, left_within, params.min_segment)
+    k = int(np.argmax(q))  # first maximum = smallest split index
+    return row_totals, params.min_segment + k, float(q[k]), fits
 
 
 def _segment(obs: np.ndarray, params: EnergyParams) -> _Segment:
@@ -404,35 +407,28 @@ def _draw_orders(
     return orders
 
 
-def _maxima(seg: _Segment, orders: np.ndarray, params: EnergyParams, exact: bool):
-    """max over t of Q under each ordering, as the float64 one-ordering
-    formula gives it: bit for bit when ``exact`` (each step's float64 rows
-    rebuilt from the observations), else bounds (lo, hi) of it from the
-    float32 matrix, with ``total`` the half-sum T of the row totals.  There
-    a distance is rounded once to a normal float32 (relative error u =
-    2**-24) and an increment is a float64 sum of float32 recursive sums of
-    at most ``CHUNK`` terms (Higham 2002, §4.2: gamma_n = n u / (1 - n u)),
-    so with lw cumulated in float64 as the float64 kernel's is, the two lw
-    differ by at most eps lw* <= eps (1 + 2 eps) lw, eps = 2 (CHUNK + 1) u,
-    lw* the exact sum (float64's gamma_2L fits in the margin for L < 2**32).
-    Both paths share the row prefix sums, and as cross = row_cum - 2 lw and
-    rw = total + lw - row_cum, Q is linear in lw with slope -h (4 / (nl nr)
-    + 1 / C(nl, 2) + 1 / C(nr, 2)), h = nl nr / (nl + nr).  The rest is
-    float64 rounding (T against the kernel's total, each path's few
-    operations on non-negative terms of at most 2 T, the bound itself),
-    which (L + 16) 2**-50 T times that slope covers.
+def _bounds(seg: _Segment, orders: np.ndarray, params: EnergyParams) -> tuple:
+    """Bounds (lo, hi) of the max over t of Q under each ordering (a column
+    of ``orders``), as :func:`_exact_max` gives it, from the float32 matrix,
+    with ``total`` the half-sum T of the row totals.  There a distance is
+    rounded once to a normal float32 (relative error u = 2**-24) and an
+    increment is a float64 sum of float32 recursive sums of at most
+    ``CHUNK`` terms (Higham 2002, §4.2: gamma_n = n u / (1 - n u)), so with
+    lw cumulated in float64 as ``_pair_sums`` cumulates it, the kernel's lw
+    and the exact one differ by at most eps lw* <= eps (1 + 2 eps) lw, eps =
+    2 (CHUNK + 1) u, lw* the exact sum (float64's gamma_2L fits in the
+    margin for L < 2**32).  Both take the same row prefix sums, and as
+    cross = row_cum - 2 lw and rw = total + lw - row_cum, Q is linear in lw
+    with slope -h (4 / (nl nr) + 1 / C(nl, 2) + 1 / C(nr, 2)), h = nl nr /
+    (nl + nr).  The rest is float64 rounding (T against the exact total,
+    each side's few operations on non-negative terms of at most 2 T, the
+    bound itself), which (L + 16) 2**-50 T times that slope covers.
     """
     length, m = orders.shape[0], params.min_segment
-    if exact:
-        take_rows = functools.partial(_alpha_rows, seg.obs, alpha_exp=params.alpha_exp)
-    else:
-        take_rows = functools.partial(seg.dist.take, axis=0, mode="clip")
-    left_within = _pair_increments(take_rows, orders, np.float64 if exact else np.float32)
+    left_within = _pair_increments(seg.dist, orders)
     np.cumsum(left_within, axis=0, out=left_within)
     row_cum = seg.row_totals.take(orders, None, np.empty(orders.shape), "clip")
     np.cumsum(row_cum, axis=0, out=row_cum)
-    if exact:
-        return _split_q(left_within, row_cum, left_within[-1], m).max(axis=0)
     n_left = np.arange(m, length - m + 1.0)[:, None]
     n_right = length - n_left
     # h (4 / (nl nr) + 1 / C(nl, 2) + 1 / C(nr, 2)) with h = nl nr / L
@@ -442,6 +438,14 @@ def _maxima(seg: _Segment, orders: np.ndarray, params: EnergyParams, exact: bool
     bound += (length + 16) * 2.0**-50 * half_total * slope
     q_hat = _split_q(left_within, row_cum, half_total, m)
     return np.subtract(q_hat, bound).max(axis=0), np.add(q_hat, bound, out=q_hat).max(axis=0)
+
+
+def _exact_max(seg: _Segment, order: np.ndarray, params: EnergyParams) -> float:
+    """max over t of Q under ``order``, bit for bit the float64 one-ordering
+    formula: the pair sums of the reordered observations, and the prefix
+    sums of the segment's own row totals in that order."""
+    _, left_within, _ = _pair_sums(seg.obs[order], params.alpha_exp)
+    return float(_split_curve(seg.row_totals[order], left_within, params.min_segment).max())
 
 
 def permutation_test(
@@ -502,14 +506,12 @@ def _permutation_pvalue(
         if bounded:
             lo, hi = bounds = np.full((2, stop - first), -np.inf)
             for seg, o in zip(segments, orders):
-                np.maximum(bounds, _maxima(seg, o, params, False), out=bounds)
+                np.maximum(bounds, _bounds(seg, o, params), out=bounds)
             exceed += int(np.count_nonzero(lo >= observed_stat))
             recheck = np.flatnonzero((lo < observed_stat) & (hi >= observed_stat))
-        if recheck.size:
-            stat = np.full(recheck.size, -np.inf)
-            for seg, o in zip(segments, orders):
-                np.maximum(stat, _maxima(seg, o[:, recheck], params, True), out=stat)
-            exceed += int(np.count_nonzero(stat >= observed_stat))
+        for b in recheck:
+            stat = max(_exact_max(seg, o[:, b], params) for seg, o in zip(segments, orders))
+            exceed += stat >= observed_stat
         if stop_above is not None and (1 + exceed) / (n_perm + 1) > stop_above:
             break
     return (1 + exceed) / (n_perm + 1)

@@ -218,16 +218,6 @@ def analyze_sleep(name: str, series: EpochSeries, config: PipelineConfig) -> Rec
     )
 
 
-def analyze_recording(
-    name: str, series: EpochSeries, config: PipelineConfig
-) -> RecordingAnalysis:
-    """Run all per-recording stages on an already-validated series: the sleep
-    stage, then change points and modes for each awake span."""
-    analysis = analyze_sleep(name, series, config)
-    add_change_points([analysis], config)
-    return analysis
-
-
 def _load_and_sleep(config: PipelineConfig, path: Path) -> RecordingAnalysis | Exception:
     """Load one epoch CSV and run its sleep stage.  A load failure names the
     file and is raised; a failure of the sleep stage is returned instead, so

@@ -27,6 +27,12 @@ from oracles import (
 )
 
 
+def distance_matrix(obs, alpha_exp):
+    """The float64 alpha-distance matrix of ``obs``, stacked from copies of
+    the ``_distance_rows`` blocks (their buffer is reused)."""
+    return np.concatenate([rows.copy() for _, rows in changepoint._distance_rows(obs, alpha_exp)])
+
+
 def two_regime_span(rng, low=0.0, high=100.0, n1=60, n2=60, scale=1.0, d=3):
     a = rng.normal(low, scale, (n1, d))
     b = rng.normal(high, scale, (n2, d))
@@ -139,8 +145,13 @@ class TestPermutationTest:
         p1 = permutation_test(segs, q, EnergyParams(min_segment=30), cfg, iteration_id=2)
         p2 = permutation_test(segs, q, EnergyParams(min_segment=30), cfg, iteration_id=2)
         assert p1 == p2
-        p3 = permutation_test(segs, q, EnergyParams(min_segment=30), cfg, iteration_id=3)
-        assert p1 != p3 or True  # different iteration uses a different stream
+        # a different iteration draws its orders from different streams
+        lengths = [len(seg) for seg in segs]
+        for second, third in zip(
+            changepoint._draw_orders(123, 2, 0, cfg.n_permutations, lengths),
+            changepoint._draw_orders(123, 3, 0, cfg.n_permutations, lengths),
+        ):
+            assert not np.array_equal(second, third)
 
 
 class TestEDivisive:
@@ -289,35 +300,35 @@ class TestBlockKernel:
             ):
                 loop = euclidean_distance_loop(obs)
                 for alpha_exp in (1.0, 1.5):
-                    assert np.array_equal(
-                        changepoint._alpha_distance_matrix(obs, alpha_exp), loop**alpha_exp
-                    )
+                    for first, rows in changepoint._distance_rows(obs, alpha_exp):
+                        assert np.array_equal(rows, loop[first : first + len(rows)] ** alpha_exp)
+                    # the test helper's stacked blocks too
+                    assert np.array_equal(distance_matrix(obs, alpha_exp), loop**alpha_exp)
 
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_matches_single_order_reference(self, length):
         rng = np.random.default_rng(length)
         span = count_span(rng, length, extra=23)
-        full = changepoint._alpha_distance_matrix(span, 1.0)
+        full = distance_matrix(span, 1.0)
         view = full[11 : 11 + length, 11 : 11 + length]  # a strided slice, as a caller may pass
         assert not view.flags.c_contiguous
-        dist = np.ascontiguousarray(view)
+        params = EnergyParams(min_segment=30)
+        segment = changepoint._segment(span[11 : 11 + length], params)
         orders = np.stack([rng.permutation(length) for _ in range(37)], axis=1)
-        new_pair = changepoint._pair_increments(
-            lambda index, out: dist.take(index, 0, out, "clip"), orders, np.float64
-        )
-        # the exact path rebuilds the rows from the observations
-        segment = changepoint._segment(span[11 : 11 + length], EnergyParams(min_segment=30))
-        q = changepoint._maxima(segment, orders, EnergyParams(min_segment=30), exact=True)
+        new_pair = changepoint._pair_increments(segment.dist, orders)
+        eps = 2.0 * (changepoint.CHUNK + 1) * 2.0**-24
         for b, order in enumerate(orders.T):
             _, q_ref, new_pair_ref = single_order_best_split(view, order, 30)
-            assert np.array_equal(new_pair[:, b], new_pair_ref)
-            assert q[b] == q_ref
+            # the float32 kernel within its error bound; the exact routine
+            # rebuilds the rows from the observations, bit for bit
+            assert np.all(np.abs(new_pair[:, b] - new_pair_ref) <= eps * new_pair_ref)
+            assert changepoint._exact_max(segment, order, params) == q_ref
 
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_split_scan_of_slice_equals_contiguous_copy(self, length):
         rng = np.random.default_rng(length + 1)
         span = count_span(rng, length, extra=40)
-        full = changepoint._alpha_distance_matrix(span, 1.0)
+        full = distance_matrix(span, 1.0)
         view = full[17 : 17 + length, 17 : 17 + length]
         params = EnergyParams(min_segment=30)
         totals, t, q, _ = changepoint._scan(span[17 : 17 + length], params)
@@ -330,7 +341,7 @@ class TestBlockKernel:
     def test_pvalue_equals_reference_for_any_block_size(self, monkeypatch, block):
         rng = np.random.default_rng(5)
         span = count_span(rng, 330)
-        full = changepoint._alpha_distance_matrix(span, 1.0)
+        full = distance_matrix(span, 1.0)
         bounds = [(0, 40), (40, 190), (190, 330)]  # first segment too short to permute
         matrices = [full[a:b, a:b] for a, b in bounds]
         params = EnergyParams(min_segment=30)
@@ -371,15 +382,33 @@ def bound_span(kind, rng, length, d):
 
 
 def spy_paths(monkeypatch) -> dict:
-    """Orderings each segment scores on the float32 bound and exactly, from here on."""
+    """From here on, the orderings each segment scores on the float32 bound,
+    and the calls of the exact routine ``_pair_sums`` made inside a
+    permutation test: one per segment and ordering rescored exactly."""
     scored = {"bounded": 0, "exact": 0}
-    maxima = changepoint._maxima
+    testing = []
+    bounds, pair_sums, pvalue = (
+        changepoint._bounds, changepoint._pair_sums, changepoint._permutation_pvalue
+    )
 
-    def spy(seg, orders, params, exact):
-        scored["exact" if exact else "bounded"] += orders.shape[1]
-        return maxima(seg, orders, params, exact)
+    def spy_bounds(seg, orders, params):
+        scored["bounded"] += orders.shape[1]
+        return bounds(seg, orders, params)
 
-    monkeypatch.setattr(changepoint, "_maxima", spy)
+    def spy_pair_sums(obs, alpha_exp, dist=None):
+        scored["exact"] += bool(testing)
+        return pair_sums(obs, alpha_exp, dist)
+
+    def spy_pvalue(*args, **kwargs):
+        testing.append(True)
+        try:
+            return pvalue(*args, **kwargs)
+        finally:
+            testing.pop()
+
+    monkeypatch.setattr(changepoint, "_bounds", spy_bounds)
+    monkeypatch.setattr(changepoint, "_pair_sums", spy_pair_sums)
+    monkeypatch.setattr(changepoint, "_permutation_pvalue", spy_pvalue)
     return scored
 
 
@@ -398,9 +427,9 @@ class TestFloat32Bound:
         params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
         segment = changepoint._segment(obs, params)
         assert segment.fits
-        dist = changepoint._alpha_distance_matrix(obs, alpha_exp)
+        dist = distance_matrix(obs, alpha_exp)
         orders = np.stack([rng.permutation(length) for _ in range(24)], axis=1)
-        lo, hi = changepoint._maxima(segment, orders, params, exact=False)
+        lo, hi = changepoint._bounds(segment, orders, params)
         for b, order in enumerate(orders.T):
             _, q_ref, _ = single_order_best_split(dist, order, 30)
             assert lo[b] <= q_ref <= hi[b]
@@ -412,9 +441,7 @@ class TestFloat32Bound:
         length = 2000
         dist = np.full((length, length), 1 / 3, dtype=np.float32)
         orders = np.stack([np.random.default_rng(r).permutation(length) for r in range(3)], axis=1)
-        new_pair = changepoint._pair_increments(
-            lambda index, out: dist.take(index, 0, out, "clip"), orders, np.float32
-        )
+        new_pair = changepoint._pair_increments(dist, orders)
         exact = np.arange(length) * float(dist[0, 0])
         eps = 2.0 * (changepoint.CHUNK + 1) * 2.0**-24
         assert np.all(np.abs(new_pair - exact[:, None]) <= eps * exact[:, None])
@@ -427,7 +454,7 @@ class TestFloat32Bound:
         bounds = [(0, 40), (40, 190), (190, 330)]
         params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
         cfg = PermutationConfig(n_permutations=99, master_seed=4)
-        full = changepoint._alpha_distance_matrix(span, alpha_exp)
+        full = distance_matrix(span, alpha_exp)
         stats = permuted_stats([full[a:b, a:b] for a, b in bounds], params, cfg, 2)
         observed = sorted(stats)[70]  # exactly one permuted statistic
         expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
@@ -446,7 +473,7 @@ class TestFloat32Bound:
         for alpha_exp, fits in ((1.5, False), (1.0, True)):
             params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
             stats = permuted_stats(
-                [changepoint._alpha_distance_matrix(span, alpha_exp)], params, cfg, 0
+                [distance_matrix(span, alpha_exp)], params, cfg, 0
             )
             observed = float(np.quantile(stats, 0.8))
             expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
@@ -479,6 +506,30 @@ class TestFloat32Bound:
         assert e_divisive(span, params) == []
 
 
+class TestExactRescore:
+    """An ordering rescored exactly reads ``_pair_sums`` of the reordered
+    observations and the segment's own row totals: bit for bit the float64
+    one-ordering formula, on spans float32 holds and on spans it cannot."""
+
+    @pytest.mark.parametrize("kind", ["poisson", "normal", "tiny"])
+    @pytest.mark.parametrize("alpha_exp", [0.7, 1.0, 1.5])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("length", [60, 61, 200])
+    def test_rescore_equals_single_order_reference(self, length, d, alpha_exp, kind):
+        rng = np.random.default_rng([length, d, int(alpha_exp * 10), len(kind)])
+        if kind == "tiny":  # alpha distances below 2**-126 at every alpha here
+            obs = count_span(rng, length, d=d) * 1e-60
+        else:
+            obs = bound_span(kind, rng, length, d)
+        params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+        segment = changepoint._segment(obs, params)
+        assert segment.fits is (kind != "tiny")
+        dist = distance_matrix(obs, alpha_exp)
+        for order in (rng.permutation(length) for _ in range(6)):
+            _, q_ref, _ = single_order_best_split(dist, order, 30)
+            assert changepoint._exact_max(segment, order, params) == q_ref
+
+
 def split_in_place_checked(dist, t):
     """``_split_in_place(dist, t)``, checked against copies of the two blocks
     taken before it: equal bit for bit, C-contiguous, inside ``dist``'s buffer
@@ -509,13 +560,13 @@ class TestSplitInPlace:
         obs = count_span(rng, length)
         min_segment = 10
         for t in (min_segment, length // 2, length - min_segment):
-            split_in_place_checked(changepoint._alpha_distance_matrix(obs, 1.0), t)
+            split_in_place_checked(distance_matrix(obs, 1.0), t)
 
     @pytest.mark.parametrize("block_elements", [None, 100])
     def test_nested_split_of_a_right_child(self, monkeypatch, block_elements):
         if block_elements is not None:
             monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
-        dist = changepoint._alpha_distance_matrix(count_span(np.random.default_rng(9), 151), 1.5)
+        dist = distance_matrix(count_span(np.random.default_rng(9), 151), 1.5)
         full = dist.copy()
         left, right = split_in_place_checked(dist, 40)
         grand = split_in_place_checked(right, 47)
@@ -551,7 +602,7 @@ def replayed_tests(span, params, cps):
 
 def distance_matrices(segments, params):
     return [
-        changepoint._alpha_distance_matrix(np.asarray(seg, dtype=float), params.alpha_exp)
+        distance_matrix(np.asarray(seg, dtype=float), params.alpha_exp)
         for seg in segments
     ]
 
@@ -697,3 +748,24 @@ class TestMemoryShape:
         indices, peak = traced_e_divisive(span, 1.0)
         assert indices == [300, 630]
         assert peak <= 0.97 * 8 * len(span) ** 2
+
+    def test_energy_divergence_peak_is_a_few_row_blocks(self):
+        # the pair sums are built a block of rows at a time: no (n, m, d)
+        # difference array and no n x n matrix (64 MB at n = m = 1,000, d = 3)
+        rng = np.random.default_rng(1000)
+        X, Y = rng.normal(0.0, 1.0, (1000, 3)), rng.normal(0.5, 2.0, (1000, 3))
+        tracemalloc.start()
+        try:
+            e, q = energy_divergence(X, Y, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+        def pair_mean(A, B, within):
+            dist = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2) ** 1.3
+            return dist[np.triu_indices(len(A), 1)].mean() if within else dist.mean()
+
+        e_ref = 2.0 * pair_mean(X, Y, False) - pair_mean(X, X, True) - pair_mean(Y, Y, True)
+        assert e == pytest.approx(e_ref, rel=1e-12)
+        assert q == pytest.approx(500.0 * e_ref, rel=1e-12)

@@ -11,7 +11,6 @@ import rahar.pipeline
 from rahar.pipeline import (
     PipelineConfig,
     add_change_points,
-    analyze_recording,
     analyze_sleep,
     cp_observations,
     derive_seed,
@@ -37,7 +36,9 @@ def two_day_analysis():
     )
     series, truth = generate(profile)
     config = PipelineConfig(seed=3)
-    return analyze_recording("twoday", series, config), truth, config
+    analysis = analyze_sleep("twoday", series, config)
+    add_change_points([analysis], config)
+    return analysis, truth, config
 
 
 class TestAnalyzeRecording:
@@ -142,7 +143,8 @@ class TestPooledDataset:
         analysis, _, _ = two_day_analysis
         coarse_series, _ = aggregate_epochs(analysis.series, 2)
         config = PipelineConfig(seed=3, features_mode=features_mode, include_first_segment=True)
-        coarse = analyze_recording("coarse", coarse_series, config)
+        coarse = analyze_sleep("coarse", coarse_series, config)
+        add_change_points([coarse], config)
         assert coarse.series.epoch_minutes == 2.0 and analysis.series.epoch_minutes == 1.0
         by_name = {a.name: a for a in (analysis, coarse)}
         ds = pooled_dataset([analysis, coarse], config)
