@@ -103,22 +103,6 @@ class Inclinometer(IntEnum):
 _INCLINOMETER_CODES = {key: int(s) for s in Inclinometer for key in (s.name, s.token)}
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """One epoch as a row object; ``series[i]`` builds it on demand."""
-
-    timestamp: datetime
-    axis1: int
-    axis2: int
-    axis3: int
-    steps: int
-    inclinometer: Inclinometer
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (self.axis1, self.axis2, self.axis3)
-
-
 def _aware(utc_us: int, offset_us: int) -> datetime:
     """The instant ``utc_us`` written in its own UTC offset."""
     local = _LOCAL_EPOCH + timedelta(microseconds=int(utc_us) + int(offset_us))
@@ -171,12 +155,6 @@ class EpochSeries:
 
     def __len__(self) -> int:
         return len(self.utc_us)
-
-    def __getitem__(self, i: int) -> Epoch:
-        axis1, axis2, axis3, steps = self.counts[i].tolist()
-        return Epoch(
-            self.timestamp(i), axis1, axis2, axis3, steps, Inclinometer(int(self.inclinometer[i]))
-        )
 
     @property
     def epoch_minutes(self) -> float:

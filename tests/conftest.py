@@ -15,9 +15,9 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from rahar.ingest import Epoch, EpochSeries, Inclinometer
+from rahar.ingest import EpochSeries, Inclinometer
 
-from oracles import series_of
+from oracles import Epoch, series_of
 
 T0 = datetime(2014, 9, 1, 22, 0, tzinfo=timezone(timedelta(hours=3)))
 

@@ -33,7 +33,6 @@ from rahar.errors import (
 from rahar.ingest import (
     CSV_HEADER,
     MAX_COUNT,
-    Epoch,
     EpochSeries,
     Gap,
     Inclinometer,
@@ -260,6 +259,22 @@ def pair_count_auc(scores, y) -> float:
 
 
 @dataclass(frozen=True)
+class Epoch:
+    """One epoch as a row object."""
+
+    timestamp: datetime
+    axis1: int
+    axis2: int
+    axis3: int
+    steps: int
+    inclinometer: Inclinometer
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        return (self.axis1, self.axis2, self.axis3)
+
+
+@dataclass(frozen=True)
 class ObjectSeries:
     epochs: tuple
     epoch_length: timedelta = timedelta(seconds=60)
@@ -275,9 +290,17 @@ class ObjectSeries:
         return self.epoch_length.total_seconds() / 60.0
 
 
+def epoch_at(series: EpochSeries, i: int) -> Epoch:
+    """Epoch ``i`` of a columnar series as an Epoch row."""
+    axis1, axis2, axis3, steps = series.counts[i].tolist()
+    return Epoch(
+        series.timestamp(i), axis1, axis2, axis3, steps, Inclinometer(int(series.inclinometer[i]))
+    )
+
+
 def epochs_of(series: EpochSeries) -> tuple:
     """Every epoch of a columnar series as an Epoch row."""
-    return tuple(series[i] for i in range(len(series)))
+    return tuple(epoch_at(series, i) for i in range(len(series)))
 
 
 def series_of(epochs, epoch_length: timedelta = timedelta(seconds=60)) -> EpochSeries:

@@ -39,6 +39,12 @@ def two_regime_span(rng, low=0.0, high=100.0, n1=60, n2=60, scale=1.0, d=3):
     return np.concatenate([a, b])
 
 
+def normal_regimes(seed):
+    """Three unit-variance normal regimes of 60, centred at 0, 60 and 140."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(mean, 1, (60, 3)) for mean in (0, 60, 140)])
+
+
 class TestEnergyDivergence:
     def test_hand_case(self):
         e, q = energy_divergence([[0.0], [0.0]], [[1.0], [1.0]], 1.0)
@@ -171,14 +177,7 @@ class TestEDivisive:
         assert cps[0].p_value <= 0.01
 
     def test_three_regimes(self):
-        rng = np.random.default_rng(22)
-        span = np.concatenate(
-            [
-                rng.normal(0, 1, (60, 3)),
-                rng.normal(60, 1, (60, 3)),
-                rng.normal(140, 1, (60, 3)),
-            ]
-        )
+        span = normal_regimes(22)
         cps = e_divisive(span, EnergyParams(min_segment=30), PermutationConfig(master_seed=5))
         assert len(cps) == 2
         assert abs(cps[0].index - 60) <= 2
@@ -530,6 +529,155 @@ class TestExactRescore:
             assert changepoint._exact_max(segment, order, params) == q_ref
 
 
+def screen_span(kind, rng, length, d):
+    """A span of the bound grid's kinds, or its Poisson counts shifted by
+    1e6, where the float64 rounding of y = Xu is absolute, not relative."""
+    if kind == "shifted":
+        return count_span(rng, length, d=d) + 1e6
+    return bound_span(kind, rng, length, d)
+
+
+def collinear_span(rng, length):
+    """Counts along one direction of three axes: the projection keeps every
+    distance, so the screen decides most orderings below a large Q."""
+    return count_span(rng, length, d=1) * np.array([1.0, -0.75, 0.5])
+
+
+def spy_screen(monkeypatch) -> dict:
+    """From here on, the orderings the screen scores and those it decides
+    below the observed Q of the permutation test that called it."""
+    seen = {"screened": 0, "decided": 0}
+    screen, pvalue = changepoint._screen, changepoint._permutation_pvalue
+    observed = []
+
+    def spy(seg, orders, params):
+        hi = screen(seg, orders, params)
+        seen["screened"] += orders.shape[1]
+        seen["decided"] += int(np.count_nonzero(hi < observed[-1]))
+        return hi
+
+    def spy_pvalue(segments, observed_stat, *args, **kwargs):
+        observed.append(observed_stat)
+        return pvalue(segments, observed_stat, *args, **kwargs)
+
+    monkeypatch.setattr(changepoint, "_screen", spy)
+    monkeypatch.setattr(changepoint, "_permutation_pvalue", spy_pvalue)
+    return seen
+
+
+class TestScreen:
+    """At alpha = 1, after a block with no exceedance, a segment of at least
+    ``SCREEN_MIN_LENGTH`` observations first bounds each ordering's Q from
+    above by a one-dimensional projection; an ordering below the observed
+    Q there skips the float32 kernel on that segment.  The bound must hold
+    above the float64 maximum, so p-values do not move."""
+
+    @pytest.mark.parametrize("kind", ["poisson", "near_max_count", "normal", "shifted"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("length", [60, 61, 200, 400])
+    def test_screen_bound_holds_the_float64_maximum(self, length, d, kind):
+        # called directly, the screen runs whatever SCREEN_MIN_LENGTH says
+        rng = np.random.default_rng([length, d, 2, len(kind)])
+        obs = screen_span(kind, rng, length, d)
+        params = EnergyParams(min_segment=30)
+        segment = changepoint._segment(obs, params)
+        assert segment.fits
+        dist = distance_matrix(obs, 1.0)
+        orders = np.stack([rng.permutation(length) for _ in range(24)], axis=1)
+        hi = changepoint._screen(segment, orders, params)
+        for b, order in enumerate(orders.T):
+            _, q_ref, _ = single_order_best_split(dist, order, 30)
+            assert q_ref <= hi[b]
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("kind", ["poisson", "near_max_count", "normal"])
+    @pytest.mark.parametrize("length", [60, 61, 200, 400])
+    def test_a_bin_per_observation_of_collinear_counts_is_tight(
+        self, monkeypatch, length, kind, shift
+    ):
+        # the projection keeps every distance and no pair shares a bin: the
+        # bound is the float64 maximum plus its rounding margins, a few
+        # 1e-10 of the half total T with the shift
+        monkeypatch.setattr(changepoint, "SCREEN_BINS", length)
+        rng = np.random.default_rng([length, len(kind)])
+        obs = bound_span(kind, rng, length, 1) * np.array([1.0, -0.75, 0.5]) + shift
+        params = EnergyParams(min_segment=30)
+        segment = changepoint._segment(obs, params)
+        dist = distance_matrix(obs, 1.0)
+        orders = np.stack([rng.permutation(length) for _ in range(24)], axis=1)
+        hi = changepoint._screen(segment, orders, params)
+        half_total = segment.row_totals.sum() / 2.0
+        for b, order in enumerate(orders.T):
+            _, q_ref, _ = single_order_best_split(dist, order, 30)
+            assert q_ref <= hi[b] <= q_ref + 1e-8 * half_total
+
+    @pytest.mark.parametrize("rank", [-1, -2, 80])
+    @pytest.mark.parametrize("block", [1, 7, 40, 99])
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_pvalue_equals_reference(self, monkeypatch, collinear, block, rank):
+        # the near-tie setup: the observed Q is one permuted statistic, so
+        # that ordering must reach the exact rescoring past the screen
+        rng = np.random.default_rng(5)
+        span = collinear_span(rng, 330) if collinear else count_span(rng, 330)
+        bounds = [(0, 40), (40, 190), (190, 330)]
+        params = EnergyParams(min_segment=30)
+        cfg = PermutationConfig(n_permutations=99, master_seed=4)
+        full = distance_matrix(span, 1.0)
+        stats = permuted_stats([full[a:b, a:b] for a, b in bounds], params, cfg, 2)
+        observed = sorted(stats)[rank]
+        expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
+        monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 75 * block)
+        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
+        segments = [changepoint._segment(span[a:b], params) for a, b in bounds[1:]]
+        seen = spy_screen(monkeypatch)
+        assert changepoint._permutation_pvalue(segments, observed, params, cfg, 2) == expected
+        stopped = changepoint._permutation_pvalue(
+            segments, observed, params, cfg, 2, stop_above=expected
+        )
+        assert stopped == expected
+        if collinear and block < 40 and rank < 0:
+            # every block before the exceedance is screened, and all but
+            # the tie decided there
+            assert seen["decided"] > 0
+
+    @pytest.mark.parametrize("span_of", [three_regime_span, lambda: normal_regimes(22)],
+                             ids=["counts", "normal"])
+    def test_e_divisive_unchanged(self, monkeypatch, span_of):
+        span = span_of()
+        params, cfg = EnergyParams(min_segment=30), PermutationConfig(master_seed=5)
+        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", len(span) + 1)
+        unscreened = e_divisive(span, params, cfg)
+        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
+        seen = spy_screen(monkeypatch)
+        assert e_divisive(span, params, cfg) == unscreened
+        assert len(unscreened) == 2 and seen["decided"] > 0
+
+    def test_golden_three_regimes_with_the_screen(self, monkeypatch):
+        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
+        seen = spy_screen(monkeypatch)
+        cps = e_divisive(
+            three_regime_span(), EnergyParams(min_segment=30), PermutationConfig(master_seed=7)
+        )
+        assert [(cp.index, repr(cp.statistic), repr(cp.p_value)) for cp in cps] == [
+            (80, "1434.4242605082864", "0.01"),
+            (150, "1328.8882982928942", "0.01"),
+        ]
+        assert seen["decided"] > 0
+
+    @pytest.mark.parametrize("alpha_exp, scale", [(1.5, 1.0), (1.0, 1e-40), (1.0, 1e36)])
+    def test_not_run_at_other_alpha_or_where_float32_cannot_hold(self, monkeypatch, alpha_exp, scale):
+        # 1e-40 puts every positive distance below 2**-126; 1e36 puts L times
+        # the largest above 2**127
+        params, cfg = EnergyParams(alpha_exp=alpha_exp, min_segment=30), PermutationConfig(master_seed=7)
+        expected = e_divisive(three_regime_span(), params, cfg)
+        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
+        assert changepoint._segment(three_regime_span() * scale, params).fits is (scale == 1.0)
+        seen = spy_screen(monkeypatch)
+        cps = e_divisive(three_regime_span() * scale, params, cfg)
+        assert [(cp.index, cp.p_value) for cp in cps] == [(cp.index, cp.p_value) for cp in expected]
+        assert seen == {"screened": 0, "decided": 0}
+
+
 def split_in_place_checked(dist, t):
     """``_split_in_place(dist, t)``, checked against copies of the two blocks
     taken before it: equal bit for bit, C-contiguous, inside ``dist``'s buffer
@@ -734,7 +882,8 @@ class TestMemoryShape:
     def test_traced_peak_is_one_distance_matrix_and_kernel_blocks(self, alpha_exp):
         # one float32 L x L matrix (0.5 * 8 L^2), which each commit splits in
         # place, and the kernel's buffers of about 256 to 512 KiB each, 0.09
-        # to 0.18 * 8 L^2 at L = 600 (1.37 * 8 L^2 traced with numpy 2.4.6)
+        # to 0.18 * 8 L^2 at L = 600; the screen's, which it frees before the
+        # kernel runs, are smaller (1.37 * 8 L^2 traced with numpy 2.4.6)
         span = planted_span(2016, MEMORY_SHAPE_SPAN)
         indices, peak = traced_e_divisive(span, alpha_exp)
         assert indices == [200, 380]  # both commits moved children
@@ -743,7 +892,8 @@ class TestMemoryShape:
     def test_traced_peak_at_the_fortnight_span_length(self):
         # L = 960, as each awake span of the criterion-10 fortnight: the
         # kernel buffers are 0.035 to 0.07 * 8 L^2 each (0.90 * 8 L^2 traced
-        # with numpy 2.4.6); a float64 L x L matrix alone would break the bound
+        # with numpy 2.4.6, the screen included; 0.90 to 0.99 on the
+        # fortnight's own spans); a float64 L x L matrix alone would break the bound
         span = planted_span(960, ((5.0, 300), (25.0, 330), (10.0, 330)))
         indices, peak = traced_e_divisive(span, 1.0)
         assert indices == [300, 630]

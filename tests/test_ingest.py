@@ -42,7 +42,7 @@ from rahar.ingest import (
 )
 
 from conftest import make_series
-from oracles import epochs_of, ref_parse, series_of
+from oracles import epoch_at, epochs_of, ref_parse, series_of
 
 HEADER = "timestamp,axis1,axis2,axis3,steps,inclinometer\n"
 CSV_HEADER_FIELDS = HEADER.strip().split(",")
@@ -55,7 +55,7 @@ def csv_text(rows: list[str]) -> str:
 class TestParse:
     def test_single_row_maps_fields(self):
         series = parse_epoch_csv(csv_text(["2014-09-01T22:00:00+03:00,0,0,0,0,lying"]))
-        epoch = series[0]
+        epoch = epoch_at(series, 0)
         assert epoch.counts == (0, 0, 0)
         assert epoch.steps == 0
         assert epoch.inclinometer is Inclinometer.LYING
@@ -102,7 +102,7 @@ class TestParse:
 
     def test_zulu_suffix_means_utc(self):
         series = parse_epoch_csv(csv_text(["2014-09-01T22:00:00Z,0,0,0,0,off"]))
-        assert series[0].timestamp.utcoffset() == timedelta(0)
+        assert epoch_at(series, 0).timestamp.utcoffset() == timedelta(0)
 
     def test_naive_timestamp_rejected(self):
         with pytest.raises(MalformedRow) as info:
@@ -147,8 +147,8 @@ class TestCountCeiling:
     def test_ceiling_accepted_and_vm3_exact(self):
         row = f"2014-09-01T22:00:00+03:00,{MAX_COUNT},{MAX_COUNT - 1},{MAX_COUNT},{MAX_COUNT},off"
         series = parse_epoch_csv(csv_text([row]))
-        assert series[0].counts == (MAX_COUNT, MAX_COUNT - 1, MAX_COUNT)
-        assert series[0].steps == MAX_COUNT
+        assert epoch_at(series, 0).counts == (MAX_COUNT, MAX_COUNT - 1, MAX_COUNT)
+        assert epoch_at(series, 0).steps == MAX_COUNT
         # a custom band whose light/moderate edge sits just above the exact magnitude
         vm3 = math.sqrt(MAX_COUNT**2 + (MAX_COUNT - 1) ** 2 + MAX_COUNT**2)
         scale = make_scale("edge", [(0, 130, 1, math.floor(vm3) - 1, math.floor(vm3) + 1)])
@@ -205,8 +205,8 @@ class TestValidate:
         filled, inserted = fill_gaps(broken)
         assert inserted == 10
         assert validate_series(filled) is filled
-        assert filled[55].counts == (0, 0, 0)
-        assert filled[55].inclinometer is Inclinometer.OFF
+        assert epoch_at(filled, 55).counts == (0, 0, 0)
+        assert epoch_at(filled, 55).inclinometer is Inclinometer.OFF
         assert not find_gaps(filled)
 
     @staticmethod
@@ -240,9 +240,9 @@ class TestAggregate:
         series = make_series([1] * 60)
         out, dropped = aggregate_epochs(series, 60)
         assert len(out) == 1 and dropped == 0
-        assert out[0].axis1 == 60
+        assert epoch_at(out, 0).axis1 == 60
         assert out.epoch_length == timedelta(hours=1)
-        assert out[0].timestamp == series[0].timestamp
+        assert epoch_at(out, 0).timestamp == epoch_at(series, 0).timestamp
 
     def test_remainder_dropped_with_count(self):
         series = make_series([1] * 10)
@@ -264,7 +264,7 @@ class TestAggregate:
         )
         out, _ = aggregate_epochs(series, 4)
         # 2-2 tie breaks toward the lower enum value
-        assert out[0].inclinometer is Inclinometer.SITTING
+        assert epoch_at(out, 0).inclinometer is Inclinometer.SITTING
 
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200),
