@@ -23,14 +23,16 @@ it, so all are bit-identical to that formula.  A segment also keeps its
 distances once in float32, on which one prefix-sum kernel bounds the
 best Q of each ordering in a block of permutations within a proven error
 bound; only an ordering whose bounds straddle the observed Q is rescored
-exactly, so p-values are bit-identical too.  At alpha = 1, once a test's
-earlier blocks found no exceedance, a segment of at least
-``SCREEN_MIN_LENGTH`` observations first bounds each ordering's best Q
-from above by the pair sums of a one-dimensional projection, a (block,
-``SCREEN_BINS``) running sum per step; an ordering below the observed Q
-there skips the float32 kernel on that segment.  So an ordering is decided
-by the screen, by the float32 bounds or by the exact rescoring, and the
-screen only ever decides a non-exceedance.  Inside :func:`e_divisive` a
+exactly, so p-values are bit-identical too.  Wherever float32 holds every
+distance, at any alpha and in every block, each ordering's best Q on a
+segment is first bounded from above by the segment's spectrum: energy
+distance is a quadratic form of the double-centred matrix -J D J / 2, one
+power step of which, taken once per segment in three einsum passes over
+the float32 matrix, bounds every split of an ordering from one cumulative
+sum; an ordering below the observed Q there skips the float32 kernel on
+that segment.  So an ordering is decided by the screen, by the float32
+bounds or by the exact rescoring, and the screen only ever decides a
+non-exceedance.  Inside :func:`e_divisive` a
 test scores a small first block of ``FIRST_BLOCK`` permutations, then the
 usual blocks, and stops after the first block at which (1 + exceedances)
 / (R + 1) already exceeds the significance level; a rejected split is
@@ -73,15 +75,6 @@ FIRST_BLOCK = 8
 # Steps a float32 running sum of the permutation kernel takes before it is
 # added to a float64 one: its error bound grows with them, its cost falls.
 CHUNK = 64
-# Equal-count bins of the screen's one-dimensional projection: more keep
-# more of each pair sum and cost more a step.  At L = 960, one CPU, 32 bins
-# cost 0.35 of the float32 kernel per ordering and 64 bins 0.51; on the
-# fortnight they decide 88% and 95% of the orderings they screen.
-SCREEN_BINS = 32
-# The shortest segment the screen runs on.  It costs 0.76 of the kernel per
-# ordering at L = 448 and 0.59 at 600, and decides about 3 in 4 orderings
-# at L = 400-447, so it starts to pay at about L = 500.
-SCREEN_MIN_LENGTH = 512
 
 # The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
 # and of PCG64's 128-bit seeding
@@ -181,7 +174,8 @@ def _alpha_rows(obs: np.ndarray, index, alpha_exp: float, out: np.ndarray) -> np
         np.subtract.outer(points[:, k], obs[:, k], out=diff)
         out += np.square(diff, out=diff)
     np.sqrt(out, out=out)
-    out **= alpha_exp  # the same scalar fast paths (sqrt, copy, square) as `**`
+    if alpha_exp != 1.0:
+        out **= alpha_exp  # the same scalar fast paths (sqrt, square) as `**`
     return out
 
 
@@ -284,23 +278,26 @@ def _pair_sums(obs: np.ndarray, alpha_exp: float, dist: np.ndarray | None = None
             largest = max(largest, rows.max())
             smallest = min(smallest, rows.min(initial=np.inf, where=rows > 0.0))
         row_totals[first:stop] = rows.sum(axis=1)
-        rows[0] += acc
-        np.cumsum(rows, axis=0, out=rows)  # row k: the sum of rows 0 .. first + k
+        tail = rows[:, first + 1 :]  # no later read needs the columns up to first
+        tail[0] += acc[first + 1 :]
+        np.cumsum(tail, axis=0, out=tail)  # row k: the sum of rows 0 .. first + k
         s = np.arange(first + 1, min(stop + 1, length))
         new_pair[s] = rows[s - 1 - first, s]
-        acc[:] = rows[-1]
+        acc[first + 1 :] = tail[-1]
     fits = None if dist is None else bool(length * largest <= 2.0**127 and smallest >= 2.0**-126)
     return row_totals, np.cumsum(new_pair), fits
 
 
 class _Segment(NamedTuple):
-    """A segment's observations, float32 matrix and what ``_scan`` reads."""
+    """A segment's observations, float32 matrix, what ``_scan`` reads and,
+    where ``fits``, what :func:`_spectrum` gives (else None)."""
     obs: np.ndarray
     dist: np.ndarray
     row_totals: np.ndarray
     t: int
     q: float
     fits: bool
+    spectrum: tuple | None
 
 
 def _scan(obs: np.ndarray, params: EnergyParams, dist: np.ndarray | None = None) -> tuple:
@@ -312,10 +309,15 @@ def _scan(obs: np.ndarray, params: EnergyParams, dist: np.ndarray | None = None)
     return row_totals, params.min_segment + k, float(q[k]), fits
 
 
-def _segment(obs: np.ndarray, params: EnergyParams) -> _Segment:
-    """A segment's record, its float32 matrix rounded from the rows ``_scan`` reads."""
-    dist = np.empty((obs.shape[0], obs.shape[0]), np.float32)
-    return _Segment(obs, dist, *_scan(obs, params, dist))
+def _segment(obs: np.ndarray, params: EnergyParams, dist=None, fits=None) -> _Segment:
+    """A segment's record, its float32 matrix rounded from the rows ``_scan``
+    reads, or given as ``dist`` with its ``fits`` flag (a child's)."""
+    if dist is None:
+        dist = np.empty((obs.shape[0], obs.shape[0]), np.float32)
+        scan = _scan(obs, params, dist)
+    else:
+        scan = *_scan(obs, params)[:3], fits
+    return _Segment(obs, dist, *scan, _spectrum(dist, scan[1]) if scan[3] else None)
 
 
 def best_split(span, params: EnergyParams | None = None) -> tuple[int, float]:
@@ -470,82 +472,93 @@ def _bounds(seg: _Segment, orders: np.ndarray, params: EnergyParams) -> tuple:
     return np.subtract(q_hat, margin).max(axis=0), np.add(q_hat, margin, out=q_hat).max(axis=0)
 
 
-def _projection(obs: np.ndarray) -> tuple:
-    """``(y, bins, err)`` of the screen: y = obs u less its midrange, for u
-    along the top principal axis, scaled by 1 - (2 L + d + 8) 2**-52 so that
-    |u| < 1 - (2 L + d + 5) 2**-53 after rounding; ``bins``, y's rank scaled
-    to ``SCREEN_BINS`` equal bins, so a lower bin never holds a larger y;
-    ``err``, a bound on the float64 rounding of any one y."""
-    length, d = obs.shape
-    v = np.linalg.eigh(np.atleast_2d(np.cov(obs, rowvar=False)))[1][:, -1]
-    u = v / np.linalg.norm(v) * (1.0 - (2 * length + d + 8) * 2.0**-52)
-    y = obs @ u
-    y -= (y.max() + y.min()) / 2.0
-    bins = np.empty(length, np.intp)
-    bins[np.argsort(y, kind="stable")] = np.arange(length) * SCREEN_BINS // length
-    err = (d + 2) * 2.0**-52 * (np.abs(obs).sum(axis=1) + np.abs(y)).max() + 2.0**-1022
-    return y, bins, err
+def _spectrum(dist: np.ndarray, t: int) -> tuple | None:
+    """``(v, theta, rho, mu, slack, delta)`` of :func:`_screen` on a segment
+    with float32 matrix ``dist`` (D) and best split ``t``, or None where Kx
+    is 0 (as is K where every distance is 0).
 
-
-def _projected_increments(y: np.ndarray, bins: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """inc[s, b] = y_s (c_lt - c_gt) - (s_lt - s_gt) as a float64 (L, block)
-    array: the sum of the y distances from the element at step s of ordering
-    b to the earlier ones in other bins (of ``SCREEN_BINS``).
-
-    Adding a (k, k) sign table's row of each element's bin, once bare and
-    once weighted by its y, keeps the counts and y sums of the earlier
-    elements below less those above, for every bin, in two (block, k)
-    running sums; step s reads them at its own bin.
+    Energy distance is a quadratic form of K = -J D J / 2, J = I - 11'/L.
+    One power step from the centred indicator x of the split at t gives v =
+    J y / |J y|, y = D x; then theta = v'Kv, rho = |Kv - theta v| and mu^2 =
+    |K|_F^2 - theta^2 - 2 rho^2, which is |PKP|_F^2, P = I - vv'.  |K|_F^2 is
+    (sum D_ij^2 - (|a|^2 + |Ja|^2) / L) / 4 for the row totals a = D1.  Three
+    passes over D, einsum's own float64 loops, give y and a (the column sums
+    of the two sides of t), Dv and the row sums of squares.  Each product is
+    within gamma_L B |v| of Dv, |D|_2 <= B the largest row total, so theta
+    and rho, for v / |v|, are within (L + 4) 2**-50 B, and |K|_F^2, theta^2
+    and 2 rho^2 within eps^2 = (L + 16)(sum D_ij^2 + 16 B^2) 2**-50, which mu
+    takes up as (mu^2 + eps^2)^(1/2).
     """
-    length, block = orders.shape
-    k = SCREEN_BINS
-    sign = np.sign(np.arange(k) - np.arange(k)[:, None]).astype(float)  # [b, c]: sign(c - b)
-    ys, cells = y.take(orders), bins.take(orders)
-    cells += np.arange(0, block * k, k)  # flat index of counts[b, bin]; its row of sign modulo k
-    counts, sums, row = np.zeros((block, k)), np.zeros((block, k)), np.empty((block, k))
-    got_count, got_sum = np.zeros(orders.shape), np.zeros(orders.shape)
-    take_sign, take_count, take_sum = sign.take, counts.reshape(-1).take, sums.reshape(-1).take
-    steps = zip(cells[:-1], ys[:-1, :, None], cells[1:], got_count[1:], got_sum[1:])
-    for earlier, weight, cell, count, total in steps:
-        take_sign(earlier, 0, row, "wrap")
-        counts += row
-        row *= weight
-        sums += row
-        take_count(cell, None, count, "clip")
-        take_sum(cell, None, total, "clip")
-    got_count *= ys
-    return np.subtract(got_count, got_sum, out=got_count)
+    length = dist.shape[0]
+    left = np.einsum("ij->i", dist[:, :t], dtype=float)
+    right = np.einsum("ij->i", dist[:, t:], dtype=float)
+    jy = left / t - right / (length - t)
+    jy -= jy.mean()
+    norm = np.sqrt(np.einsum("i,i", jy, jy))
+    if norm == 0.0:
+        return None
+    v, totals = jy / norm, np.add(left, right, out=left)
+    kv = np.einsum("ij,j->i", dist, v, dtype=float)
+    kv -= v.sum() / length * totals  # D J v
+    kv -= kv.mean()
+    kv *= -0.5
+    nu2 = np.einsum("i,i", v, v)
+    theta = np.einsum("i,i", v, kv) / nu2
+    kv -= theta * v
+    rho = np.sqrt(np.einsum("i,i", kv, kv) / nu2)
+    squares = np.einsum("ij,ij->i", dist, dist, dtype=float).sum()
+    centred = totals - totals.mean()
+    frobenius = (squares - (np.einsum("i,i", totals, totals) + np.einsum("i,i", centred, centred)) / length) / 4.0
+    big = totals.max()
+    eps2 = (length + 16) * (squares + 16.0 * big * big) * 2.0**-50
+    mu = np.sqrt(max(frobenius - theta * theta - 2.0 * rho * rho, 0.0) + eps2)
+    slack = (2.0**-24 + length * (length + 16) * 2.0**-47) * big
+    delta = abs(v.sum()) + (length + 2) * np.sqrt(length) * 2.0**-50
+    return v, float(theta), float(rho), float(mu), float(slack), float(delta)
 
 
-def _screen(seg: _Segment, orders: np.ndarray, params: EnergyParams) -> np.ndarray:
+def _screen(seg: _Segment, orders: np.ndarray, params: EnergyParams, observed: float):
     """An upper bound of the max over t of Q under each ordering (a column
-    of ``orders``), as :func:`_exact_max` gives it at alpha = 1, from a
-    one-dimensional projection y of the observations.
+    of ``orders``), as :func:`_exact_max` gives it, from the segment's
+    :func:`_spectrum`; None where no ordering can fall below ``observed``.
 
-    For a unit vector u, |u.(xi - xj)| <= |xi - xj|, and dropping the pairs
-    that share a bin of y keeps a lower bound of the pair sum lw: a pair in
-    different bins has a known sign, so the increment of step s is y_s
-    (c_lt - c_gt) - (s_lt - s_gt), from the counts and y sums of the earlier
-    elements in lower and in higher bins (``_projected_increments``).  As Q
-    falls where lw rises (``_q_margin``), ``_split_q`` fed this lw gives an
-    upper bound, with ``_q_margin``'s rounding margin.
+    For a split into S | S' of sizes nl | nr, w = 1_S / nl - 1_S' / nr has
+    |w|^2 = 1 / h, h = nl nr / L.  As lw, rw >= 0 and 1 / C(n, 2) > 2 / n^2,
+    Q <= -h w'D64 w = 2 u'K64 u, u = w / |w| (J u = u), for the float64 matrix
+    D64 and K64 = -J D64 J / 2.  ``fits`` rounds each distance to a normal
+    float32: |D - D64|_2 <= 2**-24 B, so 2 u'K64 u <= 2 u'Ku + 2**-24 B.  With
+    u = c v + s z, z a unit vector normal to v, c^2 + s^2 = 1,
 
-    The bound holds in float64.  The shrunk |u| covers the rounding of each
-    distance (at most (d + 5) 2**-53 relative, as ``fits`` keeps every one
-    normal) and of the exact lw's float64 sum (gamma_2L), and each counted
-    pair adds at most 2 err.  The counts are exact; a running y sum is off
-    by at most gamma_L L Y, Y the largest |y|, an increment by (L + 4) L Y
-    2**-53, and their cumulative sum by (3 L + 6) L^2 Y 2**-53 in all.  So
-    lw less (L + 4) L^2 Y 2**-50 + L^2 err, but at least 0, lies in [0, lw].
+        u'Ku = c^2 theta + 2 c s z'(Kv - theta v) + s^2 z'Kz <= c^2 theta + rho + s^2 mu,
+
+    as 2 |c s| <= 1 and z'Kz <= |PKP|_2 <= mu.  c = v'u is P_t (L / (nl nr))^(1/2)
+    less V (nl / L)(L / (nl nr))^(1/2), P_t the sum of v over the first t of
+    the ordering, V = sum v.  So Q <= 2 (mu + (theta - mu) c^2 + rho) + 2**-24
+    B at every t, and the max over t takes the largest |c| if theta >= mu,
+    else the smallest.  Rounding: |c| is within ``delta`` = |V| + (L + 2) L^(1/2)
+    2**-50 of the computed one, as nl, nr >= 2 keep (L / (nl nr))^(1/2) <= 1
+    and P_t is within gamma_L L^(1/2).  :func:`_exact_max`'s Q is within
+    ``_q_margin``'s margin (eps = 0) and the gamma_2L rounding of its lw of the
+    exact one, at most (1.5 L (L + 16) + 0.375 L^2) 2**-50 B as T <= L B / 2 and
+    the slope is at most 3; with twice the errors of theta and rho that is
+    below L (L + 16) 2**-47 B, which ``slack`` adds to 2**-24 B.
     """
-    length = orders.shape[0]
-    y, bins, err = _projection(seg.obs)
-    left_within = _projected_increments(y, bins, orders)
-    np.cumsum(left_within, axis=0, out=left_within)
-    left_within -= (length + 4) * length**2 * np.abs(y).max() * 2.0**-50 + length**2 * err
-    np.maximum(left_within, 0.0, out=left_within)
-    q_hat, margin = _q_margin(seg, left_within, orders, params, 0.0)
-    return np.add(q_hat, margin, out=q_hat).max(axis=0)
+    v, theta, rho, mu, slack, delta = seg.spectrum
+    if 2.0 * (min(theta, mu) + rho) + slack >= observed:
+        return None
+    length, m = orders.shape[0], params.min_segment
+    n_left = np.arange(m, length - m + 1.0)[:, None]
+    prefix = v.take(orders, mode="clip")
+    np.cumsum(prefix, axis=0, out=prefix)
+    c = prefix[m - 1 : length - m]
+    c *= np.sqrt(length / (n_left * (length - n_left)))
+    np.abs(c, out=c)
+    if theta >= mu:
+        c = c.max(axis=0) + delta
+    else:
+        c = np.maximum(c.min(axis=0) - delta, 0.0)
+    np.minimum(c, 1.0, out=c)
+    return 2.0 * (mu + (theta - mu) * c * c + rho) + slack
 
 
 def _exact_max(seg: _Segment, order: np.ndarray, params: EnergyParams) -> float:
@@ -592,8 +605,8 @@ def _permutation_pvalue(
     block at a time on the float32 matrices: an ordering whose lower bound
     reaches ``observed_stat`` exceeds it, one whose upper bound is below it
     does not, and only the rest are rescored exactly (all of them where
-    float32 cannot hold some segment's distances).  Where :func:`_screen`
-    runs, an ordering it bounds below ``observed_stat`` on a segment skips
+    float32 cannot hold some segment's distances).  Before that, an ordering
+    that :func:`_screen` bounds below ``observed_stat`` on a segment skips
     the float32 kernel there.
 
     With ``stop_above`` set, the first block holds only ``FIRST_BLOCK``
@@ -615,17 +628,15 @@ def _permutation_pvalue(
         recheck = np.arange(stop - first)
         if bounded:
             lo, hi = bounds = np.full((2, stop - first), -np.inf)
-            # the screen pays once most orderings fall below the observed Q,
-            # as in a test whose earlier blocks found no exceedance
-            screened = params.alpha_exp == 1.0 and first > 0 and exceed == 0
             for seg, o in zip(segments, orders):
                 cols = slice(None)
-                if screened and len(o) >= SCREEN_MIN_LENGTH:
+                screen = _screen(seg, o, params, observed_stat) if seg.spectrum else None
+                if screen is not None:
                     # an ordering below the observed Q on this segment keeps
                     # its bounds there at -inf.  The copy of the others takes
                     # 8 bytes an element to the kernel's 36: with at most 4/5
                     # of them the two stay below the kernel's peak on all
-                    keep = _screen(seg, o, params) >= observed_stat
+                    keep = screen >= observed_stat
                     if 5 * np.count_nonzero(keep) <= 4 * len(keep):
                         cols = np.flatnonzero(keep)
                         o = o.take(cols, axis=1)
@@ -711,7 +722,7 @@ def e_divisive(
         # a child's distances are some of its parent's: float32 holds them if it held those
         parts = zip((start, start + t), (seg.obs[:t], seg.obs[t:]), _split_in_place(seg.dist, t))
         segments[best : best + 1] = [
-            (first, _Segment(part, dist, *_scan(part, params)[:3], seg.fits))
+            (first, _segment(part, params, dist, seg.fits))
             for first, part, dist in parts
             if len(part) >= 2 * params.min_segment
         ]

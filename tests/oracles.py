@@ -133,6 +133,18 @@ def single_order_best_split(dist, order, min_segment: int):
     return int(t[k]), float(q_hat[k]), new_pair
 
 
+def full_width_pair_sums(dist) -> tuple:
+    """``(row_totals, left_within)`` of a float64 distance matrix: each row's
+    sum, and at s the pair sum of the first s + 1 observations, each pair
+    increment read from one column-wise cumulative sum over the full width."""
+    dist = np.asarray(dist, dtype=float)
+    length = dist.shape[0]
+    prefix = np.cumsum(dist, axis=0)
+    new_pair = np.zeros(length)
+    new_pair[1:] = prefix[np.arange(length - 1), np.arange(1, length)]
+    return dist.sum(axis=1), np.cumsum(new_pair)
+
+
 def ref_permutation_rng(master_seed: int, iteration: int, r: int) -> np.random.Generator:
     """numpy's own generator for permutation r of change-point test ``iteration``."""
     seq = np.random.SeedSequence([master_seed, iteration, r])

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from oracles import (
     energy_triple_sum,
     euclidean_distance_loop,
     exhaustive_best_split,
+    full_width_pair_sums,
     ref_permutation_rng,
     single_order_best_split,
 )
@@ -304,6 +307,24 @@ class TestBlockKernel:
                     # the test helper's stacked blocks too
                     assert np.array_equal(distance_matrix(obs, alpha_exp), loop**alpha_exp)
 
+    @pytest.mark.parametrize("block_elements", [None, 777])
+    @pytest.mark.parametrize("alpha_exp", [0.7, 1.0, 1.5])
+    @pytest.mark.parametrize("length", [1, 2, 61, 200, 1100])
+    def test_pair_sums_equal_the_full_width_cumsum(self, monkeypatch, length, alpha_exp, block_elements):
+        # each block's column sums skip the columns no later read needs; a
+        # block holds 29 rows at L = 1,100, and 777 elements hold 12 rows
+        # of 61, 3 of 200 and one of 1,100
+        if block_elements is not None:
+            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
+        obs = np.random.default_rng(length).poisson(12.0, (length, 3)).astype(float)
+        dist = distance_matrix(obs, alpha_exp)
+        row_totals, left_within = full_width_pair_sums(dist)
+        matrix = np.empty((length, length), np.float32)
+        for got in (changepoint._pair_sums(obs, alpha_exp), changepoint._pair_sums(obs, alpha_exp, matrix)):
+            assert np.array_equal(got[0], row_totals)
+            assert np.array_equal(got[1], left_within)
+        assert got[2] and np.array_equal(matrix, dist.astype(np.float32))
+
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_matches_single_order_reference(self, length):
         rng = np.random.default_rng(length)
@@ -531,129 +552,156 @@ class TestExactRescore:
 
 def screen_span(kind, rng, length, d):
     """A span of the bound grid's kinds, or its Poisson counts shifted by
-    1e6, where the float64 rounding of y = Xu is absolute, not relative."""
+    1e6, far from the origin the distances are measured without."""
     if kind == "shifted":
         return count_span(rng, length, d=d) + 1e6
     return bound_span(kind, rng, length, d)
 
 
-def collinear_span(rng, length):
-    """Counts along one direction of three axes: the projection keeps every
-    distance, so the screen decides most orderings below a large Q."""
-    return count_span(rng, length, d=1) * np.array([1.0, -0.75, 0.5])
+def two_value_span(n_low, n_high):
+    """``n_low`` observations at the origin, then ``n_high`` at 0.7 along the
+    second axis: K is rank one, and float32 rounds 0.7**alpha down at alpha
+    0.7, 1 and 1.5."""
+    span = np.zeros((n_low + n_high, 3))
+    span[n_low:, 1] = 0.7
+    return span
+
+
+def two_level_span(rng, length):
+    """Two levels along one direction with a little noise: K is nearly rank
+    one, so the bound comes close to each ordering's Q."""
+    high = rng.random((length, 1)) < 0.5
+    return high * np.array([10.0, -7.5, 5.0]) + rng.normal(0.0, 0.05, (length, 3))
 
 
 def spy_screen(monkeypatch) -> dict:
-    """From here on, the orderings the screen scores and those it decides
-    below the observed Q of the permutation test that called it."""
-    seen = {"screened": 0, "decided": 0}
-    screen, pvalue = changepoint._screen, changepoint._permutation_pvalue
-    observed = []
+    """From here on, the (ordering, segment) pairs the screen scores, those
+    it decides below the observed Q, and the blocks it decides in part
+    that leave the kernel a copy of the orderings it keeps (at most 4/5)."""
+    seen = {"screened": 0, "decided": 0, "copied": 0}
+    screen = changepoint._screen
 
-    def spy(seg, orders, params):
-        hi = screen(seg, orders, params)
+    def spy(seg, orders, params, observed):
+        hi = screen(seg, orders, params, observed)
         seen["screened"] += orders.shape[1]
-        seen["decided"] += int(np.count_nonzero(hi < observed[-1]))
+        if hi is not None:
+            decided = int(np.count_nonzero(hi < observed))
+            seen["decided"] += decided
+            kept = len(hi) - decided
+            seen["copied"] += 0 < kept and 5 * kept <= 4 * len(hi)
         return hi
 
-    def spy_pvalue(segments, observed_stat, *args, **kwargs):
-        observed.append(observed_stat)
-        return pvalue(segments, observed_stat, *args, **kwargs)
-
     monkeypatch.setattr(changepoint, "_screen", spy)
-    monkeypatch.setattr(changepoint, "_permutation_pvalue", spy_pvalue)
     return seen
 
 
 class TestScreen:
-    """At alpha = 1, after a block with no exceedance, a segment of at least
-    ``SCREEN_MIN_LENGTH`` observations first bounds each ordering's Q from
-    above by a one-dimensional projection; an ordering below the observed
-    Q there skips the float32 kernel on that segment.  The bound must hold
+    """Wherever every segment ``fits``, each ordering's Q on a segment is
+    first bounded from above by the segment's spectrum (one power step of
+    the double-centred float32 matrix); an ordering below the observed Q
+    there skips the float32 kernel on that segment.  The bound must hold
     above the float64 maximum, so p-values do not move."""
 
     @pytest.mark.parametrize("kind", ["poisson", "near_max_count", "normal", "shifted"])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_screen_bound_holds_the_float64_maximum(self, length, d, kind):
-        # called directly, the screen runs whatever SCREEN_MIN_LENGTH says
-        rng = np.random.default_rng([length, d, 2, len(kind)])
-        obs = screen_span(kind, rng, length, d)
-        params = EnergyParams(min_segment=30)
-        segment = changepoint._segment(obs, params)
-        assert segment.fits
-        dist = distance_matrix(obs, 1.0)
-        orders = np.stack([rng.permutation(length) for _ in range(24)], axis=1)
-        hi = changepoint._screen(segment, orders, params)
+        # the span's own order and its reverse keep its changes, where the
+        # bound comes closest; an observed Q of +inf scores every ordering
+        for alpha_exp in (0.7, 1.0, 1.5):
+            rng = np.random.default_rng([length, d, int(alpha_exp * 10), len(kind)])
+            obs = screen_span(kind, rng, length, d)
+            params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+            segment = changepoint._segment(obs, params)
+            assert segment.fits
+            dist = distance_matrix(obs, alpha_exp)
+            identity = np.arange(length)
+            orders = np.stack(
+                [identity, identity[::-1], *(rng.permutation(length) for _ in range(24))], axis=1
+            )
+            hi = changepoint._screen(segment, orders, params, np.inf)
+            for b, order in enumerate(orders.T):
+                _, q_ref, _ = single_order_best_split(dist, order, 30)
+                assert q_ref <= hi[b]
+
+    @pytest.mark.parametrize("alpha_exp", [0.7, 1.0, 1.5])
+    @pytest.mark.parametrize("sizes", [(60, 75, 87), (60, 45, 31), (72, 75, 72, 65)])
+    def test_bound_holds_on_orderings_of_whole_groups(self, sizes, alpha_exp):
+        # a few distinct points, so K has rank below their number and v is
+        # not its eigenvector: an ordering that keeps each group whole, in
+        # any order of the groups, splits near where the rho term is needed
+        rng = np.random.default_rng(len(sizes))
+        span = np.repeat(rng.normal(0.0, 3.0, (len(sizes), 2)), sizes, axis=0)
+        params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+        segment = changepoint._segment(span, params)
+        dist = distance_matrix(span, alpha_exp)
+        groups = np.split(np.arange(len(span)), np.cumsum(sizes)[:-1])
+        orders = np.stack(
+            [np.concatenate([groups[k] for k in p]) for p in itertools.permutations(range(len(sizes)))],
+            axis=1,
+        )
+        hi = changepoint._screen(segment, orders, params, np.inf)
         for b, order in enumerate(orders.T):
             _, q_ref, _ = single_order_best_split(dist, order, 30)
             assert q_ref <= hi[b]
 
-    @pytest.mark.parametrize("shift", [0.0, 1e6])
-    @pytest.mark.parametrize("kind", ["poisson", "near_max_count", "normal"])
-    @pytest.mark.parametrize("length", [60, 61, 200, 400])
-    def test_a_bin_per_observation_of_collinear_counts_is_tight(
-        self, monkeypatch, length, kind, shift
-    ):
-        # the projection keeps every distance and no pair shares a bin: the
-        # bound is the float64 maximum plus its rounding margins, a few
-        # 1e-10 of the half total T with the shift
-        monkeypatch.setattr(changepoint, "SCREEN_BINS", length)
-        rng = np.random.default_rng([length, len(kind)])
-        obs = bound_span(kind, rng, length, 1) * np.array([1.0, -0.75, 0.5]) + shift
-        params = EnergyParams(min_segment=30)
-        segment = changepoint._segment(obs, params)
-        dist = distance_matrix(obs, 1.0)
-        orders = np.stack([rng.permutation(length) for _ in range(24)], axis=1)
-        hi = changepoint._screen(segment, orders, params)
-        half_total = segment.row_totals.sum() / 2.0
-        for b, order in enumerate(orders.T):
-            _, q_ref, _ = single_order_best_split(dist, order, 30)
-            assert q_ref <= hi[b] <= q_ref + 1e-8 * half_total
+    @pytest.mark.parametrize("alpha_exp", [0.7, 1.0, 1.5])
+    @pytest.mark.parametrize("n_low, n_high", [(30, 30), (45, 75), (200, 100)])
+    def test_rank_one_bound_is_the_float32_perturbation_tight(self, n_low, n_high, alpha_exp):
+        # at the split between the two values the exact Q is 2 theta (no
+        # within-side distance) and v is K's eigenvector: the bound is the
+        # float32 theta, below Q here, plus 2**-24 B and float64 margins
+        span = two_value_span(n_low, n_high)
+        params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+        segment = changepoint._segment(span, params)
+        gap = float(distance_matrix(span, alpha_exp)[0, -1])
+        assert float(np.float32(gap)) < gap
+        order = np.arange(len(span))
+        hi = changepoint._screen(segment, order[:, None], params, np.inf)[0]
+        q = changepoint._exact_max(segment, order, params)
+        assert q <= hi <= q + 2.0**-23 * segment.row_totals.max()
 
     @pytest.mark.parametrize("rank", [-1, -2, 80])
     @pytest.mark.parametrize("block", [1, 7, 40, 99])
-    @pytest.mark.parametrize("collinear", [False, True])
-    def test_pvalue_equals_reference(self, monkeypatch, collinear, block, rank):
+    @pytest.mark.parametrize("levels", [False, True])
+    def test_pvalue_equals_reference(self, monkeypatch, levels, block, rank):
         # the near-tie setup: the observed Q is one permuted statistic, so
-        # that ordering must reach the exact rescoring past the screen
-        rng = np.random.default_rng(5)
-        span = collinear_span(rng, 330) if collinear else count_span(rng, 330)
-        bounds = [(0, 40), (40, 190), (190, 330)]
-        params = EnergyParams(min_segment=30)
-        cfg = PermutationConfig(n_permutations=99, master_seed=4)
-        full = distance_matrix(span, 1.0)
-        stats = permuted_stats([full[a:b, a:b] for a, b in bounds], params, cfg, 2)
-        observed = sorted(stats)[rank]
-        expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
+        # that ordering must pass the screen to the exact rescoring.  On
+        # counts the bound stays above such a Q; on two levels it decides
+        # most of the other orderings
         monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 75 * block)
-        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
-        segments = [changepoint._segment(span[a:b], params) for a, b in bounds[1:]]
+        bounds = [(0, 40), (40, 190), (190, 330)]
+        cfg = PermutationConfig(n_permutations=99, master_seed=4)
         seen = spy_screen(monkeypatch)
-        assert changepoint._permutation_pvalue(segments, observed, params, cfg, 2) == expected
-        stopped = changepoint._permutation_pvalue(
-            segments, observed, params, cfg, 2, stop_above=expected
-        )
-        assert stopped == expected
-        if collinear and block < 40 and rank < 0:
-            # every block before the exceedance is screened, and all but
-            # the tie decided there
-            assert seen["decided"] > 0
+        for alpha_exp in (1.0, 1.5):
+            rng = np.random.default_rng(5)
+            span = two_level_span(rng, 330) if levels else count_span(rng, 330)
+            params = EnergyParams(alpha_exp=alpha_exp, min_segment=30)
+            full = distance_matrix(span, alpha_exp)
+            stats = permuted_stats([full[a:b, a:b] for a, b in bounds], params, cfg, 2)
+            observed = sorted(stats)[rank]
+            expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
+            segments = [changepoint._segment(span[a:b], params) for a, b in bounds[1:]]
+            decided = seen["decided"]
+            assert changepoint._permutation_pvalue(segments, observed, params, cfg, 2) == expected
+            assert seen["decided"] > decided or not levels
+            stopped = changepoint._permutation_pvalue(
+                segments, observed, params, cfg, 2, stop_above=expected
+            )
+            assert stopped == expected
 
     @pytest.mark.parametrize("span_of", [three_regime_span, lambda: normal_regimes(22)],
                              ids=["counts", "normal"])
     def test_e_divisive_unchanged(self, monkeypatch, span_of):
         span = span_of()
         params, cfg = EnergyParams(min_segment=30), PermutationConfig(master_seed=5)
-        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", len(span) + 1)
-        unscreened = e_divisive(span, params, cfg)
-        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
         seen = spy_screen(monkeypatch)
-        assert e_divisive(span, params, cfg) == unscreened
-        assert len(unscreened) == 2 and seen["decided"] > 0
+        screened = e_divisive(span, params, cfg)
+        monkeypatch.setattr(changepoint, "_screen", lambda *args: None)
+        assert e_divisive(span, params, cfg) == screened
+        assert len(screened) == 2 and seen["decided"] > 0
 
     def test_golden_three_regimes_with_the_screen(self, monkeypatch):
-        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
         seen = spy_screen(monkeypatch)
         cps = e_divisive(
             three_regime_span(), EnergyParams(min_segment=30), PermutationConfig(master_seed=7)
@@ -664,18 +712,38 @@ class TestScreen:
         ]
         assert seen["decided"] > 0
 
-    @pytest.mark.parametrize("alpha_exp, scale", [(1.5, 1.0), (1.0, 1e-40), (1.0, 1e36)])
-    def test_not_run_at_other_alpha_or_where_float32_cannot_hold(self, monkeypatch, alpha_exp, scale):
-        # 1e-40 puts every positive distance below 2**-126; 1e36 puts L times
-        # the largest above 2**127
+    @pytest.mark.parametrize(
+        "alpha_exp, scale", [(1.5, 1e-30), (1.5, 1e25), (1.0, 1e-40), (1.0, 1e36)]
+    )
+    def test_not_run_where_float32_cannot_hold(self, monkeypatch, alpha_exp, scale):
+        # at alpha 1, 1e-40 puts every positive distance below 2**-126 and
+        # 1e36 puts L times the largest above 2**127
         params, cfg = EnergyParams(alpha_exp=alpha_exp, min_segment=30), PermutationConfig(master_seed=7)
         expected = e_divisive(three_regime_span(), params, cfg)
-        monkeypatch.setattr(changepoint, "SCREEN_MIN_LENGTH", 0)
-        assert changepoint._segment(three_regime_span() * scale, params).fits is (scale == 1.0)
+        span = three_regime_span() * scale
+        segment = changepoint._segment(span, params)
+        assert not segment.fits and segment.spectrum is None
         seen = spy_screen(monkeypatch)
-        cps = e_divisive(three_regime_span() * scale, params, cfg)
+        cps = e_divisive(span, params, cfg)
         assert [(cp.index, cp.p_value) for cp in cps] == [(cp.index, cp.p_value) for cp in expected]
-        assert seen == {"screened": 0, "decided": 0}
+        assert permutation_test([span], cps[0].statistic, params, cfg, 0) == cps[0].p_value
+        assert seen["screened"] == 0
+
+    @pytest.mark.parametrize("span", [np.full((120, 3), 4.0), two_value_span(60, 60)],
+                             ids=["constant", "two_values"])
+    def test_degenerate_spans_raise_no_warning(self, span):
+        # every distance 0 leaves K x = 0 and no screen; two values leave
+        # mu^2 at rounding level, clamped before its root
+        params = EnergyParams(min_segment=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cps = e_divisive(span, params)
+            _, q = best_split(span, params)
+            p_value = permutation_test([span], q, params)
+        constant = np.all(span == span[0])
+        assert [cp.index for cp in cps] == ([] if constant else [60])
+        assert p_value == (1.0 if constant else 0.01)
+        assert (changepoint._segment(span, params).spectrum is None) is bool(constant)
 
 
 def split_in_place_checked(dist, t):
@@ -877,13 +945,24 @@ def planted_span(seed, regimes):
 MEMORY_SHAPE_SPAN = ((4.0, 200), (30.0, 180), (12.0, 220))
 
 
+def two_level_halves(seed, length):
+    """Two noisy levels in each half, the second half shifted along the first
+    axis: one commit at the middle, then tests whose observed Q falls among
+    the screen's bounds, so it decides some blocks in part."""
+    low = two_level_span(np.random.default_rng(seed), length // 2)
+    high = two_level_span(np.random.default_rng(seed + 10), length - length // 2)
+    return np.concatenate([low, high + np.array([3.0, 0.0, 0.0])])
+
+
 class TestMemoryShape:
     @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
     def test_traced_peak_is_one_distance_matrix_and_kernel_blocks(self, alpha_exp):
         # one float32 L x L matrix (0.5 * 8 L^2), which each commit splits in
         # place, and the kernel's buffers of about 256 to 512 KiB each, 0.09
         # to 0.18 * 8 L^2 at L = 600; the screen's, which it frees before the
-        # kernel runs, are smaller (1.37 * 8 L^2 traced with numpy 2.4.6)
+        # kernel runs, are smaller.  The screen leaves the kernel no ordering
+        # of a committed test here and decides no block in part (0.84 * 8 L^2
+        # traced with numpy 2.4.6)
         span = planted_span(2016, MEMORY_SHAPE_SPAN)
         indices, peak = traced_e_divisive(span, alpha_exp)
         assert indices == [200, 380]  # both commits moved children
@@ -891,13 +970,24 @@ class TestMemoryShape:
 
     def test_traced_peak_at_the_fortnight_span_length(self):
         # L = 960, as each awake span of the criterion-10 fortnight: the
-        # kernel buffers are 0.035 to 0.07 * 8 L^2 each (0.90 * 8 L^2 traced
-        # with numpy 2.4.6, the screen included; 0.90 to 0.99 on the
-        # fortnight's own spans); a float64 L x L matrix alone would break the bound
+        # kernel buffers are 0.035 to 0.07 * 8 L^2 each (0.67 * 8 L^2 traced
+        # with numpy 2.4.6, where the screen leaves the kernel no ordering of
+        # a committed test); a float64 L x L matrix alone would break the bound
         span = planted_span(960, ((5.0, 300), (25.0, 330), (10.0, 330)))
         indices, peak = traced_e_divisive(span, 1.0)
         assert indices == [300, 630]
         assert peak <= 0.97 * 8 * len(span) ** 2
+
+    @pytest.mark.parametrize("alpha_exp", [1.0, 1.5])
+    @pytest.mark.parametrize("length, seed, bound", [(600, 2, 1.45), (960, 3, 0.97)])
+    def test_traced_peak_with_blocks_decided_in_part(self, monkeypatch, length, seed, bound, alpha_exp):
+        # the planted spans above leave no block decided in part; here the
+        # kernel takes a copy of the orderings the screen keeps, under the
+        # same bounds (1.36 and 0.90 * 8 L^2 traced with numpy 2.4.6)
+        seen = spy_screen(monkeypatch)
+        indices, peak = traced_e_divisive(two_level_halves(seed, length), alpha_exp)
+        assert len(indices) == 1 and seen["copied"] > 0
+        assert peak <= bound * 8 * length**2
 
     def test_energy_divergence_peak_is_a_few_row_blocks(self):
         # the pair sums are built a block of rows at a time: no (n, m, d)

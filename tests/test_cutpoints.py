@@ -131,6 +131,11 @@ class TestScaleFile:
         with pytest.raises(InvalidScale):
             make_scale("broken", [(0, 99, 100, 100, 50)])
 
+    def test_empty_age_range_rejected(self):
+        # the scale-file fuzz reaches this only on some of its examples
+        with pytest.raises(InvalidScale, match=r"age range \[30, 18\] is empty"):
+            make_scale("broken", [(30, 18, 100, 1000, 5000)])
+
     def test_coverage_every_count_has_level(self, adult_scale):
         band = adult_scale.band_for_age(18)
         for cpm in range(0, 20000, 97):
