@@ -19,19 +19,20 @@ sequence's distance row totals and within-prefix pair sums, its rows
 rebuilt a block at a time from the observations and added as the
 one-permutation-at-a-time formula adds them.  The observed split scan,
 the rescoring of a permuted ordering and :func:`energy_divergence` read
-it, so all are bit-identical to that formula.  A segment also keeps its
-distances once in float32, on which one prefix-sum kernel bounds the
-best Q of each ordering in a block of permutations within a proven error
-bound; only an ordering whose bounds straddle the observed Q is rescored
-exactly, so p-values are bit-identical too.  Wherever float32 holds every
-distance, at any alpha and in every block, each ordering's best Q on a
-segment is first bounded from above by the segment's spectrum: energy
-distance is a quadratic form of the double-centred matrix -J D J / 2, one
-power step of which, taken once per segment in three einsum passes over
-the float32 matrix, bounds every split of an ordering from one cumulative
-sum; an ordering below the observed Q there skips the float32 kernel on
-that segment.  So an ordering is decided by the screen, by the float32
-bounds or by the exact rescoring, and the screen only ever decides a
+it, so all are bit-identical to that formula.  A segment also rounds
+those rows once into its own float32 matrix and finds from them whether
+float32 holds its distances; each segment decides for itself.  On one
+that does, at any alpha and in every block, each ordering's best Q first
+takes an upper bound from the segment's spectrum: energy distance is a
+quadratic form of the double-centred matrix -J D J / 2, one power step of
+which, taken once per segment in three einsum passes over the float32
+matrix, bounds every split of an ordering from one cumulative sum.  An
+ordering at or above the observed Q there takes the float32 prefix-sum
+kernel, which bounds its best Q from both sides within a proven error
+bound.  On a segment float32 cannot hold, the bounds are (-inf, +inf).
+An ordering whose largest bounds over the segments straddle the observed
+Q is rescored exactly, on the segments whose upper bound reaches it, so
+p-values are bit-identical too, and the screen only ever decides a
 non-exceedance.  Inside :func:`e_divisive` a
 test scores a small first block of ``FIRST_BLOCK`` permutations, then the
 usual blocks, and stops after the first block at which (1 + exceedances)
@@ -309,14 +310,12 @@ def _scan(obs: np.ndarray, params: EnergyParams, dist: np.ndarray | None = None)
     return row_totals, params.min_segment + k, float(q[k]), fits
 
 
-def _segment(obs: np.ndarray, params: EnergyParams, dist=None, fits=None) -> _Segment:
+def _segment(obs: np.ndarray, params: EnergyParams, dist=None) -> _Segment:
     """A segment's record, its float32 matrix rounded from the rows ``_scan``
-    reads, or given as ``dist`` with its ``fits`` flag (a child's)."""
+    reads into ``dist`` (a new L x L one if None), its ``fits`` from them."""
     if dist is None:
         dist = np.empty((obs.shape[0], obs.shape[0]), np.float32)
-        scan = _scan(obs, params, dist)
-    else:
-        scan = *_scan(obs, params)[:3], fits
+    scan = _scan(obs, params, dist)
     return _Segment(obs, dist, *scan, _spectrum(dist, scan[1]) if scan[3] else None)
 
 
@@ -425,22 +424,28 @@ def _draw_orders(
     return orders
 
 
-def _q_margin(seg: _Segment, left_within: np.ndarray, orders: np.ndarray, params: EnergyParams,
-              eps: float) -> tuple:
-    """``(q_hat, margin)``: Q at each split of each ordering from the float64
-    prefix pair sums ``left_within``, which it overwrites, and the segment's
-    row totals in that order, with the half-sum T of the row totals as the
-    total; and the margin that covers a relative error ``eps`` of
-    ``left_within`` together with float64 rounding.
+def _bounds(seg: _Segment, orders: np.ndarray, params: EnergyParams) -> tuple:
+    """Bounds (lo, hi) of the max over t of Q under each ordering (a column
+    of ``orders``), as :func:`_exact_max` gives it, from the float32 matrix:
+    the kernel's float64 prefix pair sums lw and the segment's row totals in
+    that order, with the half-sum T of the row totals as the total.
 
-    Both this Q and the one :func:`_exact_max` gives take the same row
-    prefix sums, and as cross = row_cum - 2 lw and rw = total + lw - row_cum,
-    Q is linear in lw with slope -h (4 / (nl nr) + 1 / C(nl, 2) + 1 / C(nr, 2)),
+    There a distance is rounded once to a normal float32 (relative error u =
+    2**-24) and an increment is a float64 sum of float32 recursive sums of
+    at most ``CHUNK`` terms (Higham 2002, §4.2: gamma_n = n u / (1 - n u)),
+    so with lw cumulated in float64 as ``_pair_sums`` cumulates it, the
+    kernel's lw and the exact one differ by at most eps lw* <= eps (1 + 2
+    eps) lw, eps = 2 (CHUNK + 1) u, lw* the exact sum (float64's gamma_2L
+    fits in the margin for L < 2**32).  Both Qs take the same row prefix
+    sums, and as cross = row_cum - 2 lw and rw = total + lw - row_cum, Q is
+    linear in lw with slope -h (4 / (nl nr) + 1 / C(nl, 2) + 1 / C(nr, 2)),
     h = nl nr / (nl + nr).  The rest is float64 rounding (T against the
     exact total, each side's few operations on non-negative terms of at most
     2 T, the bound itself), which (L + 16) 2**-50 T times that slope covers.
     """
     length, m = orders.shape[0], params.min_segment
+    left_within = _pair_increments(seg.dist, orders)
+    np.cumsum(left_within, axis=0, out=left_within)
     row_cum = seg.row_totals.take(orders, None, np.empty(orders.shape), "clip")
     np.cumsum(row_cum, axis=0, out=row_cum)
     n_left = np.arange(m, length - m + 1.0)[:, None]
@@ -448,27 +453,10 @@ def _q_margin(seg: _Segment, left_within: np.ndarray, orders: np.ndarray, params
     # h (4 / (nl nr) + 1 / C(nl, 2) + 1 / C(nr, 2)) with h = nl nr / L
     slope = (4.0 + 2.0 * n_right / (n_left - 1.0) + 2.0 * n_left / (n_right - 1.0)) / length
     half_total = seg.row_totals.sum() / 2.0
-    margin = (length + 16) * 2.0**-50 * half_total * slope
-    if eps:
-        relative = left_within[m - 1 : length - m] * (eps * (1.0 + 2.0 * eps) * slope)
-        margin = np.add(relative, margin, out=relative)
-    return _split_q(left_within, row_cum, half_total, m), margin
-
-
-def _bounds(seg: _Segment, orders: np.ndarray, params: EnergyParams) -> tuple:
-    """Bounds (lo, hi) of the max over t of Q under each ordering (a column
-    of ``orders``), as :func:`_exact_max` gives it, from the float32 matrix.
-    There a distance is rounded once to a normal float32 (relative error u =
-    2**-24) and an increment is a float64 sum of float32 recursive sums of
-    at most ``CHUNK`` terms (Higham 2002, §4.2: gamma_n = n u / (1 - n u)),
-    so with lw cumulated in float64 as ``_pair_sums`` cumulates it, the
-    kernel's lw and the exact one differ by at most eps lw* <= eps (1 + 2
-    eps) lw, eps = 2 (CHUNK + 1) u, lw* the exact sum (float64's gamma_2L
-    fits in the margin for L < 2**32); ``_q_margin`` adds the rest.
-    """
-    left_within = _pair_increments(seg.dist, orders)
-    np.cumsum(left_within, axis=0, out=left_within)
-    q_hat, margin = _q_margin(seg, left_within, orders, params, 2.0 * (CHUNK + 1) * 2.0**-24)
+    eps = 2.0 * (CHUNK + 1) * 2.0**-24
+    margin = left_within[m - 1 : length - m] * (eps * (1.0 + 2.0 * eps) * slope)
+    margin += (length + 16) * 2.0**-50 * half_total * slope
+    q_hat = _split_q(left_within, row_cum, half_total, m)
     return np.subtract(q_hat, margin).max(axis=0), np.add(q_hat, margin, out=q_hat).max(axis=0)
 
 
@@ -538,10 +526,11 @@ def _screen(seg: _Segment, orders: np.ndarray, params: EnergyParams, observed: f
     else the smallest.  Rounding: |c| is within ``delta`` = |V| + (L + 2) L^(1/2)
     2**-50 of the computed one, as nl, nr >= 2 keep (L / (nl nr))^(1/2) <= 1
     and P_t is within gamma_L L^(1/2).  :func:`_exact_max`'s Q is within
-    ``_q_margin``'s margin (eps = 0) and the gamma_2L rounding of its lw of the
-    exact one, at most (1.5 L (L + 16) + 0.375 L^2) 2**-50 B as T <= L B / 2 and
-    the slope is at most 3; with twice the errors of theta and rho that is
-    below L (L + 16) 2**-47 B, which ``slack`` adds to 2**-24 B.
+    (L + 16) 2**-50 T slope (the float64 margin of :func:`_bounds`) and the
+    gamma_2L rounding of its lw of the exact one, at most (1.5 L (L + 16) +
+    0.375 L^2) 2**-50 B as T <= L B / 2 and the slope is at most 3; with
+    twice the errors of theta and rho that is below L (L + 16) 2**-47 B,
+    which ``slack`` adds to 2**-24 B.
     """
     v, theta, rho, mu, slack, delta = seg.spectrum
     if 2.0 * (min(theta, mu) + rho) + slack >= observed:
@@ -602,12 +591,14 @@ def _permutation_pvalue(
     stop_above: float | None = None,
 ) -> float:
     """p-value over R permutations of the admissible ``segments``, scored a
-    block at a time on the float32 matrices: an ordering whose lower bound
-    reaches ``observed_stat`` exceeds it, one whose upper bound is below it
-    does not, and only the rest are rescored exactly (all of them where
-    float32 cannot hold some segment's distances).  Before that, an ordering
-    that :func:`_screen` bounds below ``observed_stat`` on a segment skips
-    the float32 kernel there.
+    block at a time with bounds (lo, hi) of each ordering's Q on each
+    segment, (-inf, +inf) on one whose distances float32 cannot hold: an
+    ordering whose largest lo reaches ``observed_stat`` exceeds it, one
+    whose largest hi is below it does not, and the rest are rescored exactly
+    on the segments whose hi reaches it, up to the first that does.  On a
+    segment whose distances float32 holds, hi is :func:`_screen`'s bound,
+    and the orderings it leaves at or above ``observed_stat`` take the
+    float32 kernel's bounds there.
 
     With ``stop_above`` set, the first block holds only ``FIRST_BLOCK``
     permutations, and the test returns after the first block at which the
@@ -619,61 +610,40 @@ def _permutation_pvalue(
     starts = range(0, n_perm, block)
     if stop_above is not None:
         starts = [0, *range(min(FIRST_BLOCK, block), n_perm, block)]
-    bounded = all(s.fits for s in segments)
     exceed = 0
     for first, stop in zip(starts, [*starts[1:], n_perm]):
         orders = _draw_orders(
             perm_cfg.master_seed, iteration_id, first, stop, [s.obs.shape[0] for s in segments]
         )
-        recheck = np.arange(stop - first)
-        if bounded:
-            lo, hi = bounds = np.full((2, stop - first), -np.inf)
-            for seg, o in zip(segments, orders):
-                cols = slice(None)
-                screen = _screen(seg, o, params, observed_stat) if seg.spectrum else None
-                if screen is not None:
-                    # an ordering below the observed Q on this segment keeps
-                    # its bounds there at -inf.  The copy of the others takes
-                    # 8 bytes an element to the kernel's 36: with at most 4/5
-                    # of them the two stay below the kernel's peak on all
-                    keep = screen >= observed_stat
-                    if 5 * np.count_nonzero(keep) <= 4 * len(keep):
-                        cols = np.flatnonzero(keep)
-                        o = o.take(cols, axis=1)
-                if o.shape[1]:
-                    bounds[:, cols] = np.maximum(bounds[:, cols], _bounds(seg, o, params))
-            exceed += int(np.count_nonzero(lo >= observed_stat))
-            recheck = np.flatnonzero((lo < observed_stat) & (hi >= observed_stat))
-        for b in recheck:
-            stat = max(_exact_max(seg, o[:, b], params) for seg, o in zip(segments, orders))
-            exceed += stat >= observed_stat
+        lo = np.full((len(segments), stop - first), -np.inf)
+        hi = np.full_like(lo, np.inf)
+        for k, (seg, o) in enumerate(zip(segments, orders)):
+            if not seg.fits:
+                continue
+            cols = slice(None)
+            screen = _screen(seg, o, params, observed_stat) if seg.spectrum else None
+            if screen is not None:
+                hi[k] = screen
+                # the copy of the orderings the screen keeps takes 8 bytes an
+                # element to the kernel's 36: with at most 4/5 of them the two
+                # stay below the kernel's peak on all
+                keep = screen >= observed_stat
+                if 5 * np.count_nonzero(keep) <= 4 * len(keep):
+                    cols = np.flatnonzero(keep)
+                    o = o.take(cols, axis=1)
+            if o.shape[1]:
+                lo[k, cols], hi[k, cols] = _bounds(seg, o, params)
+        largest_lo = lo.max(axis=0, initial=-np.inf)
+        exceed += int(np.count_nonzero(largest_lo >= observed_stat))
+        reach = hi >= observed_stat
+        for b in np.flatnonzero((largest_lo < observed_stat) & reach.any(axis=0)):
+            exceed += any(
+                _exact_max(seg, o[:, b], params) >= observed_stat
+                for seg, o, r in zip(segments, orders, reach[:, b]) if r
+            )
         if stop_above is not None and (1 + exceed) / (n_perm + 1) > stop_above:
             break
     return (1 + exceed) / (n_perm + 1)
-
-
-def _split_in_place(dist: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The children ``dist[:t, :t]`` and ``dist[t:, t:]`` of a C-contiguous
-    matrix, moved into its own buffer as C-contiguous views: the left child
-    at offset 0, then the right one at offset t**2.  The parent is lost.
-
-    Each child moves in ascending chunks of rows of about ``BLOCK_ELEMENTS``
-    elements.  Every row lands at or before the place it is read from, and a
-    chunk's writes end before the next chunk's reads begin, so no entry is
-    overwritten before it moves; within a chunk, numpy copies a source that
-    overlaps its target out before it writes.
-    """
-    flat = dist.reshape(-1)
-    children = []
-    for lo, hi in ((0, t), (t, dist.shape[0])):
-        size = hi - lo
-        child = flat[lo * lo : lo * lo + size * size].reshape(size, size)
-        rows = max(1, BLOCK_ELEMENTS // size)
-        for first in range(lo, hi, rows):
-            stop = min(first + rows, hi)
-            child[first - lo : stop - lo] = dist[first:stop, lo:hi]
-        children.append(child)
-    return tuple(children)
 
 
 def e_divisive(
@@ -688,8 +658,8 @@ def e_divisive(
     p <= significance, stop otherwise.  Spans too short to split return an
     empty set (the whole span is one mode).  Committed indices are offsets
     within the span, reported in increasing order.  The span's one L x L
-    float32 distance matrix is its only buffer of order L^2: a commit moves
-    the split segment's children into the segment's own part of it.
+    float32 distance matrix is its only buffer of order L^2: at a commit the
+    split segment's children round their own rows into its part of it.
     """
     params = params or EnergyParams()
     perm_cfg = perm_cfg or PermutationConfig()
@@ -719,12 +689,13 @@ def e_divisive(
         start, seg = segments[best]
         t = seg.t
         committed.append(ChangePoint(index=start + t, statistic=best_q, p_value=p_value))
-        # a child's distances are some of its parent's: float32 holds them if it held those
-        parts = zip((start, start + t), (seg.obs[:t], seg.obs[t:]), _split_in_place(seg.dist, t))
+        # the children round their own rows into the parent's C-contiguous
+        # buffer, which they overwrite: the left one at offset 0, the right at t**2
+        flat = seg.dist.reshape(-1)
         segments[best : best + 1] = [
-            (first, _segment(part, params, dist, seg.fits))
-            for first, part, dist in parts
-            if len(part) >= 2 * params.min_segment
+            (start + at, _segment(part, params, flat[at * at : at * at + n * n].reshape(n, n)))
+            for at, part in ((0, seg.obs[:t]), (t, seg.obs[t:]))
+            if (n := len(part)) >= 2 * params.min_segment
         ]
 
     committed.sort(key=lambda cp: cp.index)

@@ -253,6 +253,32 @@ def permuted_stats(matrices, params, cfg, iteration):
     return stats
 
 
+def oracle_e_divisive(span, params, cfg) -> list:
+    """(index, Q, p-value) of each change point of the divisive loop, from
+    the oracles alone on the float64 matrix: each segment's best split from
+    ``single_order_best_split``, ties to the segment first in the span, and
+    each test's p-value from ``permuted_stats``."""
+    dist = distance_matrix(span, params.alpha_exp)
+    edges, committed = [0, len(span)], []
+    for iteration in range(len(span)):
+        best = None
+        for a, b in zip(edges, edges[1:]):
+            if b - a >= 2 * params.min_segment:
+                t, q, _ = single_order_best_split(dist[a:b, a:b], np.arange(b - a), params.min_segment)
+                if best is None or q > best[1]:
+                    best = a + t, q
+        if best is None:
+            break
+        matrices = [dist[a:b, a:b] for a, b in zip(edges, edges[1:])]
+        stats = permuted_stats(matrices, params, cfg, iteration)
+        p_value = (1 + sum(q >= best[1] for q in stats)) / (cfg.n_permutations + 1)
+        if p_value > cfg.significance:
+            break
+        committed.append((*best, p_value))
+        edges = sorted([*edges, best[0]])
+    return sorted(committed)
+
+
 # edge seeds of one and two 32-bit words, and random 63-bit seeds as derive_seed makes
 MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, *(random.Random(2016).getrandbits(63) for _ in range(3))]
 # a block straddling r = 2**32, where r takes a second word
@@ -505,7 +531,8 @@ class TestFloat32Bound:
 
     @pytest.mark.parametrize("scale", [1e-30, 1e25])
     def test_children_of_such_a_span_take_the_exact_path(self, monkeypatch, scale):
-        # a child's distances are some of its parent's: it inherits the flag
+        # each child rounds its own rows and finds, as its parent did, that
+        # float32 cannot hold them
         params = EnergyParams(alpha_exp=1.5, min_segment=30)
         cfg = PermutationConfig(master_seed=7)
         expected = e_divisive(three_regime_span(), params, cfg)
@@ -513,6 +540,48 @@ class TestFloat32Bound:
         cps = e_divisive(three_regime_span() * scale, params, cfg)
         assert [cp.index for cp in cps] == [cp.index for cp in expected] == [80, 150]
         assert scored["bounded"] == 0 and scored["exact"] >= 2 * cfg.n_permutations
+
+    def test_a_segment_float32_cannot_hold_leaves_the_others_to_the_kernel(self, monkeypatch):
+        # its bounds are (-inf, +inf): the kernel still scores the other
+        # segment, whose lower bound alone decides an exceedance, and only
+        # the orderings it leaves undecided are rescored exactly
+        rng = np.random.default_rng(8)
+        params = EnergyParams(alpha_exp=1.5, min_segment=30)
+        cfg = PermutationConfig(n_permutations=99, master_seed=3)
+        spans = [count_span(rng, 150) * 1e-30, count_span(rng, 140)]
+        stats = permuted_stats([distance_matrix(s, 1.5) for s in spans], params, cfg, 1)
+        observed = float(np.quantile(stats, 0.8))
+        expected = (1 + sum(q >= observed for q in stats)) / (cfg.n_permutations + 1)
+        segments = [changepoint._segment(s, params) for s in spans]
+        assert [s.fits for s in segments] == [False, True]
+        scored = spy_paths(monkeypatch)
+        assert changepoint._permutation_pvalue(segments, observed, params, cfg, 1) == expected
+        assert scored["bounded"] == cfg.n_permutations
+        assert 1 <= scored["exact"] < cfg.n_permutations
+
+    def test_a_child_float32_holds_takes_the_kernel(self, monkeypatch):
+        # tiny counts after the three regimes put the root's smallest
+        # distance below 2**-126; the root's left child, [0, 80), and the
+        # later children inside the first 240 observations fit float32
+        tiny = np.random.default_rng(9).poisson((9.0, 6.0, 7.0), (100, 3)) * 1e-30
+        span = np.concatenate([three_regime_span(), tiny])
+        params = EnergyParams(alpha_exp=1.5, min_segment=30)
+        cfg = PermutationConfig(master_seed=7)
+        assert not changepoint._segment(span, params).fits
+        assert changepoint._segment(span[:80], params).fits
+        scored, bounds = [], changepoint._bounds
+
+        def spy(seg, orders, params):
+            scored.append(seg.obs)
+            return bounds(seg, orders, params)
+
+        monkeypatch.setattr(changepoint, "_bounds", spy)
+        cps = e_divisive(span, params, cfg)
+        assert [(cp.index, cp.statistic, cp.p_value) for cp in cps] == oracle_e_divisive(span, params, cfg)
+        assert [cp.index for cp in cps] == [80, 150, 240]
+        assert any(len(obs) == 80 and np.shares_memory(obs, span[:80]) for obs in scored)
+        assert all(np.shares_memory(obs, span[:240]) and not np.shares_memory(obs, span[240:])
+                   for obs in scored)
 
     def test_constant_span(self, monkeypatch):
         # every distance is 0: the bound is 0 and Q is exactly 0 on both paths
@@ -596,10 +665,10 @@ def spy_screen(monkeypatch) -> dict:
 
 
 class TestScreen:
-    """Wherever every segment ``fits``, each ordering's Q on a segment is
-    first bounded from above by the segment's spectrum (one power step of
-    the double-centred float32 matrix); an ordering below the observed Q
-    there skips the float32 kernel on that segment.  The bound must hold
+    """On each segment that ``fits``, each ordering's Q is first bounded
+    from above by the segment's spectrum (one power step of the
+    double-centred float32 matrix); an ordering below the observed Q there
+    skips the float32 kernel on that segment.  The bound must hold
     above the float64 maximum, so p-values do not move."""
 
     @pytest.mark.parametrize("kind", ["poisson", "near_max_count", "normal", "shifted"])
@@ -695,11 +764,14 @@ class TestScreen:
     def test_e_divisive_unchanged(self, monkeypatch, span_of):
         span = span_of()
         params, cfg = EnergyParams(min_segment=30), PermutationConfig(master_seed=5)
-        seen = spy_screen(monkeypatch)
+        seen, scored = spy_screen(monkeypatch), spy_paths(monkeypatch)
         screened = e_divisive(span, params, cfg)
+        exact = scored["exact"]
         monkeypatch.setattr(changepoint, "_screen", lambda *args: None)
         assert e_divisive(span, params, cfg) == screened
         assert len(screened) == 2 and seen["decided"] > 0
+        # an ordering the screen decides on a segment is not rescored there
+        assert exact <= scored["exact"] - exact
 
     def test_golden_three_regimes_with_the_screen(self, monkeypatch):
         seen = spy_screen(monkeypatch)
@@ -746,50 +818,58 @@ class TestScreen:
         assert (changepoint._segment(span, params).spectrum is None) is bool(constant)
 
 
-def split_in_place_checked(dist, t):
-    """``_split_in_place(dist, t)``, checked against copies of the two blocks
-    taken before it: equal bit for bit, C-contiguous, inside ``dist``'s buffer
-    and apart from each other."""
-    expected = dist[:t, :t].copy(), dist[t:, t:].copy()
-    children = changepoint._split_in_place(dist, t)
-    for child, want in zip(children, expected):
-        assert np.array_equal(child, want)
-        assert child.flags.c_contiguous
-        assert np.shares_memory(child, dist)
-    assert not np.shares_memory(*children)
-    return children
+def spy_segments(monkeypatch) -> list:
+    """From here on, every segment record ``_segment`` builds, each checked
+    as it is built: its float32 matrix is its own distances, rounded."""
+    built = []
+    segment = changepoint._segment
+
+    def spy(obs, params, dist=None):
+        seg = segment(obs, params, dist)
+        assert np.array_equal(seg.dist, distance_matrix(obs, params.alpha_exp).astype(np.float32))
+        built.append(seg)
+        return seg
+
+    monkeypatch.setattr(changepoint, "_segment", spy)
+    return built
 
 
-class TestSplitInPlace:
-    """A commit moves both children into their parent's buffer, row chunk by
-    row chunk; numpy must copy a chunk that overlaps its target out first."""
+def extent(array):
+    """The byte range ``[first, stop)`` of a C-contiguous array."""
+    first = array.__array_interface__["data"][0]
+    return first, first + array.nbytes
 
-    @pytest.mark.parametrize("block_elements", [None, 100, 1000])
-    @pytest.mark.parametrize("length", [60, 61, 257])
-    def test_children_are_compacted_views(self, monkeypatch, length, block_elements):
-        # 100 and 1000 elements give chunks of a few rows, most of which do
-        # not divide the child (at L = 257, t = 128 the right child of 129
-        # rows moves in chunks of 7)
-        if block_elements is not None:
-            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
-        rng = np.random.default_rng(length)
-        obs = count_span(rng, length)
-        min_segment = 10
-        for t in (min_segment, length // 2, length - min_segment):
-            split_in_place_checked(distance_matrix(obs, 1.0), t)
 
-    @pytest.mark.parametrize("block_elements", [None, 100])
-    def test_nested_split_of_a_right_child(self, monkeypatch, block_elements):
-        if block_elements is not None:
-            monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
-        dist = distance_matrix(count_span(np.random.default_rng(9), 151), 1.5)
-        full = dist.copy()
-        left, right = split_in_place_checked(dist, 40)
-        grand = split_in_place_checked(right, 47)
-        for child, (a, b) in zip(grand, [(40, 87), (87, 151)]):
-            assert np.array_equal(child, full[a:b, a:b])
-            assert np.shares_memory(child, dist)
-        assert np.array_equal(left, full[:40, :40])  # untouched by the nested move
+def inside(a, b) -> bool:
+    return b[0] <= a[0] and a[1] <= b[1]
+
+
+class TestChildMatrices:
+    """A commit builds each child's float32 matrix on a view of the split
+    segment's own buffer, the left child at offset 0 and the right one at
+    t**2, into which the child rounds its own rows."""
+
+    @pytest.mark.parametrize(
+        "span_of",
+        [three_regime_span, lambda: three_regime_span()[::-1].copy(),
+         lambda: planted_span(2016, MEMORY_SHAPE_SPAN)],
+        ids=["right_child_split", "left_child_split", "l600"],
+    )
+    def test_children_are_views_of_the_span_buffer(self, monkeypatch, span_of):
+        span = span_of()
+        built = spy_segments(monkeypatch)
+        cps = e_divisive(span, EnergyParams(min_segment=30), PermutationConfig(master_seed=7))
+        assert len(cps) == 2 and len(built) == 5  # the root, then two children at each commit
+        root = extent(built[0].dist)
+        for seg in built:
+            assert seg.dist.flags.c_contiguous
+            assert np.shares_memory(seg.dist, built[0].dist) and inside(extent(seg.dist), root)
+        for a, b in itertools.combinations(built, 2):
+            if inside(extent(b.obs), extent(a.obs)):  # b descends from a
+                assert inside(extent(b.dist), extent(a.dist))
+            else:  # siblings, or in different parents: apart from each other
+                assert not np.shares_memory(a.obs, b.obs)
+                assert not np.shares_memory(a.dist, b.dist)
 
 
 def replayed_tests(span, params, cps):

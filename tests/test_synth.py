@@ -261,6 +261,8 @@ class TestProfileJson:
         ({"start": 5, "schedule": []}, "start: expected a timestamp string, got 5"),
         ({"start": "2014-09-01T00:00:00+05:60", "schedule": []},
          "start: bad timestamp '2014-09-01T00:00:00+05:60'"),
+        ({"schedule": [{"mode": "light", "duration_min": 60, "mean_counts": 5}]},
+         "schedule[0].mean_counts: expected a list of numbers, got 5"),
     ])
     def test_bad_shape_names_its_place(self, payload, message):
         with pytest.raises(InvalidProfile) as caught:
