@@ -22,6 +22,20 @@ from .ingest import parse_epoch_csv, validate_series
 from .modes import label_intervals
 from .segments import segment_sleep_wake
 from .sleep import candidate_mask, compute_metrics, detect_sleep_periods
-from .synth import ActivityBlock, DayProfile, generate
 
 __version__ = "0.1.0"
+
+# the model kinds, in the order of --model's choices: rahar.models.validation
+# gives each its trainer, and the CLI reads them without importing rahar.models
+MODEL_KINDS = ("logreg", "adaboost", "rf")
+
+# the synth names, imported at first use: no pipeline command needs them
+_SYNTH = ("ActivityBlock", "DayProfile", "generate")
+
+
+def __getattr__(name: str):
+    if name not in _SYNTH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import synth
+
+    return getattr(synth, name)

@@ -17,11 +17,15 @@ permutation p-value stays at or below the significance level.
 Every exact float64 statistic comes from one routine, ``_pair_sums``: a
 sequence's distance row totals and within-prefix pair sums, its rows
 rebuilt a block at a time from the observations and added as the
-one-permutation-at-a-time formula adds them.  The observed split scan,
-the rescoring of a permuted ordering and :func:`energy_divergence` read
-it, so all are bit-identical to that formula.  A segment also rounds
-those rows once into its own float32 matrix and finds from them whether
-float32 holds its distances; each segment decides for itself.  On one
+one-permutation-at-a-time formula adds them, in row order: a cumulative
+sum over each block's own staircase of pair increments, and a reduction
+over axis 0, which numpy adds row after row, for the columns later blocks
+read.  The observed split scan, the rescoring of a permuted ordering and
+:func:`energy_divergence` read it, so all are bit-identical to that
+formula.  A segment also rounds those rows once into its own float32
+matrix and finds whether float32 holds its distances: from its sorted
+coordinate gaps where they prove no positive distance too small, else
+from the rows; each segment decides for itself.  On one
 that does, at any alpha and in every block, each ordering's best Q first
 takes an upper bound from the segment's spectrum: energy distance is a
 quadratic form of the double-centred matrix -J D J / 2, one power step of
@@ -165,15 +169,23 @@ def energy_divergence(X, Y, alpha_exp: float = 1.0) -> tuple[float, float]:
     return float(q_hat * (n + m) / (n * m)), float(q_hat)
 
 
-def _alpha_rows(obs: np.ndarray, index, alpha_exp: float, out: np.ndarray) -> np.ndarray:
-    """``out[i, j] = |obs[index][i] - obs[j]|^alpha`` in float64, squares
-    added in axis order before the square root as a pairwise Euclidean
-    distance loop adds them: the same bits in whichever rows it is built."""
-    diff, points = np.empty_like(out), obs[index]
-    out.fill(0.0)
-    for k in range(obs.shape[1]):
-        np.subtract.outer(points[:, k], obs[:, k], out=diff)
-        out += np.square(diff, out=diff)
+def _alpha_rows(cols: np.ndarray, index, alpha_exp: float, out: np.ndarray,
+                diff: np.ndarray) -> np.ndarray:
+    """``out[i, j] = |x[index][i] - x[j]|^alpha`` in float64 for the
+    observations x whose C-contiguous coordinate columns are ``cols``,
+    squares added in axis order before the square root as a pairwise
+    Euclidean distance loop adds them: the same bits in whichever rows it
+    is built.  The first square is written as the sum, as 0 + d^2 is d^2."""
+    with np.errstate():
+        # with numpy's default 8192-element ufunc buffer, a broadcast subtract
+        # whose rows are shorter copies them through it, at about 3 times the
+        # cost (numpy 2.4); the smallest buffer leaves each row one inner loop
+        np.setbufsize(16)
+        np.subtract.outer(cols[0, index], cols[0], out=out)
+        np.square(out, out=out)
+        for col in cols[1:]:
+            np.subtract.outer(col[index], col, out=diff)
+            out += np.square(diff, out=diff)
     np.sqrt(out, out=out)
     if alpha_exp != 1.0:
         out **= alpha_exp  # the same scalar fast paths (sqrt, square) as `**`
@@ -184,9 +196,11 @@ def _distance_rows(obs: np.ndarray, alpha_exp: float):
     """Yield ``(first, rows)``: float64 alpha-distance rows, a block at a time."""
     length = obs.shape[0]
     step = max(1, BLOCK_ELEMENTS // max(length, 1))
-    buf = np.empty((min(step, length), length))
+    cols = np.ascontiguousarray(obs.T)
+    buf, diff = np.empty((2, min(step, length), length))
     for first in range(0, length, step):
-        yield first, _alpha_rows(obs, slice(first, first + step), alpha_exp, buf[: length - first])
+        n = min(step, length - first)
+        yield first, _alpha_rows(cols, slice(first, first + n), alpha_exp, buf[:n], diff[:n])
 
 
 def _pair_increments(dist: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -257,34 +271,69 @@ def _split_curve(row_totals: np.ndarray, left_within: np.ndarray, min_segment: i
     return _split_q(lw, np.cumsum(row_totals)[:, None], lw[-1], min_segment)[:, 0]
 
 
+def _gaps_clear(obs: np.ndarray) -> bool:
+    """Whether every positive gap between the sorted values of each
+    coordinate of ``obs`` is at least 2**-62, so that, by the argument in
+    :func:`_pair_sums`, every positive distance^alpha is above 2**-126."""
+    gaps = np.diff(np.sort(obs, axis=0), axis=0)
+    return bool(gaps.min(initial=np.inf, where=gaps > 0.0) >= 2.0**-62)
+
+
 def _pair_sums(obs: np.ndarray, alpha_exp: float, dist: np.ndarray | None = None) -> tuple:
     """``(row_totals, left_within, fits)`` of the float64 alpha-distance
     matrix of ``obs``, its rows rebuilt a block at a time: each row's
     ``sum(axis=1)``, and at s the pair sum of the first s + 1 observations,
     each pair increment added in increasing row order as a column-wise
-    cumulative sum adds it.  Given an L x L float32 ``dist``, the rows are
-    also rounded into it, and ``fits`` says whether float32 holds every
-    distance (else None): no positive one below 2**-126, where float32
-    loses its 2**-24 relative precision, and L times the largest below
-    2**127, so no row sum overflows.
+    cumulative sum adds it.
+
+    A block of n rows from ``first`` adds the running column sums of the
+    earlier blocks into its first row.  Its own n x n staircase, the
+    columns first + 1 ... first + n that its increments are read from,
+    takes a ``cumsum`` down the columns; the columns from first + n on,
+    which later blocks read, take one ``np.add.reduce`` over axis 0.  numpy
+    sums pairwise only along an array's fast axis: across the rows of a
+    row-major block it adds them in order, as the cumsum's last row does,
+    bit for bit, as long as the reduce spans at least two columns (one
+    column alone is its fast axis).  So the reduce starts at column first +
+    n, whose sum no later block reads, and spans two columns wherever a
+    later block reads one.
+
+    Given an L x L float32 ``dist``, the rows are also rounded into it, and
+    ``fits`` says whether float32 holds every distance (else None): no
+    positive one below 2**-126, where float32 loses its 2**-24 relative
+    precision, and L times the largest below 2**127, so no row sum
+    overflows.  The first test is decided from the sorted coordinate
+    columns where it can be.  A positive distance has a coordinate whose
+    difference is not 0 (distinct floats differ by a non-zero float), at
+    least the smallest positive gap in that coordinate's sorted values, as
+    rounding is monotone.  With every such gap at least 2**-62, its square is
+    at least 2**-124, so are the sum of squares (its terms are not
+    negative) and the square root's square, and x^alpha >= min(1, x^2) for
+    alpha < 2 leaves the distance^alpha at least 2**-124 less a few units
+    of ``**``'s last place, above 2**-126.  Only where a gap is smaller does
+    each block take the smallest positive row entry, so ``fits`` is the same
+    as that scan gives for every input.
     """
     length = obs.shape[0]
     row_totals, new_pair, acc = np.empty(length), np.zeros(length), np.zeros(length)
     largest, smallest = 0.0, np.inf
+    scan_smallest = dist is not None and not _gaps_clear(obs)
     for first, rows in _distance_rows(obs, alpha_exp):
-        stop = first + rows.shape[0]
+        n = rows.shape[0]
+        stop = first + n
         if dist is not None:
             with np.errstate(over="ignore"):  # flagged below
                 dist[first:stop] = rows
             largest = max(largest, rows.max())
-            smallest = min(smallest, rows.min(initial=np.inf, where=rows > 0.0))
+            if scan_smallest:
+                smallest = min(smallest, rows.min(initial=np.inf, where=rows > 0.0))
         row_totals[first:stop] = rows.sum(axis=1)
         tail = rows[:, first + 1 :]  # no later read needs the columns up to first
         tail[0] += acc[first + 1 :]
-        np.cumsum(tail, axis=0, out=tail)  # row k: the sum of rows 0 .. first + k
-        s = np.arange(first + 1, min(stop + 1, length))
-        new_pair[s] = rows[s - 1 - first, s]
-        acc[first + 1 :] = tail[-1]
+        np.add.reduce(tail[:, n - 1 :], axis=0, out=acc[stop:])
+        stair = tail[:, :n]
+        np.cumsum(stair, axis=0, out=stair)  # row k: the sum of rows 0 .. first + k
+        new_pair[first + 1 : first + 1 + stair.shape[1]] = stair.diagonal()
     fits = None if dist is None else bool(length * largest <= 2.0**127 and smallest >= 2.0**-126)
     return row_totals, np.cumsum(new_pair), fits
 

@@ -23,12 +23,10 @@ from . import __version__
 from .errors import EmptyDataset, InvalidProfile, ModelError, ParseError, RaharError, WorkerLost
 from .features import read_dataset_csv, write_dataset_csv
 from .ingest import label_cell, number_cell, read_input, read_table, serialize_epoch_csv
-from .models import evaluate
 from .pipeline import (DATASET_CSV, PARAMETERS, PipelineConfig, analyze_inputs, find_inputs,
                        load_series, model_outputs, pooled_dataset, report_name, run_outputs,
                        run_pipeline, train_and_report, write_report)
 from .reports import write_json, write_outputs
-from .synth import generate, load_profile
 from .workers import worker_map
 
 EXIT_WORKER = 1
@@ -183,6 +181,8 @@ def _read_scored(stream: TextIO) -> tuple[list[float], list[int]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .models import evaluate  # the one command that reads rahar.models here
+
     if not math.isfinite(args.threshold):
         raise ParseError(f"--threshold must be a finite number, got {args.threshold}")
     outputs = {Path(args.out or "eval_report.json"): write_json}
@@ -212,6 +212,8 @@ def _write_truth(synthesized: tuple, stream: TextIO) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import generate, load_profile  # the one command that reads rahar.synth
+
     _no_overwrite([("--profile", args.profile)], [("--truth", args.truth), ("--out", args.out)])
     outputs = {args.out: lambda synthesized, stream: serialize_epoch_csv(synthesized[0], stream)}
     if args.truth:
@@ -300,5 +302,21 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
+def console_main() -> int:
+    """The console entry point (``rahar`` and ``python -m rahar``): :func:`main`,
+    then, once standard output and error are flushed, the end of the process
+    without interpreter teardown, which takes tens of milliseconds and has
+    nothing left to do, as ``main`` has joined the worker pool and closed every
+    output file.  An exception out of ``main`` (argparse's exits among them),
+    or a flush that fails, takes the interpreter's usual exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -14,19 +14,19 @@ from functools import partial
 
 import numpy as np
 
+from .. import MODEL_KINDS
 from ..errors import TooFewPerClass
 from .boosting import AdaBoostConfig, train_adaboost
 from .evaluation import EvalReport, evaluate
 from .forest import ForestConfig, train_random_forest
 from .logreg import LogRegConfig, train_logreg
 
-# each model kind: its default config for a seed, and its trainer
-_MODELS = {
-    "logreg": (lambda seed: LogRegConfig(), train_logreg),
-    "adaboost": (lambda seed: AdaBoostConfig(seed=seed), train_adaboost),
-    "rf": (lambda seed: ForestConfig(seed=seed), train_random_forest),
-}
-MODEL_KINDS = tuple(_MODELS)
+# each model kind, in MODEL_KINDS' order: its default config for a seed, and its trainer
+_MODELS = dict(zip(MODEL_KINDS, [
+    (lambda seed: LogRegConfig(), train_logreg),
+    (lambda seed: AdaBoostConfig(seed=seed), train_adaboost),
+    (lambda seed: ForestConfig(seed=seed), train_random_forest),
+], strict=True))
 
 
 def _model(kind: str):

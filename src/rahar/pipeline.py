@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from . import __version__
+from . import MODEL_KINDS, __version__
 from .changepoint import ChangePointSet, EnergyParams, PermutationConfig, e_divisive
 from .cutpoints import CutPointScale, builtin_troiano_scale, classify_series, load_scale_file
 from .errors import ParseError, ValidationError
@@ -39,7 +39,6 @@ from .features import (
 from .ingest import (EpochSeries, aggregate_epochs, fill_gaps, parse_epoch_csv, read_input,
                      validate_series, vm3)
 from .modes import TIE_BREAKS, ActivityMode, label_intervals, mode_report_rows
-from .models import MODEL_KINDS, cross_validate, make_config
 from .reports import Writer, roc_svg, sha256_file, write_csv, write_json, write_outputs
 from .segments import SleepWakeSegment, segment_id, segment_manifest_rows, segment_sleep_wake
 from .sleep import (
@@ -455,6 +454,8 @@ def run_pipeline(
     codes 4 and 5 at the CLI) leaves nothing behind.  ``map`` runs the independent
     units of the analysis and of the cross-validation (see :mod:`rahar.workers`)."""
     outputs = run_outputs(inputs, config, out_dir)
+    if config.model:  # imported before a map forks the workers, so that each inherits it
+        from . import models  # noqa: F401
     timings: dict[str, float] = {}
     analyses = analyze_inputs(inputs, config, timings=timings, map=map)
     t0 = time.perf_counter()
@@ -473,12 +474,14 @@ def train_and_report(dataset: Dataset, config: PipelineConfig, map=map) -> dict:
     """Cross-validate the configured model on the four fractions, plus awake
     minutes with ``include_awake_feature``, with ``map`` running the folds;
     returns the model report that model_outputs are written from."""
+    from . import models  # only a model stage loads the trainers
+
     X = dataset.X
     if config.include_awake_feature:
         X = np.hstack([X, dataset.awake_minutes[:, None]])
-    model_cfg = make_config(config.model, seed=config.seed)
-    result = cross_validate(X, dataset.y, config.model, config=model_cfg, folds=config.folds,
-                            seed=config.seed, map=map)
+    model_cfg = models.make_config(config.model, seed=config.seed)
+    result = models.cross_validate(X, dataset.y, config.model, config=model_cfg,
+                                   folds=config.folds, seed=config.seed, map=map)
     return {
         "model_kind": config.model,
         "hyperparameters": {k: v for k, v in vars(model_cfg).items() if not k.startswith("_")},

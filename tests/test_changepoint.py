@@ -335,21 +335,40 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("block_elements", [None, 777])
     @pytest.mark.parametrize("alpha_exp", [0.7, 1.0, 1.5])
-    @pytest.mark.parametrize("length", [1, 2, 61, 200, 1100])
+    @pytest.mark.parametrize("length", [1, 2, 60, 61, 62, 71, 95, 200, 1100])
     def test_pair_sums_equal_the_full_width_cumsum(self, monkeypatch, length, alpha_exp, block_elements):
-        # each block's column sums skip the columns no later read needs; a
-        # block holds 29 rows at L = 1,100, and 777 elements hold 12 rows
-        # of 61, 3 of 200 and one of 1,100
+        # each block takes a cumsum over its own staircase and one reduce
+        # over the columns later blocks read.  A block holds 29 rows at
+        # L = 1,100, and every row of a shorter span.  777 elements hold 12
+        # rows of 60, 61 and 62: five whole blocks, then none, one row, or
+        # two rows that read one column the block before them summed over
+        # its 12 rows.  They hold 10 rows of 71 (a one-row last block), 8 of
+        # 95 (a last block one row short), 3 of 200 and one of 1,100.
         if block_elements is not None:
             monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", block_elements)
-        obs = np.random.default_rng(length).poisson(12.0, (length, 3)).astype(float)
-        dist = distance_matrix(obs, alpha_exp)
-        row_totals, left_within = full_width_pair_sums(dist)
-        matrix = np.empty((length, length), np.float32)
-        for got in (changepoint._pair_sums(obs, alpha_exp), changepoint._pair_sums(obs, alpha_exp, matrix)):
-            assert np.array_equal(got[0], row_totals)
-            assert np.array_equal(got[1], left_within)
-        assert got[2] and np.array_equal(matrix, dist.astype(np.float32))
+        rng = np.random.default_rng(length)
+        for obs in (rng.poisson(12.0, (length, 3)).astype(float), rng.normal(0.0, 3.0, (length, 3))):
+            dist = distance_matrix(obs, alpha_exp)
+            row_totals, left_within = full_width_pair_sums(dist)
+            matrix = np.empty((length, length), np.float32)
+            for got in (changepoint._pair_sums(obs, alpha_exp), changepoint._pair_sums(obs, alpha_exp, matrix)):
+                assert np.array_equal(got[0], row_totals)
+                assert np.array_equal(got[1], left_within)
+            assert got[2] and np.array_equal(matrix, dist.astype(np.float32))
+
+    def test_a_one_column_reduce_adds_the_rows_in_order(self, monkeypatch):
+        # 744 elements hold 12 rows of 62, so the fifth block (rows 48 to 59)
+        # sums the one column, 61, that the last block reads.  Row 61 lies
+        # 2**20 from the others, and rows 49 to 59 each 2**-29 further:
+        # added in row order to a sum above 2**25 every 2**-29 vanishes,
+        # while numpy's pairwise order for a single column would keep some
+        monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 744)
+        obs = np.random.default_rng(8).normal(0.0, 3.0, (62, 1))
+        obs[61], obs[49:60] = 2.0**20, -(2.0**-29)
+        row_totals, left_within = full_width_pair_sums(distance_matrix(obs, 1.0))
+        got = changepoint._pair_sums(obs, 1.0)
+        assert np.array_equal(got[0], row_totals)
+        assert np.array_equal(got[1], left_within)
 
     @pytest.mark.parametrize("length", [60, 61, 200, 400])
     def test_matches_single_order_reference(self, length):
@@ -413,6 +432,67 @@ class TestBlockKernel:
                 segments, observed, params, cfg, 2, stop_above=level
             )
             assert level < stopped <= expected
+
+
+def brute_force_fits(obs, alpha_exp) -> bool:
+    """Whether float32 holds every distance of the loop-built matrix: no
+    positive one below 2**-126, and L times the largest at most 2**127."""
+    dist = euclidean_distance_loop(obs) ** alpha_exp
+    positive = dist[dist > 0.0]
+    smallest = positive.min() if positive.size else np.inf
+    return bool(len(obs) * dist.max() <= 2.0**127 and smallest >= 2.0**-126)
+
+
+class TestRangeTest:
+    """``fits`` decides its smallest-distance test from the sorted coordinate
+    gaps where every positive one is at least 2**-62, and scans the rows
+    where one is smaller."""
+
+    @pytest.mark.parametrize("alpha_exp", [0.7, 1.0, 1.5, 1.99])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_fits_scans_the_rows_where_a_gap_is_below_the_bound(self, monkeypatch, alpha_exp, side):
+        # two observations a gap apart in one coordinate, their distance^alpha
+        # just below 2**-126, at it or just above it; the other distances are
+        # counts, spread over several blocks.  At alpha 1.99 the gap is
+        # 2**-63.3, just below the bound
+        monkeypatch.setattr(changepoint, "BLOCK_ELEMENTS", 500)
+        gap = 2.0 ** (-126 / alpha_exp) * (1.0 + side * 2.0**-20)
+        obs = count_span(np.random.default_rng(3), 90)
+        obs[12, 1] = 0.0
+        obs[57] = obs[12]
+        obs[57, 1] = gap
+        assert not changepoint._gaps_clear(obs)
+        expected = brute_force_fits(obs, alpha_exp)
+        assert expected is (side >= 0)
+        matrix = np.empty((90, 90), np.float32)
+        assert changepoint._pair_sums(obs, alpha_exp, matrix)[2] is expected
+        assert changepoint._segment(obs, EnergyParams(alpha_exp=alpha_exp)).fits is expected
+
+    @pytest.mark.parametrize("alpha_exp", [0.7, 1.0, 1.5, 1.99])
+    def test_the_bound_holds_at_its_threshold(self, alpha_exp):
+        # at a gap of exactly 2**-62 the rows are not scanned, and the
+        # smallest positive distance^alpha is far above 2**-126
+        obs = count_span(np.random.default_rng(4), 70) * 2.0**-62
+        obs[40] = obs[5]
+        obs[40, 2] += 2.0**-62
+        assert obs[40, 2] - obs[5, 2] == 2.0**-62
+        assert changepoint._gaps_clear(obs)
+        dist = euclidean_distance_loop(obs) ** alpha_exp
+        assert dist[dist > 0.0].min() >= 2.0**-124
+        assert brute_force_fits(obs, alpha_exp)
+        matrix = np.empty((70, 70), np.float32)
+        assert changepoint._pair_sums(obs, alpha_exp, matrix)[2] is True
+
+    def test_constant_coordinates_leave_no_gap(self):
+        # a coordinate whose values are all equal has no positive gap; with
+        # every coordinate so, there is no positive distance at all
+        obs = np.ones((40, 3))
+        matrix = np.empty((40, 40), np.float32)
+        assert changepoint._gaps_clear(obs)
+        assert changepoint._pair_sums(obs, 1.0, matrix)[2] is True
+        obs[:, 0] = np.arange(40.0)
+        assert changepoint._gaps_clear(obs)
+        assert changepoint._pair_sums(obs, 1.5, matrix)[2] is brute_force_fits(obs, 1.5) is True
 
 
 def bound_span(kind, rng, length, d):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rahar
-from rahar import cli, pipeline
+from rahar import cli, models, pipeline
 from rahar.cli import PARAMETERS, _config_from_args, build_parser, main
 from rahar.features import read_dataset_csv
 from rahar.pipeline import PipelineConfig
@@ -239,15 +239,125 @@ class TestRun:
         assert list(json.loads((out / "manifest.json").read_text())["inputs"]) == ["subj0.csv"]
 
 
-def run_cli_subprocess(*args: str, prelude: str = "") -> subprocess.CompletedProcess:
-    """``python -c`` with the package under test importable, after ``prelude``."""
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` with the package under test importable, and standard
+    output buffered as a pipe buffers it (no PYTHONUNBUFFERED)."""
     src = str(Path(rahar.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"{prelude}\nimport sys\nfrom rahar.cli import main\nsys.exit(main(sys.argv[1:]))"
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def run_cli_subprocess(*args: str, prelude: str = "") -> subprocess.CompletedProcess:
+    """``python -c`` with the package under test importable, after ``prelude``."""
+    code = f"{prelude}\nimport sys\nfrom rahar.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return run_python("-c", code, *args)
+
+
+def tree_bytes(root: Path) -> dict:
+    """Each file under ``root`` by name: its bytes, or for a manifest its
+    JSON without the timings."""
+    files = {}
+    for path in sorted(root.iterdir()):
+        if path.name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            del manifest["timings_s"]
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+class TestConsoleEntry:
+    """``python -m rahar`` runs ``cli.console_main``, which ends the process
+    without interpreter teardown once its output is flushed."""
+
+    def test_run_writes_what_an_in_process_run_writes(self, study_dir, tmp_path):
+        flags = ["--seed", "7", "--model", "logreg", "--folds", "2"]
+        report = tmp_path / "report"
+        proc = run_python("-m", "rahar", "run", "--in", study_dir, "--report", report, *flags)
+        assert proc.returncode == 0, proc.stderr
+        written = len(list(report.iterdir())) - 1
+        assert proc.stderr.splitlines() == [
+            f"wrote {written} output file(s) + {report / 'manifest.json'}"
+        ]
+        assert main(["run", "--in", str(study_dir), "--report", str(tmp_path / "in_process"),
+                     *flags]) == 0
+        assert tree_bytes(report) == tree_bytes(tmp_path / "in_process")
+
+    def test_a_bad_input_exits_with_its_code_and_one_line(self, tmp_path):
+        (tmp_path / "bad.csv").write_text("not,an,epoch,file\n")
+        report = tmp_path / "report"
+        proc = run_python("-m", "rahar", "run", "--in", tmp_path / "bad.csv", "--report", report)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("parse error: ")
+        assert not report.exists()
+
+    PRELUDE = """
+import atexit, sys
+from rahar import cli
+atexit.register(print, "teardown", file=sys.stderr)
+print("before main")
+"""
+
+    def test_output_is_flushed_and_no_teardown_runs(self, tmp_path):
+        # block-buffered through the pipe, the first line is written by the flush
+        code = self.PRELUDE + "cli.console_main()"
+        proc = run_python("-c", code, "validate", "--in", tmp_path / "missing.csv")
+        assert proc.returncode == 2
+        assert proc.stdout == "before main\n"
+        assert proc.stderr.startswith("parse error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_an_exception_out_of_main_takes_the_usual_exit(self):
+        code = self.PRELUDE + "def boom():\n    raise RuntimeError('boom')\ncli.main = boom\ncli.console_main()"
+        proc = run_python("-c", code)
+        assert proc.returncode == 1
+        assert proc.stdout == "before main\n"
+        assert "RuntimeError: boom" in proc.stderr and proc.stderr.endswith("teardown\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_flush_takes_the_usual_exit(self, tmp_path):
+        code = self.PRELUDE + "sys.stdout = open('/dev/full', 'w')\nprint('lost')\nsys.exit(cli.console_main())"
+        proc = run_python("-c", code, "validate", "--in", tmp_path / "missing.csv")
+        assert proc.returncode == 120  # the interpreter's code for a flush failed at exit
+        assert proc.stderr.startswith("parse error: ") and "teardown" in proc.stderr
+
+
+def test_cli_imports_neither_the_models_nor_synth():
+    code = """
+import sys
+import rahar.cli
+print(sorted(name for name in ("rahar.models", "rahar.synth") if name in sys.modules))
+from rahar import ActivityBlock, DayProfile, generate
+print(generate.__module__, DayProfile.__module__, ActivityBlock.__module__)
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "rahar.synth rahar.synth rahar.synth"]
+
+
+def test_a_run_with_a_model_imports_the_trainers_before_the_analysis(study_dir, tmp_path):
+    # forked workers then inherit rahar.models instead of each importing it
+    code = """
+import sys
+from rahar import cli, pipeline
+analyze_inputs, seen = pipeline.analyze_inputs, []
+def spy(*args, **kwargs):
+    seen.append("rahar.models.validation" in sys.modules)
+    return analyze_inputs(*args, **kwargs)
+pipeline.analyze_inputs = spy
+code = cli.main(sys.argv[1:])
+print(seen)
+sys.exit(code)
+"""
+    for flags, loaded in (([], False), (["--model", "logreg", "--folds", "2"], True)):
+        report = tmp_path / f"report{len(flags)}"
+        proc = run_python("-c", code, "run", "--in", study_dir, "--report", report, *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"[{loaded}]"]
 
 
 class TestBadFlags:
@@ -379,8 +489,8 @@ class TestSubcommandsEqualRun:
 
     def test_train_awake_feature_equals_run(self, study_dir, tmp_path, monkeypatch):
         inputs = []  # the model input of each cross-validation
-        cross_validate = pipeline.cross_validate
-        monkeypatch.setattr(pipeline, "cross_validate",
+        cross_validate = models.cross_validate
+        monkeypatch.setattr(models, "cross_validate",
                             lambda X, *a, **k: inputs.append(X) or cross_validate(X, *a, **k))
         model = ["--model", "logreg", "--folds", "2", "--seed", "7"]
         report = tmp_path / "report"
